@@ -1,14 +1,12 @@
-//! Chaos harness: seed-deterministic randomized fault schedules replayed
+//! Chaos experiment: seed-deterministic randomized fault schedules replayed
 //! against the resilient controller, scored as SLA-violation-minutes and
-//! MTTR per scheme. Emits `BENCH_chaos.json` so recovery behaviour is
-//! judged against recorded numbers.
+//! MTTR per scheme.
 //!
 //! Usage (as a `harness = false` bench target):
 //!
 //! ```text
 //! cargo bench -p erms-bench --bench bench_chaos            # full run
 //! cargo bench -p erms-bench --bench bench_chaos -- --quick # CI smoke
-//! cargo bench -p erms-bench --bench bench_chaos -- --out /tmp/c.json
 //! ```
 //!
 //! Four schemes run the *same* chaos schedules (reclamation bursts,
@@ -17,10 +15,11 @@
 //! vs. a heterogeneous spot-mixed cluster, each under the reactive
 //! (PR-1) ladder and the spot-aware ladder. Every seed's replay is
 //! asserted **bit-identical** between the rayon fan-out and a serial
-//! loop before any number is written, and the headline claim — the
+//! loop before the table is printed, and the headline claim — the
 //! spot-aware ladder loses fewer SLA-minutes than the reactive ladder
 //! under reclamation pressure — is asserted, not assumed.
 
+use erms_bench::table;
 use erms_core::latency::Interference;
 use erms_core::prelude::{
     App, ClusterState, FailureDomain, Host, RequestRate, ResilienceConfig, ResilientManager,
@@ -257,23 +256,8 @@ fn aggregate(scheme: Scheme, scores: &[Score]) -> SchemeResult {
     }
 }
 
-fn json_f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_chaos.json".to_string());
+    let quick = std::env::args().any(|a| a == "--quick");
 
     let (seeds, rounds): (usize, u64) = if quick { (2, 16) } else { (8, 48) };
     let (app, _, _) = fig5_app(SLA_MS);
@@ -312,25 +296,41 @@ fn main() {
         })
         .collect();
 
-    for r in &results {
-        println!(
-            "{:<14} {:<10}: {:>3} violation-minutes ({:.1}/seed), MTTR {:.2} rounds, \
-             {} episodes, {} containers lost, {} evacuations ({} containers), {} resizes, \
-             {} sheds, {} skips",
-            r.scheme.cluster,
-            r.scheme.ladder,
-            r.violation_minutes_total,
-            r.violation_minutes_mean,
-            r.mttr_rounds,
-            r.episodes,
-            r.containers_lost,
-            r.spot_evacuations,
-            r.evacuated_containers,
-            r.resizes,
-            r.shed_demands,
-            r.skipped_rounds
-        );
-    }
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .map(|r| {
+            vec![
+                r.scheme.cluster.to_string(),
+                r.scheme.ladder.to_string(),
+                r.violation_minutes_total.to_string(),
+                format!("{:.1}", r.violation_minutes_mean),
+                format!("{:.2}", r.mttr_rounds),
+                r.episodes.to_string(),
+                r.containers_lost.to_string(),
+                format!("{} ({})", r.spot_evacuations, r.evacuated_containers),
+                r.resizes.to_string(),
+                r.shed_demands.to_string(),
+                r.skipped_rounds.to_string(),
+            ]
+        })
+        .collect();
+    table::print(
+        "Recovery under chaos",
+        &[
+            "cluster",
+            "ladder",
+            "violation-min",
+            "mean/seed",
+            "MTTR (rounds)",
+            "episodes",
+            "containers lost",
+            "evacuations (ctrs)",
+            "resizes",
+            "sheds",
+            "skips",
+        ],
+        &rows,
+    );
 
     // The headline claim this harness exists to check: on the spot-mixed
     // cluster, the spot-aware ladder must lose fewer SLA-minutes than the
@@ -350,39 +350,4 @@ fn main() {
         aware.violation_minutes_total,
         reactive.violation_minutes_total
     );
-
-    let schemes_json: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"cluster\": \"{c}\", \"ladder\": \"{l}\",\n      \
-                 \"sla_violation_minutes\": {vt}, \"sla_violation_minutes_mean\": {vm},\n      \
-                 \"mttr_rounds\": {mt}, \"episodes\": {ep}, \"containers_lost\": {cl},\n      \
-                 \"spot_evacuations\": {ev}, \"evacuated_containers\": {ec}, \
-                 \"resizes\": {rz}, \"shed_demands\": {sd}, \"skipped_rounds\": {sk}\n    }}",
-                c = r.scheme.cluster,
-                l = r.scheme.ladder,
-                vt = r.violation_minutes_total,
-                vm = json_f(r.violation_minutes_mean),
-                mt = json_f(r.mttr_rounds),
-                ep = r.episodes,
-                cl = r.containers_lost,
-                ev = r.spot_evacuations,
-                ec = r.evacuated_containers,
-                rz = r.resizes,
-                sd = r.shed_demands,
-                sk = r.skipped_rounds,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"env\": {env},\n  \"quick\": {quick},\n  \"seeds\": {seeds},\n  \"rounds\": {rounds},\n  \
-         \"hosts\": {HOSTS},\n  \"zones\": {ZONES},\n  \"intensity\": {i},\n  \
-         \"bit_identical\": true,\n  \"schemes\": [\n{s}\n  ]\n}}\n",
-        env = erms_bench::env_json(),
-        i = json_f(INTENSITY),
-        s = schemes_json.join(",\n")
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_chaos.json");
-    println!("wrote {out_path}");
 }

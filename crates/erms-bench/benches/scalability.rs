@@ -10,22 +10,13 @@
 //! Also includes the POP-partitioning ablation (whole-cluster vs grouped
 //! placement) called out in DESIGN.md.
 
-use std::collections::BTreeMap;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use erms_core::app::{RequestRate, WorkloadVector};
-use erms_core::cache::PlanCache;
-use erms_core::incremental::IncrementalPlanner;
 use erms_core::latency::Interference;
-use erms_core::manager::{erms_plan, ErmsScaler, SchedulingMode};
+use erms_core::manager::ErmsScaler;
 use erms_core::provisioning::{provision, ClusterState, Host, PlacementPolicy};
 use erms_core::scaling::{own_workloads, plan_service, ScalerConfig};
-use erms_sim::runtime::{SimConfig, Simulation};
-use erms_sim::service_time::derive_from_profile;
-use erms_sim::{replicate, replicate_serial};
 use erms_trace::alibaba::{generate, AlibabaConfig};
-use erms_trace::synth::{generate as synth_generate, SynthConfig};
-use erms_workload::apps::fig5_app;
 
 /// Latency Target Computation time vs dependency-graph size.
 fn bench_latency_target_computation(c: &mut Criterion) {
@@ -116,128 +107,10 @@ fn bench_provisioning(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seeded DES replication fan-out: the parallel harness
-/// (`erms_sim::replicate`) against its serial reference loop, 8
-/// replications of a short Fig. 5 simulation each. On a multi-core host
-/// the parallel side approaches `min(8, cores)`× — on the 1-CPU CI runner
-/// both sides time the same work, pinning the harness overhead at ~zero.
-fn bench_des_replication(c: &mut Criterion) {
-    let (app, _, [s1, s2]) = fig5_app(300.0);
-    let itf = Interference::new(0.3, 0.3);
-    let mut w = WorkloadVector::new();
-    w.set(s1, RequestRate::per_minute(30_000.0));
-    w.set(s2, RequestRate::per_minute(30_000.0));
-    let plan = ErmsScaler::new(&app).plan(&w, itf).expect("feasible plan");
-    let containers: BTreeMap<_, _> = app
-        .microservices()
-        .map(|(ms, _)| (ms, plan.containers(ms)))
-        .collect();
-    let mut priorities = BTreeMap::new();
-    for ms in app.shared_microservices() {
-        if let Some(order) = plan.priority_order(ms) {
-            priorities.insert(ms, order.to_vec());
-        }
-    }
-    let run_one = |seed: u64| {
-        let mut sim = Simulation::new(
-            &app,
-            SimConfig {
-                duration_ms: 2_000.0,
-                warmup_ms: 0.0,
-                seed,
-                trace_sampling: 0.0,
-                ..SimConfig::default()
-            },
-        );
-        for (ms, m) in app.microservices() {
-            let (model, threads) = derive_from_profile(&m.profile, itf, 0.75);
-            sim.set_service_time(ms, model);
-            sim.set_threads(ms, threads);
-        }
-        sim.set_uniform_interference(itf);
-        sim.run(&w, &containers, &priorities).expect("sim runs")
-    };
-
-    let mut group = c.benchmark_group("des_replication");
-    group.sample_size(10);
-    group.bench_function("serial_8", |b| {
-        b.iter(|| replicate_serial(21, 8, |seed, _| run_one(seed)))
-    });
-    group.bench_function("parallel_8", |b| {
-        b.iter(|| replicate(21, 8, |seed, _| run_one(seed)))
-    });
-    group.finish();
-}
-
-/// Incremental re-plan vs cold full plan on synthetic sharing topologies
-/// (dirty-subtree re-merge, arena-backed planner state). One service's
-/// rate toggles each iteration so every re-plan really re-merges that
-/// service's subtrees; everything else is reused in place. The full
-/// cold-vs-incremental sweep with allocation counts lives in
-/// `bench_planner` (committed as `BENCH_planner.json`); this group keeps
-/// the scaling *shape* visible next to the paper's §6.5.2 costs.
-fn bench_incremental_replan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("incremental_replan");
-    group.sample_size(10);
-    for &n in &[100usize, 1000] {
-        let generated = synth_generate(&SynthConfig::scaled(n, 42));
-        let app = &generated.app;
-        let itf = Interference::default();
-        let sids: Vec<_> = app.services().map(|(sid, _)| sid).collect();
-        let base: Vec<f64> = (0..sids.len())
-            .map(|i| 90.0 * ((i % 37) as f64 + 1.0))
-            .collect();
-        let mut w = WorkloadVector::new();
-        for (i, &sid) in sids.iter().enumerate() {
-            w.set(sid, RequestRate::per_minute(base[i]));
-        }
-
-        let mut planner =
-            IncrementalPlanner::new(ScalerConfig::default(), SchedulingMode::Priority);
-        let cache = PlanCache::with_capacity(1 << 16);
-        // Settle both toggle phases so arenas and memo entries are warm.
-        for phase in [true, false, true, false] {
-            let rate = if phase { base[0] * 1.07 } else { base[0] };
-            w.set(sids[0], RequestRate::per_minute(rate));
-            planner
-                .replan_auto(app, &w, itf, Some(&cache))
-                .expect("feasible");
-        }
-
-        let mut phase = false;
-        group.bench_with_input(BenchmarkId::new("one_dirty_service", n), &n, |b, _| {
-            b.iter(|| {
-                phase = !phase;
-                let rate = if phase { base[0] * 1.07 } else { base[0] };
-                w.set(sids[0], RequestRate::per_minute(rate));
-                planner
-                    .replan_auto(app, &w, itf, Some(&cache))
-                    .expect("feasible")
-                    .total_containers()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("cold_full_plan", n), &n, |b, _| {
-            b.iter(|| {
-                erms_plan(
-                    app,
-                    &w,
-                    itf,
-                    &ScalerConfig::default(),
-                    SchedulingMode::Priority,
-                )
-                .expect("feasible")
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_latency_target_computation,
     bench_online_scaling,
-    bench_provisioning,
-    bench_des_replication,
-    bench_incremental_replan
+    bench_provisioning
 );
 criterion_main!(benches);

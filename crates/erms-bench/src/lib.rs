@@ -82,7 +82,7 @@ pub fn violation_probability(p95_ms: f64, sla_ms: f64, cv: f64) -> f64 {
 
 /// Standard normal CDF via the Abramowitz–Stegun erf approximation
 /// (max error ≈ 1.5e-7).
-pub fn normal_cdf(z: f64) -> f64 {
+fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
 }
 
@@ -96,31 +96,6 @@ fn erf(x: f64) -> f64 {
             * t
             * (-x * x).exp();
     sign * y
-}
-
-/// The host-environment block embedded in every committed `BENCH_*.json`
-/// snapshot: how many hardware threads the host offers and whether the
-/// rayon pool was pinned via `RAYON_NUM_THREADS`. Parallel-speedup
-/// numbers are meaningless without it — a 1.02× replication speedup is an
-/// honest result on a 1-CPU host and a regression on a 16-core one.
-///
-/// Rendered as a JSON object, e.g.
-/// `{"available_parallelism": 4, "rayon_num_threads": 2}` — the second
-/// field is `null` when the env var is unset (pool width defaulted).
-#[must_use]
-pub fn env_json() -> String {
-    let avail = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(0);
-    let pinned = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok());
-    match pinned {
-        Some(n) => {
-            format!("{{\"available_parallelism\": {avail}, \"rayon_num_threads\": {n}}}")
-        }
-        None => format!("{{\"available_parallelism\": {avail}, \"rayon_num_threads\": null}}"),
-    }
 }
 
 /// Plain-text table rendering for harness output.
@@ -186,14 +161,6 @@ mod tests {
         assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
         assert!((normal_cdf(1.6449) - 0.95).abs() < 1e-3);
         assert!((normal_cdf(-1.0) + normal_cdf(1.0) - 1.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn env_json_is_valid_and_complete() {
-        let e = env_json();
-        assert!(e.starts_with('{') && e.ends_with('}'), "{e}");
-        assert!(e.contains("\"available_parallelism\": "), "{e}");
-        assert!(e.contains("\"rayon_num_threads\": "), "{e}");
     }
 
     #[test]

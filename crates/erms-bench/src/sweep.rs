@@ -250,8 +250,8 @@ pub fn static_sweep_on(
 /// no plan cache — apps are rebuilt per SLA level on every invocation and
 /// every cell derives its merge trees from scratch.
 ///
-/// Kept verbatim as the baseline the determinism test and the
-/// `bench_sweep` harness compare [`static_sweep`] against.
+/// Kept verbatim as the baseline the determinism test compares
+/// [`static_sweep`] against.
 pub fn static_sweep_serial(
     workloads_per_min: &[f64],
     slas_ms: &[f64],

@@ -7,7 +7,8 @@
 //! only — no chunked encoding, which none of our clients produce) and
 //! dispatches complete requests to a shared handler. Shutdown is
 //! cooperative: a flag is set, the acceptor is unblocked with a
-//! self-connect, the channel is dropped, and workers drain.
+//! self-connect, the channel is dropped, the read half of every live
+//! connection is shut so idle workers see EOF, and workers drain.
 //!
 //! The client half ([`Client`]) is a blocking keep-alive connection used
 //! by the CLI, the benches and the loopback integration harness. It
@@ -15,7 +16,7 @@
 //! under it (idle timeout on the server side).
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -109,6 +110,10 @@ pub struct Server {
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    /// One slot per worker: a handle on the connection it is serving, so
+    /// [`shutdown`](Server::shutdown) can wake a worker blocked reading an
+    /// idle keep-alive connection.
+    live: Arc<Vec<Mutex<Option<TcpStream>>>>,
     requests: Arc<AtomicU64>,
 }
 
@@ -128,8 +133,11 @@ impl Server {
         let rx = Arc::new(Mutex::new(rx));
 
         let worker_count = workers.max(1);
+        let live: Arc<Vec<Mutex<Option<TcpStream>>>> =
+            Arc::new((0..worker_count).map(|_| Mutex::new(None)).collect());
         let mut pool = Vec::with_capacity(worker_count);
-        for _ in 0..worker_count {
+        for slot in 0..worker_count {
+            let live = Arc::clone(&live);
             let rx = Arc::clone(&rx);
             let handler = Arc::clone(&handler);
             let stop = Arc::clone(&stop);
@@ -140,7 +148,14 @@ impl Server {
                 // next connection.
                 let conn = { rx.lock().expect("worker queue poisoned").recv() };
                 match conn {
-                    Ok(stream) => serve_connection(stream, &handler, &stop, &requests),
+                    Ok(stream) => {
+                        // Registered before `serve_connection` first reads
+                        // `stop`: shutdown either finds the handle here or
+                        // the worker finds the flag set.
+                        *live[slot].lock().expect("live slot poisoned") = stream.try_clone().ok();
+                        serve_connection(stream, &handler, &stop, &requests);
+                        *live[slot].lock().expect("live slot poisoned") = None;
+                    }
                     Err(_) => return, // channel closed: shutdown
                 }
             }));
@@ -170,6 +185,7 @@ impl Server {
             stop,
             acceptor: Some(acceptor),
             workers: pool,
+            live,
             requests,
         })
     }
@@ -205,6 +221,13 @@ impl Server {
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
+        }
+        // Only the read half: a worker blocked on an idle connection sees
+        // EOF and returns, one inside the handler still writes its reply.
+        for slot in self.live.iter() {
+            if let Some(conn) = slot.lock().expect("live slot poisoned").as_ref() {
+                let _ = conn.shutdown(Shutdown::Read);
+            }
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -551,10 +574,52 @@ mod tests {
         let addr = server.addr();
         let mut client = Client::new(addr).unwrap();
         let _ = client.request("GET", "/", None).unwrap();
+        // `client` stays open and idle: shutdown must not wait out its
+        // keep-alive timeout.
+        let started = std::time::Instant::now();
         server.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "shutdown waited {took:?} on an idle keep-alive connection"
+        );
         // After shutdown the listener is gone; either the connection is
         // refused or the accepted socket is dropped without an answer.
         let mut c2 = Client::new(addr).unwrap();
         assert!(c2.request("GET", "/", None).is_err());
+    }
+
+    #[test]
+    fn shutdown_lets_an_in_flight_request_finish() {
+        const REPLY_BYTES: usize = 1 << 20;
+        // The handler reports that it is running, then holds its reply
+        // until the test has seen shutdown begin.
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let gates = Mutex::new((entered_tx, release_rx));
+        let handler: Handler = Arc::new(move |_req: &Request| {
+            let (entered, release) = &*gates.lock().unwrap();
+            entered.send(()).unwrap();
+            release.recv().unwrap();
+            // Not needed for the test to pass: it only makes it likely that
+            // the read half is already shut when the reply goes out.
+            std::thread::sleep(Duration::from_millis(20));
+            Response::text(200, "x".repeat(REPLY_BYTES))
+        });
+        let server = Server::bind("127.0.0.1:0", 1, handler).expect("bind");
+        let addr = server.addr();
+        let stop = server.shutdown_flag();
+        let client =
+            std::thread::spawn(move || Client::new(addr).unwrap().request("GET", "/slow", None));
+        entered_rx.recv().expect("handler entered");
+        let stopper = std::thread::spawn(move || server.shutdown());
+        while !stop.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        release_tx.send(()).unwrap();
+        let (status, body) = client.join().unwrap().expect("full reply despite shutdown");
+        assert_eq!(status, 200);
+        assert_eq!(body.len(), REPLY_BYTES);
+        stopper.join().unwrap();
     }
 }

@@ -1,7 +1,6 @@
-//! A spec-correct JSON value, parser and serializer, hand-rolled in the
-//! tradition of the workspace's `erms_bench::env_json()` — the build is
-//! fully offline, so serde_json is not available and the serde stub does
-//! not serialize anything.
+//! A spec-correct JSON value, parser and serializer, hand-rolled: the
+//! build is fully offline, so serde_json is not available and the serde
+//! stub does not serialize anything.
 //!
 //! Two properties matter more than speed here:
 //!

@@ -76,5 +76,5 @@ pub use partition::Partition;
 pub use replicate::{replicate, replicate_serial, replication_seed};
 pub use runtime::{PercentileView, Scheduling, SimConfig, SimResult, Simulation};
 pub use service_time::ServiceTimeModel;
-pub use shard::{cross_shard_edge_fraction, shard_of, ShardStats};
+pub use shard::{shard_of, ShardStats};
 pub use telemetry::{NullSink, RequestRecord, SpanRecord, TelemetrySink};

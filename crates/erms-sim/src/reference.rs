@@ -4,15 +4,11 @@
 //! dense-table refactor of [`runtime`](crate::runtime): every per-event
 //! lookup goes through a `BTreeMap` keyed on `MicroserviceId`/`ServiceId`,
 //! service times are re-parameterised per sample, and crash faults scan
-//! the whole call arena for victims. It exists for two jobs, mirroring
-//! `static_sweep_serial` in `erms-bench`:
-//!
-//! * the golden-seed bit-identity suite runs both engines on a matrix of
-//!   (app, rate, faults, seed) configurations and asserts the dense engine
-//!   reproduces this one's [`SimResult`] exactly, float bit for float bit;
-//! * `bench_des` times both on the same scenario, so the recorded
-//!   events/sec speedup is honestly "vs the code the dense engine
-//!   replaced".
+//! the whole call arena for victims. It exists for one job, mirroring
+//! `static_sweep_serial` in `erms-bench`: the golden-seed bit-identity
+//! suite runs both engines on a matrix of (app, rate, faults, seed)
+//! configurations and asserts the dense engine reproduces this one's
+//! [`SimResult`] exactly, float bit for float bit.
 //!
 //! Do not "improve" this file; its value is that it does not change.
 

@@ -73,9 +73,8 @@ where
 
 /// The serial reference loop [`replicate`] must match bit-for-bit.
 ///
-/// Kept as the comparison baseline for the determinism tests and the
-/// `bench_des` replication-speedup measurement (the same pattern as
-/// `static_sweep_serial` in `erms-bench`).
+/// Kept as the comparison baseline for the determinism tests (the same
+/// pattern as `static_sweep_serial` in `erms-bench`).
 pub fn replicate_serial<T, F>(base_seed: u64, n: usize, run: F) -> Vec<T>
 where
     F: Fn(u64, usize) -> T,

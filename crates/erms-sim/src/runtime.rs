@@ -22,7 +22,6 @@ use erms_core::app::{App, WorkloadVector};
 use erms_core::error::{Error, Result};
 use erms_core::ids::{MicroserviceId, NodeId, ServiceId};
 use erms_core::latency::Interference;
-use erms_trace::extract::LatencyObservation;
 use erms_trace::span::{Span, SpanId, SpanKind, TraceId};
 use erms_trace::store::TraceStore;
 use rand::Rng;
@@ -379,23 +378,6 @@ impl SimResult {
                 })
                 .collect(),
         }
-    }
-
-    /// Flattens the per-microservice observations into the trace crate's
-    /// [`LatencyObservation`] form for aggregation and profiling.
-    pub fn latency_observations(&self) -> Vec<LatencyObservation> {
-        let mut out = Vec::new();
-        for (&ms, rows) in &self.ms_own_latencies {
-            for &(at_ms, latency_ms, service) in rows {
-                out.push(LatencyObservation {
-                    microservice: ms,
-                    service,
-                    at_ms,
-                    latency_ms,
-                });
-            }
-        }
-        out
     }
 }
 

@@ -22,7 +22,8 @@
 //! unsampled span (the 99% case at the default 1% rate) costs one hash,
 //! one compare and one counter increment. `tests/sim_allocations.rs`
 //! bounds the marginal cost at under one allocation per engine event;
-//! `bench_telemetry` bounds throughput overhead at ≤5%.
+//! the benchmark reports the throughput overhead as
+//! `sim.runtime.sink_overhead_pct`.
 
 use erms_core::app::App;
 use erms_core::ids::{MicroserviceId, ServiceId};

@@ -31,8 +31,16 @@ struct Args {
     flags: Vec<String>,
 }
 
+/// Numeric options: `f64` ones must be finite and non-negative (a leading
+/// `-` is a value here, not a flag: `--rate -5`).
+const F64_KEYS: [&str; 5] = ["rate", "sla", "cpu", "mem", "delta"];
+const USIZE_KEYS: [&str; 4] = ["services", "pool", "seed", "workers"];
+
 impl Args {
-    fn parse(raw: &[String]) -> Self {
+    /// Splits `--key value` pairs from bare `--flag`s and rejects numeric
+    /// options that do not parse, so no command ever runs on a default the
+    /// user did not ask for.
+    fn parse(raw: &[String]) -> std::result::Result<Self, String> {
         let mut values = BTreeMap::new();
         let mut flags = Vec::new();
         let mut i = 0;
@@ -50,21 +58,41 @@ impl Args {
                 i += 1;
             }
         }
-        Self { values, flags }
+        for (key, value) in &values {
+            if F64_KEYS.contains(&key.as_str()) {
+                if !value
+                    .parse::<f64>()
+                    .is_ok_and(|v| v.is_finite() && v >= 0.0)
+                {
+                    return Err(format!(
+                        "--{key} {value:?} is not a finite non-negative number"
+                    ));
+                }
+            } else if USIZE_KEYS.contains(&key.as_str()) && value.parse::<usize>().is_err() {
+                return Err(format!("--{key} {value:?} is not a non-negative integer"));
+            }
+        }
+        if let Some(key) = flags
+            .iter()
+            .find(|f| F64_KEYS.contains(&f.as_str()) || USIZE_KEYS.contains(&f.as_str()))
+        {
+            return Err(format!("--{key} needs a value"));
+        }
+        Ok(Self { values, flags })
     }
 
     fn f64(&self, key: &str, default: f64) -> f64 {
+        debug_assert!(F64_KEYS.contains(&key));
         self.values
             .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map_or(default, |v| v.parse().expect("checked in Args::parse"))
     }
 
     fn usize(&self, key: &str, default: usize) -> usize {
+        debug_assert!(USIZE_KEYS.contains(&key));
         self.values
             .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map_or(default, |v| v.parse().expect("checked in Args::parse"))
     }
 
     fn str(&self, key: &str, default: &str) -> String {
@@ -385,7 +413,14 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    let args = Args::parse(&raw[1..]);
+    let args = match Args::parse(&raw[1..]) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}\n");
+            usage();
+            return ExitCode::FAILURE;
+        }
+    };
     let outcome = match command.as_str() {
         "plan" => cmd_plan(&args),
         "compare" => cmd_compare(&args),

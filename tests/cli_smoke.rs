@@ -36,6 +36,45 @@ fn no_command_prints_usage_and_fails() {
 }
 
 #[test]
+fn bad_numeric_options_print_usage_and_fail() {
+    for (command, key, value) in [
+        ("plan", "--rate", "-5"),
+        ("plan", "--rate", "abc"),
+        ("plan", "--rate", "NaN"),
+        ("plan", "--sla", "inf"),
+        ("compare", "--cpu", "-0.1"),
+        ("compare", "--mem", "lots"),
+        ("simulate", "--delta", "-1"),
+        ("sharing", "--services", "many"),
+    ] {
+        let out = Command::new(BIN)
+            .args([command, key, value])
+            .output()
+            .expect("run erms-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{command} {key} {value} must exit non-zero"
+        );
+        assert!(
+            stderr.contains(key) && stderr.contains(value) && stderr.contains("usage:"),
+            "{command} {key} {value}: stderr must name the option and print usage: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{command} {key} {value} must not print a plan"
+        );
+    }
+    // A valid value still plans.
+    let out = Command::new(BIN)
+        .args(["plan", "--rate", "30000"])
+        .output()
+        .expect("run erms-cli");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("total:"));
+}
+
+#[test]
 fn status_without_addr_fails_with_a_message() {
     let out = Command::new(BIN)
         .arg("status")

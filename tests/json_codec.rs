@@ -132,18 +132,3 @@ fn non_finite_numbers_are_refused_with_the_typed_error() {
         assert!(Json::parse(text).is_err(), "{text} must not parse");
     }
 }
-
-/// The codec agrees with the workspace's other hand-written JSON producer:
-/// the bench environment stamp parses and carries the expected fields.
-#[test]
-fn env_json_parses_and_agrees() {
-    let text = erms_bench::env_json();
-    let parsed = Json::parse(&text).expect("env_json must be valid JSON");
-    let cores = parsed
-        .get("available_parallelism")
-        .and_then(Json::as_f64)
-        .expect("available_parallelism is a number");
-    assert!(cores >= 0.0 && cores.fract() == 0.0);
-    let pinned = parsed.get("rayon_num_threads").expect("field present");
-    assert!(pinned.is_null() || pinned.as_f64().is_some());
-}
