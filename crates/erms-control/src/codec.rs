@@ -12,7 +12,7 @@
 //! JSON object keys must be strings); order follows the `BTreeMap`
 //! iteration order, so encodings are canonical.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use erms_core::app::{App, AppBuilder, Microservice, RequestRate, Service, Sla, WorkloadVector};
 use erms_core::autoscaler::ScalingPlan;
@@ -28,10 +28,17 @@ use erms_core::scaling::ServicePlan;
 use erms_profilers::dataset::Sample;
 use erms_sim::telemetry::SpanRecord;
 
-use crate::json::Json;
+use crate::json::{Json, JsonError, Parser};
 
 /// A decode failure: what was wrong, with a rough path for diagnostics.
 pub type DecodeError = String;
+
+/// Text that is not JSON fails a streamed decode with the parser's message.
+impl From<JsonError> for DecodeError {
+    fn from(e: JsonError) -> Self {
+        format!("invalid JSON: {e}")
+    }
+}
 
 fn num(v: f64) -> Json {
     Json::Num(v)
@@ -86,10 +93,20 @@ fn id_from(j: &Json, ctx: &str) -> Result<u32, DecodeError> {
     let v = j
         .as_f64()
         .ok_or_else(|| format!("{ctx}: expected a numeric id"))?;
-    if v < 0.0 || v.fract() != 0.0 || v > f64::from(u32::MAX) {
-        return Err(format!("{ctx}: id must be a small non-negative integer"));
+    u32_from(v, ctx)
+}
+
+/// A wire number that has to be a `u32`: refused, never clamped, when it
+/// is negative, fractional or too large.
+fn u32_from(v: f64, ctx: &str) -> Result<u32, DecodeError> {
+    // The cast truncates and saturates, so only a value that already is a
+    // `u32` comes back from it unchanged (`-0` does, as 0).
+    let n = v as u32;
+    if f64::from(n) == v {
+        Ok(n)
+    } else {
+        Err(format!("{ctx}: must be a non-negative integer below 2^32"))
     }
-    Ok(v as u32)
 }
 
 // ---------------------------------------------------------------- profiles
@@ -895,43 +912,171 @@ pub fn span_batch_to_json(batch: &SpanBatch) -> Json {
     ])
 }
 
-/// Decodes a span batch.
-pub fn span_batch_from_json(j: &Json) -> Result<SpanBatch, DecodeError> {
-    let sampling = get_f64(j, "sampling", "span batch")?;
-    if !(sampling > 0.0 && sampling <= 1.0) {
-        return Err("span batch: `sampling` must be in (0, 1]".into());
+const SPAN_SHAPE: &str =
+    "span batch: span must be six numbers [service, ms, container, class, start, end]";
+
+fn checked_sampling(sampling: f64) -> Result<f64, DecodeError> {
+    if sampling > 0.0 && sampling <= 1.0 {
+        Ok(sampling)
+    } else {
+        Err("span batch: `sampling` must be in (0, 1]".into())
     }
+}
+
+/// One span from its six wire numbers. Both decoders end here, so what a
+/// span may hold is decided once.
+fn span_from_fields(
+    [service, ms, container, class, start_ms, end_ms]: [f64; 6],
+) -> Result<SpanRecord, DecodeError> {
+    // Its latency goes into the fit as it is, and into snapshots, which
+    // cannot carry an infinity: two finite ends far enough apart make one.
+    if !(0.0..f64::INFINITY).contains(&(end_ms - start_ms)) {
+        return Err("span batch: span `end_ms` must not precede `start_ms`, \
+                    nor lie an infinity after it"
+            .into());
+    }
+    Ok(SpanRecord {
+        service: ServiceId::new(u32_from(service, "span `service`")?),
+        microservice: MicroserviceId::new(u32_from(ms, "span `microservice`")?),
+        container: u32_from(container, "span `container`")?,
+        priority_class: u32_from(class, "span `priority_class`")?,
+        start_ms,
+        end_ms,
+    })
+}
+
+/// Decodes a span batch from a parsed tree. The daemon decodes request
+/// bodies with [`span_batch_from_text`]; this form is the oracle that one
+/// is tested against, and what a caller already holding a tree uses.
+pub fn span_batch_from_json(j: &Json) -> Result<SpanBatch, DecodeError> {
+    let sampling = checked_sampling(get_f64(j, "sampling", "span batch")?)?;
     let containers = match j.get("containers") {
         Some(c) => ms_pairs_from_json(c, "span batch containers")?
             .into_iter()
             .collect(),
         None => BTreeMap::new(),
     };
-    let spans = get_arr(j, "spans", "span batch")?
-        .iter()
-        .map(|s| {
-            let six = s.as_arr().filter(|a| a.len() == 6).ok_or_else(|| {
-                "span batch: span must be [service, ms, container, class, start, end]".to_string()
-            })?;
-            let f = |i: usize| {
-                six[i]
-                    .as_f64()
-                    .ok_or_else(|| "span batch: span fields must be numbers".to_string())
-            };
-            Ok(SpanRecord {
-                service: ServiceId::new(id_from(&six[0], "span service")?),
-                microservice: MicroserviceId::new(id_from(&six[1], "span microservice")?),
-                container: f(2)? as u32,
-                priority_class: f(3)? as u32,
-                start_ms: f(4)?,
-                end_ms: f(5)?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
+    let wire = get_arr(j, "spans", "span batch")?;
+    let mut spans = Vec::with_capacity(wire.len());
+    for span in wire {
+        let six = span.as_arr().filter(|a| a.len() == 6).ok_or(SPAN_SHAPE)?;
+        let mut fields = [0.0; 6];
+        for (field, value) in fields.iter_mut().zip(six) {
+            *field = value.as_f64().ok_or(SPAN_SHAPE)?;
+        }
+        spans.push(span_from_fields(fields)?);
+    }
     Ok(SpanBatch {
         sampling,
         containers,
         spans,
+    })
+}
+
+/// The number at the parser's position, or `shape` when something else is.
+fn number_or(p: &mut Parser<'_>, shape: &str) -> Result<f64, DecodeError> {
+    if matches!(p.peek(), Some(b'-' | b'0'..=b'9')) {
+        Ok(p.number()?)
+    } else {
+        Err(shape.into())
+    }
+}
+
+/// Walks `[item, item, …]`, or fails with `shape` when no array is there.
+fn elements(
+    p: &mut Parser<'_>,
+    shape: &str,
+    item: impl FnMut(&mut Parser<'_>) -> Result<(), DecodeError>,
+) -> Result<(), DecodeError> {
+    if !p.eat(b'[') {
+        return Err(shape.into());
+    }
+    p.sequence(b']', item)
+}
+
+/// Reads `[n, n, …]` of exactly `N` numbers, or fails with `shape`.
+fn numbers<const N: usize>(p: &mut Parser<'_>, shape: &str) -> Result<[f64; N], DecodeError> {
+    let mut out = [0.0; N];
+    let mut len = 0;
+    elements(p, shape, |p| {
+        *out.get_mut(len).ok_or(shape)? = number_or(p, shape)?;
+        len += 1;
+        Ok(())
+    })?;
+    if len == N {
+        Ok(out)
+    } else {
+        Err(shape.into())
+    }
+}
+
+/// Decodes a span batch straight from its JSON text, in one pass and with
+/// no [`Json`] tree in between: a span becomes a 40-byte [`SpanRecord`]
+/// instead of seven heap nodes that are read once and freed. This is the
+/// decoder behind `POST …/spans`.
+///
+/// It accepts and rejects exactly what [`Json::parse`] followed by
+/// [`span_batch_from_json`] does (a property test holds the two together):
+/// the tokens come from the same parser, duplicate members of the batch
+/// object are refused, and a member this decoder has no use for goes
+/// through the tree parser and is dropped, so garbage inside it is still
+/// garbage.
+pub fn span_batch_from_text(text: &str) -> Result<SpanBatch, DecodeError> {
+    let p = &mut Parser::new(text);
+    let (mut sampling, mut containers, mut spans) = (None, None, None);
+    let mut unknown = HashSet::new();
+    p.skip_ws();
+    if !p.eat(b'{') {
+        return Err("span batch: expected an object".into());
+    }
+    p.sequence(b'}', |p| {
+        let key = p.key()?;
+        let duplicate = match key.as_str() {
+            "sampling" => sampling.is_some(),
+            "containers" => containers.is_some(),
+            "spans" => spans.is_some(),
+            _ => !unknown.insert(key.clone()),
+        };
+        if duplicate {
+            return Err(JsonError::DuplicateKey(key).into());
+        }
+        match key.as_str() {
+            "sampling" => {
+                let value = number_or(p, "span batch: non-numeric field `sampling`")?;
+                sampling = Some(checked_sampling(value)?);
+            }
+            "containers" => {
+                let ctx = "span batch containers";
+                let shape = "span batch containers: expected an array of pairs";
+                let pairs = containers.insert(BTreeMap::new());
+                elements(p, shape, |p| {
+                    let [ms, count] = numbers(p, shape)?;
+                    pairs.insert(
+                        MicroserviceId::new(u32_from(ms, ctx)?),
+                        u32_from(count, ctx)?,
+                    );
+                    Ok(())
+                })?;
+            }
+            "spans" => {
+                // A span is seldom under 32 bytes of text, so this is as a
+                // rule the only allocation; growing to 2000 spans by
+                // doubling cost a quarter of the decode in page faults.
+                let list = spans.insert(Vec::with_capacity(text.len() / 32));
+                elements(p, "span batch: non-array field `spans`", |p| {
+                    list.push(span_from_fields(numbers(p, SPAN_SHAPE)?)?);
+                    Ok(())
+                })?;
+            }
+            _ => drop(p.value(1)?),
+        }
+        Ok::<(), DecodeError>(())
+    })?;
+    p.finish()?;
+    Ok(SpanBatch {
+        sampling: sampling.ok_or("span batch: missing field `sampling`")?,
+        containers: containers.unwrap_or_default(),
+        spans: spans.ok_or("span batch: missing field `spans`")?,
     })
 }
 

@@ -273,11 +273,17 @@ fn serve_connection(stream: TcpStream, handler: &Handler, stop: &AtomicBool, req
 /// request).
 #[allow(clippy::type_complexity)]
 fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<(Request, bool)>, Option<u16>> {
+    // The head is read through a cap: `read_line` on the socket itself
+    // buffers a line of any length before anything can count it.
+    let mut head = reader.by_ref().take(MAX_HEAD_BYTES as u64 + 1);
     let mut line = String::new();
-    match reader.read_line(&mut line) {
+    match head.read_line(&mut line) {
         Ok(0) => return Ok(None),
         Ok(_) => {}
         Err(_) => return Err(None), // timeout or reset on an idle connection
+    }
+    if head.limit() == 0 {
+        return Err(Some(413));
     }
     let line = line.trim_end();
     let mut parts = line.split_whitespace();
@@ -289,15 +295,13 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<(Request, bo
 
     let mut content_length = 0usize;
     let mut connection_close = !http11;
-    let mut head_bytes = line.len();
     loop {
         let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) => return Err(None),
-            Ok(n) => head_bytes += n,
-            Err(_) => return Err(None),
+        match head.read_line(&mut header) {
+            Ok(0) | Err(_) => return Err(None),
+            Ok(_) => {}
         }
-        if head_bytes > MAX_HEAD_BYTES {
+        if head.limit() == 0 {
             return Err(Some(413));
         }
         let header = header.trim_end();
@@ -565,6 +569,39 @@ mod tests {
         let mut reader = BufReader::new(stream);
         reader.read_line(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_head_gets_413_before_it_is_buffered() {
+        let server = echo_server();
+        // A megabyte of request line and no newline in sight: the reply has
+        // to come after `MAX_HEAD_BYTES` of it, not after the line ends
+        // (it never does — the write below may well fail half-way, once
+        // the server has answered and hung up).
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let _ = stream.write_all(&vec![b'a'; 1 << 20]);
+        let mut response = String::new();
+        BufReader::new(stream).read_line(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+
+        // Many short header lines add up against the same cap.
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(b"GET / HTTP/1.1\r\n").unwrap();
+        let _ = stream.write_all("x-filler: 0123456789\r\n".repeat(2_000).as_bytes());
+        let mut response = String::new();
+        BufReader::new(stream).read_line(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+
+        // A head just under the cap is served.
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let padding = "a".repeat(MAX_HEAD_BYTES - 64);
+        let head = format!("GET /ok HTTP/1.1\r\nx-filler: {padding}\r\n\r\n");
+        assert!(head.len() <= MAX_HEAD_BYTES);
+        stream.write_all(head.as_bytes()).unwrap();
+        let mut response = String::new();
+        BufReader::new(stream).read_line(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
         server.shutdown();
     }
 

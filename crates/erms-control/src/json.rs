@@ -2,30 +2,49 @@
 //! build is fully offline, so serde_json is not available and the serde
 //! stub does not serialize anything.
 //!
-//! Two properties matter more than speed here:
+//! Two properties matter more than speed here, and the fast paths below
+//! are each held to them by a test against the plain form:
 //!
 //! * **Exact f64 round-trips.** Planner state is full of f64s whose *bit
 //!   patterns* are contractual (warm re-plans must be bit-identical to
-//!   cold ones). Serialization uses Rust's shortest-round-trip `Display`
-//!   for `f64`, and parsing uses `f64::from_str`, which together restore
-//!   the exact bits of every finite double — including `-0.0` (printed
-//!   as `-0`) and subnormals. Non-finite values have no JSON
-//!   representation and are rejected with a typed error at
-//!   serialization time; codecs that need ∞ (e.g. a constant cut-off)
-//!   must encode it structurally (this crate uses `null`).
+//!   cold ones). Serialization emits what Rust's shortest-round-trip
+//!   `Display` for `f64` prints, and parsing returns what `f64::from_str`
+//!   returns, which together restore the exact bits of every finite
+//!   double — including `-0.0` (printed as `-0`) and subnormals. Integral
+//!   values below 2^53 are written, and integers of at most 15 digits
+//!   read, through `u64` instead: both are exact there, so the bytes and
+//!   the bits are the ones `Display` and `from_str` give. Non-finite
+//!   values have no JSON representation and are rejected with a typed
+//!   error at serialization time; codecs that need ∞ (e.g. a constant
+//!   cut-off) must encode it structurally (this crate uses `null`).
 //! * **Strict grammar.** The parser accepts exactly RFC 8259: no
 //!   trailing commas, no comments, no leading zeros, no bare NaN/inf
 //!   tokens, full `\uXXXX` escapes with surrogate-pair handling, and a
-//!   depth limit so adversarial nesting cannot overflow the stack.
+//!   depth limit so adversarial nesting cannot overflow the stack. There
+//!   is one grammar: the parser is crate-visible so that a codec can pull
+//!   tokens from it and build domain values without a [`Json`] tree in
+//!   between (`codec::span_batch_from_text`), and what such a decoder
+//!   does not consume itself it hands to `Parser::value`, so it can
+//!   accept nothing [`Json::parse`] rejects.
 //!
 //! Object members preserve insertion order (a `Vec` of pairs, not a
 //! map): snapshot files diff cleanly and serialization is deterministic.
 
-use std::fmt;
+use std::collections::HashSet;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth the parser accepts. Snapshot documents nest a
 /// dozen levels; 128 leaves headroom while keeping recursion bounded.
 const MAX_DEPTH: usize = 128;
+
+/// Members an object may hold while its duplicate-key check is a scan of
+/// the members read so far. Past it the keys go into a hash set: a scan per
+/// member is quadratic, and a body of distinct short keys at the size limit
+/// would pin a worker for hours.
+const SCANNED_KEYS: usize = 16;
+
+/// 2^53: below it every integral `f64` is an exact `u64`.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
 
 /// A JSON document value.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,16 +192,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    return Err(JsonError::NonFinite);
-                }
-                // Rust's f64 Display prints the shortest decimal string
-                // that parses back to the same bits; "-0" and subnormals
-                // included. Integral values print without a fraction
-                // ("3", not "3.0"), which is still valid JSON.
-                out.push_str(&n.to_string());
-            }
+            Json::Num(n) => write_number(*n, out)?,
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -219,18 +229,33 @@ impl Json {
     /// [`JsonError::TooDeep`] past the nesting bound,
     /// [`JsonError::DuplicateKey`] on repeated object keys.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing data after the document"));
-        }
+        p.finish()?;
         Ok(value)
     }
+}
+
+/// Writes a number as `f64`'s `Display` prints it: the shortest decimal
+/// string that parses back to the same bits, "-0" and subnormals included,
+/// integral values without a fraction ("3", not "3.0", still valid JSON).
+/// Both arms write into `out` directly; neither allocates.
+fn write_number(n: f64, out: &mut String) -> Result<(), JsonError> {
+    if !n.is_finite() {
+        return Err(JsonError::NonFinite);
+    }
+    // The cast truncates, so only an integral value comes back unchanged.
+    let whole = n as i64;
+    if whole as f64 == n && n.abs() < EXACT_INTEGERS {
+        if n.is_sign_negative() {
+            out.push('-');
+        }
+        write!(out, "{}", whole.unsigned_abs()).expect("writing to a String cannot fail");
+    } else {
+        write!(out, "{n}").expect("writing to a String cannot fail");
+    }
+    Ok(())
 }
 
 /// Writes `s` as a JSON string literal, escaping per RFC 8259: `"` and
@@ -238,30 +263,46 @@ impl Json {
 /// `\u00XX`. Non-ASCII code points pass through as UTF-8.
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Everything between two escapes is copied as one slice.
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let short = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => write!(out, "\\u{byte:04x}").expect("writing to a String cannot fail"),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The one tokenizer of the crate. [`Json::parse`] is its first client; a
+/// codec that wants domain values without a tree pulls from the same
+/// entry points.
+pub(crate) struct Parser<'a> {
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// A parser at the first byte of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        Self { text, pos: 0 }
+    }
+
+    /// A syntax error at the current position.
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError::Syntax {
             at: self.pos,
@@ -269,27 +310,46 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The next byte, if any, without consuming it.
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
+    /// Consumes insignificant whitespace.
+    pub(crate) fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    /// Consumes `byte` if it is next; says whether it did.
+    pub(crate) fn eat(&mut self, byte: u8) -> bool {
+        let found = self.peek() == Some(byte);
+        self.pos += usize::from(found);
+        found
+    }
+
+    /// Consumes `byte` or fails.
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
+        if self.eat(byte) {
             Ok(())
         } else {
             Err(self.err(format!("expected {:?}", byte as char)))
         }
     }
 
+    /// Consumes trailing whitespace and fails unless the input ends there.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing data after the document"))
+        }
+    }
+
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -297,7 +357,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// Parses any value into a tree. `depth` is the nesting level of the
+    /// value itself (0 for the document).
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         if depth > MAX_DEPTH {
             return Err(JsonError::TooDeep);
         }
@@ -308,96 +370,108 @@ impl<'a> Parser<'a> {
             Some(b'"') => self.string().map(Json::Str),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             Some(c) => Err(self.err(format!("unexpected byte {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Walks the elements of an array or the members of an object whose
+    /// opening byte has been consumed, up to and including `close`. `item`
+    /// is called at the first byte of each element and consumes exactly it;
+    /// the separators and the whitespace around them are handled here.
+    pub(crate) fn sequence<E: From<JsonError>>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+        if self.eat(close) {
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            item(self)?;
             self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
+            if self.eat(close) {
+                return Ok(());
+            }
+            if !self.eat(b',') {
+                return Err(self
+                    .err(format!("expected ',' or '{}'", close as char))
+                    .into());
             }
         }
+    }
+
+    /// Parses the key of an object member and the colon after it, leaving
+    /// the parser at the first byte of the member's value.
+    pub(crate) fn key(&mut self) -> Result<String, JsonError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.sequence(b']', |p| {
+            items.push(p.value(depth + 1)?);
+            Ok::<(), JsonError>(())
+        })?;
+        Ok(Json::Arr(items))
     }
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut pairs: Vec<(String, Json)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if pairs.iter().any(|(k, _)| *k == key) {
+        // Keys of `pairs`, kept only once there are too many to scan.
+        let mut seen: HashSet<String> = HashSet::new();
+        self.sequence(b'}', |p| {
+            let key = p.key()?;
+            let duplicate = if pairs.len() < SCANNED_KEYS {
+                pairs.iter().any(|(k, _)| *k == key)
+            } else {
+                if seen.is_empty() {
+                    seen.extend(pairs.iter().map(|(k, _)| k.clone()));
+                }
+                !seen.insert(key.clone())
+            };
+            if duplicate {
                 return Err(JsonError::DuplicateKey(key));
             }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
+            pairs.push((key, p.value(depth + 1)?));
+            Ok(())
+        })?;
+        Ok(Json::Obj(pairs))
     }
 
+    /// Parses a string literal, resolving its escapes.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(c) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            match c {
-                b'"' => {
+            // Copy the run up to the next quote, backslash or control byte
+            // whole. All three are ASCII, so the run ends on a character
+            // boundary of the (valid UTF-8) input.
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\' | 0x00..=0x1f)) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
+            match self.peek() {
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
+                Some(b'\\') => {
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
-                0x00..=0x1f => {
-                    return Err(self.err("unescaped control character in string"));
-                }
-                _ => {
-                    // Consume one UTF-8 scalar. The input is a &str, so
-                    // the bytes are valid UTF-8 by construction.
-                    let start = self.pos;
-                    let len = utf8_len(c);
-                    self.pos += len;
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..start + len])
-                            .expect("input is valid UTF-8"),
-                    );
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
     }
@@ -425,7 +499,7 @@ impl<'a> Parser<'a> {
         let first = self.hex4()?;
         if (0xD800..=0xDBFF).contains(&first) {
             // High surrogate: a low surrogate escape must follow.
-            if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
+            if self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                 self.pos += 2;
                 let second = self.hex4()?;
                 if !(0xDC00..=0xDFFF).contains(&second) {
@@ -460,67 +534,64 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Consumes a run of digits, returning how many there were and their
+    /// value (meaningful only while it fits: the caller checks the count).
+    fn digits(&mut self) -> (usize, u64) {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let mut value = 0u64;
+        while let Some(c @ b'0'..=b'9') = self.peek() {
+            value = value.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
             self.pos += 1;
         }
+        (self.pos - start, value)
+    }
+
+    /// Parses a number to the `f64` that `f64::from_str` makes of its text.
+    pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
+        let start = self.pos;
+        let negative = self.eat(b'-');
         // Integer part: "0" alone, or a nonzero digit followed by digits.
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
+        let (int_digits, int_value) = match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                (1, 0)
             }
+            Some(b'1'..=b'9') => self.digits(),
             _ => return Err(self.err("expected a digit")),
+        };
+        if !matches!(self.peek(), Some(b'.' | b'e' | b'E')) && int_digits <= 15 {
+            // An integer below 10^15 < 2^53 is exact in an f64, so the
+            // conversion is the correctly rounded value `from_str` finds
+            // the long way round. "-0" is -0.0 either way.
+            let n = int_value as f64;
+            return Ok(if negative { -n } else { n });
         }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("expected a digit after '.'"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+        if self.eat(b'.') && self.digits().0 == 0 {
+            return Err(self.err("expected a digit after '.'"));
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.eat(b'e') || self.eat(b'E') {
+            let _sign = self.eat(b'+') || self.eat(b'-');
+            if self.digits().0 == 0 {
                 return Err(self.err("expected a digit in the exponent"));
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
         // The grammar above admits only strings f64::from_str accepts, and
         // overflow saturates to ±∞ per IEEE — reject that explicitly so a
         // parsed document never contains a non-finite number.
-        let n: f64 = text.parse().map_err(|_| self.err("unparseable number"))?;
+        let n: f64 = self.text[start..self.pos]
+            .parse()
+            .map_err(|_| self.err("unparseable number"))?;
         if !n.is_finite() {
             return Err(self.err("number overflows an f64"));
         }
-        Ok(Json::Num(n))
-    }
-}
-
-/// Length in bytes of the UTF-8 sequence starting with `first`.
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+        Ok(n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip(v: &Json) -> Json {
         Json::parse(&v.to_text().unwrap()).unwrap()
@@ -658,5 +729,124 @@ mod tests {
                 ("b", Json::Null),
             ])
         );
+    }
+
+    fn parsed_bits(text: &str) -> Option<u64> {
+        match Json::parse(text) {
+            Ok(Json::Num(n)) => Some(n.to_bits()),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn numbers_at_the_edges_of_the_fast_paths() {
+        let two53 = EXACT_INTEGERS;
+        for n in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            -(two53 - 1.0),
+            -two53,
+            -(two53 + 2.0),
+            999_999_999_999_999.0,
+            1e15,
+            1e16,
+            1e21,
+            1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            5e-324,
+            -5e-324,
+            0.1,
+            -2.5,
+            123_456_789.125,
+        ] {
+            let text = Json::Num(n).render();
+            assert_eq!(text, n.to_string());
+            assert_eq!(parsed_bits(&text), Some(n.to_bits()), "{text}");
+        }
+        // Fifteen digits take the integer path, sixteen and more the long
+        // way round; both must be what `str::parse` says.
+        for text in [
+            "-0",
+            "0",
+            "7",
+            "999999999999999",
+            "-999999999999999",
+            "1000000000000000",
+            "9999999999999999",
+            "9007199254740993",
+            "-9007199254740993",
+            "12345678901234567890",
+            "123456789012345678901234567890",
+        ] {
+            let expected: f64 = text.parse().unwrap();
+            assert_eq!(parsed_bits(text), Some(expected.to_bits()), "{text}");
+        }
+        for text in ["00", "01", "-01", "007", "-", "-x", "1.e3", "0x10"] {
+            assert!(Json::parse(text).is_err(), "should reject {text:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The writer prints what `Display` prints, for any bit pattern and
+        /// for integers (and integers and a half) of every magnitude.
+        #[test]
+        fn numbers_render_as_display_does(
+            bits in any::<u64>(),
+            int in any::<i64>(),
+            shift in 0u32..64,
+        ) {
+            let int = (int >> shift) as f64;
+            for n in [f64::from_bits(bits), int, int + 0.5] {
+                if n.is_finite() {
+                    prop_assert_eq!(Json::Num(n).render(), n.to_string());
+                }
+            }
+        }
+
+        /// The parser returns what `str::parse::<f64>` returns for integer
+        /// text on either side of the fifteen-digit fast path.
+        #[test]
+        fn integers_parse_as_from_str_does(int in any::<i64>(), shift in 0u32..64) {
+            let text = (int >> shift).to_string();
+            let expected: f64 = text.parse().unwrap();
+            prop_assert_eq!(parsed_bits(&text), Some(expected.to_bits()));
+        }
+    }
+
+    #[test]
+    fn duplicate_check_is_not_quadratic() {
+        // 200 000 distinct members: a scan per member is 2·10^10 string
+        // comparisons, the hash set a fraction of a second.
+        let mut text = String::from("{");
+        for i in 0..200_000 {
+            text.push_str(&format!("\"k{i}\":{i},"));
+        }
+        let distinct = format!("{}\"last\":0}}", text);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&distinct).expect("distinct keys parse");
+        let took = started.elapsed();
+        assert_eq!(parsed.as_obj().map(<[_]>::len), Some(200_001));
+        // Under a second optimised; an unoptimised build on a busy host gets
+        // slack that is still four orders of magnitude short of the scan.
+        let bound = if cfg!(debug_assertions) { 10.0 } else { 1.0 };
+        assert!(took.as_secs_f64() < bound, "200 000 keys took {took:?}");
+        // A duplicate is still a duplicate on either side of the switch.
+        for repeated in ["k3", "k100", "k199999"] {
+            let text = format!("{text}\"{repeated}\":0}}");
+            assert_eq!(
+                Json::parse(&text),
+                Err(JsonError::DuplicateKey(repeated.into()))
+            );
+        }
     }
 }

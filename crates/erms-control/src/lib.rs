@@ -17,13 +17,17 @@
 //! ## Layering
 //!
 //! ```text
-//! json      strings ↔ Json values            (no domain knowledge)
-//! http      TCP ↔ Request/Response           (no JSON knowledge)
-//! codec     Json ↔ App/Plan/Cluster/...      (no HTTP knowledge)
-//! tenant    Registry of per-tenant loops     (no wire knowledge)
+//! json      strings ↔ Json values; the one tokenizer   (no domain knowledge)
+//! http      TCP ↔ Request/Response                     (no JSON knowledge)
+//! codec     Json ↔ App/Plan/Cluster/...; text → spans  (no HTTP knowledge)
+//! tenant    Registry of per-tenant loops; the applied plan's text
 //! snapshot  Registry ↔ versioned disk format
-//! server    routes + drain/reload + metrics  (ties it together)
+//! server    routes + drain/reload + metrics            (ties it together)
 //! ```
+//!
+//! A tenant lock is never held while rendering, parsing or writing a
+//! socket: bodies are decoded before it is taken and replies rendered
+//! after it is released.
 //!
 //! ## Endpoints
 //!
@@ -33,10 +37,10 @@
 //! | `GET /metrics`                        | Prometheus text exposition |
 //! | `GET/POST /v1/tenants`                | list / register tenants |
 //! | `GET/DELETE /v1/tenants/{id}`         | inspect / remove one tenant |
-//! | `POST /v1/tenants/{id}/spans`         | ingest telemetry spans |
+//! | `POST /v1/tenants/{id}/spans`         | ingest telemetry spans; decoded from the bytes in one pass, no tree; a field out of range is a 400, never a clamp |
 //! | `POST /v1/tenants/{id}/workloads`     | update request rates |
-//! | `GET /v1/tenants/{id}/plan`           | current scaling plan |
-//! | `POST /v1/tenants/{id}/replan`        | refit + run one control round |
+//! | `GET /v1/tenants/{id}/plan`           | current scaling plan, from text rendered once per applied plan |
+//! | `POST /v1/tenants/{id}/replan`        | refit + run one control round; replies `{"decision":…,"plan":…}` with the same plan text |
 //! | `GET /v1/tenants/{id}/history`        | scaling-decision audit trail |
 //! | `POST /v1/snapshot`                   | write the versioned snapshot |
 //! | `POST /v1/reload`                     | drain, restore from snapshot |
@@ -51,6 +55,8 @@ pub mod json;
 pub mod server;
 pub mod snapshot;
 pub mod tenant;
+#[cfg(test)]
+mod wire_tests;
 
 pub use http::Client;
 pub use json::Json;

@@ -12,6 +12,11 @@
 //! every tenant lock in id order for a consistent cut. Per-tenant request
 //! order remains the only source of nondeterminism, exactly as before.
 //!
+//! A tenant lock covers work on the tenant's state only. Bodies are decoded
+//! before it is taken (`POST …/spans` straight from the bytes, with no tree),
+//! replies are rendered after it is released, and the applied plan is served
+//! from text rendered once per plan (`tenant::with_plan_text`).
+//!
 //! Graceful reload: `POST /v1/reload` flips the draining flag (new
 //! requests get 503), waits until it is the only request in flight, swaps
 //! the registry for the one restored from the snapshot path, and lifts the
@@ -25,11 +30,11 @@ use std::time::Duration;
 
 use erms_telemetry::metrics::MetricsRegistry;
 
-use crate::codec::{app_from_json, plan_to_json, span_batch_from_json, workloads_from_json};
+use crate::codec::{app_from_json, span_batch_from_text, workloads_from_json, DecodeError};
 use crate::http::{Handler, Request, Response, Server};
 use crate::json::Json;
 use crate::snapshot;
-use crate::tenant::{DecisionRecord, Registry, Tenant};
+use crate::tenant::{with_plan_text, DecisionRecord, Registry, Tenant};
 
 /// Configuration of a control-plane instance.
 #[derive(Debug, Clone)]
@@ -142,9 +147,7 @@ impl ControlPlane {
     ///
     /// Panics if the registry or tenant lock is poisoned.
     pub fn with_tenant<R>(&self, id: &str, f: impl FnOnce(&mut Tenant) -> R) -> Option<R> {
-        let handle = tenant_handle(&self.shared, id)?;
-        let mut tenant = handle.lock().expect("tenant poisoned");
-        Some(f(&mut tenant))
+        locked(&self.shared, id, f).ok()
     }
 }
 
@@ -155,6 +158,20 @@ fn tenant_handle(shared: &Shared, id: &str) -> Option<Arc<Mutex<Tenant>>> {
         .lock()
         .expect("registry poisoned")
         .tenant(id)
+}
+
+/// Runs `f` under one tenant's lock and hands back what it returns, or the
+/// 404 reply when there is no such tenant. The closure is the whole critical
+/// section: handlers take out of it what their reply needs and render once
+/// the lock is released.
+fn locked<R>(shared: &Shared, id: &str, f: impl FnOnce(&mut Tenant) -> R) -> Result<R, Response> {
+    let handle = tenant_handle(shared, id).ok_or_else(|| no_tenant(id))?;
+    let mut tenant = handle.lock().expect("tenant poisoned");
+    Ok(f(&mut tenant))
+}
+
+fn no_tenant(id: &str) -> Response {
+    err_json(404, &format!("no tenant `{id}`"))
 }
 
 fn err_json(status: u16, message: &str) -> Response {
@@ -199,10 +216,12 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
     }
 }
 
+fn body_text(req: &Request) -> Result<&str, Response> {
+    std::str::from_utf8(&req.body).map_err(|_| err_json(400, "body must be UTF-8 JSON"))
+}
+
 fn parse_body(req: &Request) -> Result<Json, Response> {
-    let text =
-        std::str::from_utf8(&req.body).map_err(|_| err_json(400, "body must be UTF-8 JSON"))?;
-    Json::parse(text).map_err(|e| err_json(400, &format!("invalid JSON: {e}")))
+    Json::parse(body_text(req)?).map_err(|e| err_json(400, &DecodeError::from(e)))
 }
 
 fn healthz(shared: &Arc<Shared>) -> Response {
@@ -242,21 +261,27 @@ fn metrics(shared: &Arc<Shared>) -> Response {
     for (name, value) in registry.metrics.gauges() {
         out.push_str(&format!("erms_{} {value}\n", sanitize_metric(name)));
     }
-    for tenant in registry.lock_tenants() {
-        let mut per_tenant = MetricsRegistry::new();
-        tenant.record_metrics(&mut per_tenant);
+    // One consistent cut under every tenant lock, formatted after release.
+    let tenants: Vec<(String, MetricsRegistry)> = registry
+        .lock_tenants()
+        .iter()
+        .map(|tenant| {
+            let mut per_tenant = MetricsRegistry::new();
+            tenant.record_metrics(&mut per_tenant);
+            (tenant.id.clone(), per_tenant)
+        })
+        .collect();
+    for (id, per_tenant) in &tenants {
         for (name, value) in per_tenant.counters() {
             out.push_str(&format!(
-                "erms_{}{{tenant=\"{}\"}} {value}\n",
+                "erms_{}{{tenant=\"{id}\"}} {value}\n",
                 sanitize_metric(name),
-                tenant.id
             ));
         }
         for (name, value) in per_tenant.gauges() {
             out.push_str(&format!(
-                "erms_{}{{tenant=\"{}\"}} {value}\n",
+                "erms_{}{{tenant=\"{id}\"}} {value}\n",
                 sanitize_metric(name),
-                tenant.id
             ));
         }
     }
@@ -286,10 +311,12 @@ fn tenant_summary(t: &Tenant) -> Json {
 
 fn list_tenants(shared: &Arc<Shared>) -> Response {
     let registry = shared.registry.lock().expect("registry poisoned");
-    let tenants = registry.lock_tenants();
-    ok_json(Json::Arr(
-        tenants.iter().map(|t| tenant_summary(t)).collect(),
-    ))
+    let summaries = registry
+        .lock_tenants()
+        .iter()
+        .map(|t| tenant_summary(t))
+        .collect();
+    ok_json(Json::Arr(summaries))
 }
 
 fn create_tenant(shared: &Arc<Shared>, req: &Request) -> Response {
@@ -311,19 +338,18 @@ fn create_tenant(shared: &Arc<Shared>, req: &Request) -> Response {
     let mut registry = shared.registry.lock().expect("registry poisoned");
     match registry.create(&id, app) {
         Ok(handle) => {
-            let tenant = handle.lock().expect("tenant poisoned");
-            Response::json(201, tenant_summary(&tenant).render())
+            let summary = tenant_summary(&handle.lock().expect("tenant poisoned"));
+            Response::json(201, summary.render())
         }
         Err(e) => err_json(409, &e),
     }
 }
 
 fn tenant_status(shared: &Arc<Shared>, id: &str) -> Response {
-    let Some(handle) = tenant_handle(shared, id) else {
-        return err_json(404, &format!("no tenant `{id}`"));
-    };
-    let tenant = handle.lock().expect("tenant poisoned");
-    ok_json(tenant_summary(&tenant))
+    match locked(shared, id, |t| tenant_summary(t)) {
+        Ok(summary) => ok_json(summary),
+        Err(not_found) => not_found,
+    }
 }
 
 fn delete_tenant(shared: &Arc<Shared>, id: &str) -> Response {
@@ -331,29 +357,24 @@ fn delete_tenant(shared: &Arc<Shared>, id: &str) -> Response {
     if registry.remove(id) {
         ok_json(Json::obj(vec![("deleted", Json::str(id))]))
     } else {
-        err_json(404, &format!("no tenant `{id}`"))
+        no_tenant(id)
     }
 }
 
 fn ingest_spans(shared: &Arc<Shared>, id: &str, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(e) => return e,
+    // Bytes to spans in one pass: no tree is built for a span body.
+    let batch = match body_text(req).map(span_batch_from_text) {
+        Ok(Ok(batch)) => batch,
+        Ok(Err(e)) => return err_json(400, &e),
+        Err(response) => return response,
     };
-    let batch = match span_batch_from_json(&body) {
-        Ok(b) => b,
-        Err(e) => return err_json(400, &e),
-    };
-    let Some(handle) = tenant_handle(shared, id) else {
-        return err_json(404, &format!("no tenant `{id}`"));
-    };
-    let mut tenant = handle.lock().expect("tenant poisoned");
-    match tenant.ingest(&batch) {
-        Ok(added) => ok_json(Json::obj(vec![
+    match locked(shared, id, |t| t.ingest(&batch)) {
+        Ok(Ok(added)) => ok_json(Json::obj(vec![
             ("spans", Json::Num(batch.spans.len() as f64)),
             ("samples_added", Json::Num(added as f64)),
         ])),
-        Err(e) => err_json(400, &e),
+        Ok(Err(e)) => err_json(400, &e),
+        Err(not_found) => not_found,
     }
 }
 
@@ -366,22 +387,19 @@ fn set_workloads(shared: &Arc<Shared>, id: &str, req: &Request) -> Response {
         Ok(w) => w,
         Err(e) => return err_json(400, &e),
     };
-    let Some(handle) = tenant_handle(shared, id) else {
-        return err_json(404, &format!("no tenant `{id}`"));
-    };
-    let mut tenant = handle.lock().expect("tenant poisoned");
     let count = workloads.iter().count();
-    tenant.workloads = workloads;
-    ok_json(Json::obj(vec![("services", Json::Num(count as f64))]))
+    match locked(shared, id, |t| t.workloads = workloads) {
+        Ok(()) => ok_json(Json::obj(vec![("services", Json::Num(count as f64))])),
+        Err(not_found) => not_found,
+    }
 }
 
 fn get_plan(shared: &Arc<Shared>, id: &str) -> Response {
     let Some(handle) = tenant_handle(shared, id) else {
-        return err_json(404, &format!("no tenant `{id}`"));
+        return no_tenant(id);
     };
-    let tenant = handle.lock().expect("tenant poisoned");
-    match tenant.plan() {
-        Some(plan) => ok_json(plan_to_json(plan)),
+    match with_plan_text(&handle, |_| ()).1 {
+        Some(text) => Response::json(200, &*text),
         None => err_json(404, "no plan applied yet: run a replan first"),
     }
 }
@@ -407,25 +425,22 @@ fn record_to_json(r: &DecisionRecord) -> Json {
 
 fn replan(shared: &Arc<Shared>, id: &str) -> Response {
     let Some(handle) = tenant_handle(shared, id) else {
-        return err_json(404, &format!("no tenant `{id}`"));
+        return no_tenant(id);
     };
-    let mut tenant = handle.lock().expect("tenant poisoned");
-    let record = tenant.replan().clone();
-    let plan = tenant.plan().map_or(Json::Null, crate::codec::plan_to_json);
-    ok_json(Json::obj(vec![
-        ("decision", record_to_json(&record)),
-        ("plan", plan),
-    ]))
+    let (record, plan) = with_plan_text(&handle, |tenant| tenant.replan().clone());
+    // The plan's text is spliced in as it stands; only the record is new.
+    let decision = record_to_json(&record).render();
+    let plan = plan.as_deref().unwrap_or("null");
+    Response::json(200, format!("{{\"decision\":{decision},\"plan\":{plan}}}"))
 }
 
 fn history(shared: &Arc<Shared>, id: &str) -> Response {
-    let Some(handle) = tenant_handle(shared, id) else {
-        return err_json(404, &format!("no tenant `{id}`"));
-    };
-    let tenant = handle.lock().expect("tenant poisoned");
-    ok_json(Json::Arr(
-        tenant.history.iter().map(record_to_json).collect(),
-    ))
+    match locked(shared, id, |t| {
+        t.history.iter().map(record_to_json).collect()
+    }) {
+        Ok(records) => ok_json(Json::Arr(records)),
+        Err(not_found) => not_found,
+    }
 }
 
 fn take_snapshot(shared: &Arc<Shared>) -> Response {
@@ -484,7 +499,7 @@ fn reload(shared: &Arc<Shared>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::app_to_json;
+    use crate::codec::{app_to_json, plan_to_json};
     use crate::http::Client;
     use erms_core::app::{AppBuilder, Sla};
     use erms_core::latency::LatencyProfile;
@@ -536,14 +551,22 @@ mod tests {
             .request("POST", "/v1/tenants/demo/replan", None)
             .unwrap();
         assert_eq!(status, 200);
-        let body = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
-        assert!(body.get("plan").is_some());
+        // Both replies carry the plan as kept text; the bytes are the ones
+        // the tree codec renders.
+        let (record, plan) = plane
+            .with_tenant("demo", |t| {
+                let plan = plan_to_json(t.plan().expect("applied"));
+                (record_to_json(t.history.last().expect("one round")), plan)
+            })
+            .unwrap();
+        let spliced = Json::obj(vec![("decision", record), ("plan", plan.clone())]).render();
+        assert_eq!(String::from_utf8(body).unwrap(), spliced);
 
         let (status, body) = client
             .request("GET", "/v1/tenants/demo/plan", None)
             .unwrap();
         assert_eq!(status, 200);
-        let plan = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        assert_eq!(String::from_utf8(body).unwrap(), plan.render());
         assert_eq!(plan.get("scheme").and_then(Json::as_str), Some("erms"));
 
         let (status, body) = client.request("GET", "/metrics", None).unwrap();

@@ -46,6 +46,7 @@
 //! and never panics; the worst case is an honest no-op.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::app::{App, WorkloadVector};
@@ -291,6 +292,8 @@ pub struct ResilientManager {
     config: ResilienceConfig,
     round: u64,
     last_applied: Option<ScalingPlan>,
+    /// Which assignment set `last_applied` (see [`Self::plan_epoch`]).
+    plan_epoch: u64,
     last_good: Option<(ScalingPlan, u64)>,
     /// Per-microservice last rescaling: (+1 up / −1 down, round it happened).
     directions: BTreeMap<MicroserviceId, (i8, u64)>,
@@ -306,6 +309,15 @@ pub struct ResilientManager {
     /// state, so ladder behaviour is unchanged — a failed plan is retried
     /// cold next round.
     planner: IncrementalPlanner,
+}
+
+/// Source of [`ResilientManager::plan_epoch`] values. One counter for the
+/// process, not one per manager: a manager swapped for another (a restore
+/// builds a fresh one) must not repeat an epoch its predecessor handed out.
+/// `Relaxed` suffices, the value publishes no other data.
+fn next_plan_epoch() -> u64 {
+    static LAST: AtomicU64 = AtomicU64::new(0);
+    LAST.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 impl ResilientManager {
@@ -351,6 +363,17 @@ impl ResilientManager {
         self.last_applied.as_ref()
     }
 
+    /// Identifies the assignment that set [`last_applied`](Self::last_applied):
+    /// 0 until a plan is applied or restored, then a value no other
+    /// assignment in this process shares, whichever manager made it. Whoever
+    /// derives something costly from the plan (the daemon keeps its rendered
+    /// JSON) holds it while the epoch stands still. A clone carries the plan
+    /// and its epoch together; the epoch is not part of the exported state and
+    /// feeds no decision.
+    pub fn plan_epoch(&self) -> u64 {
+        self.plan_epoch
+    }
+
     /// Exports the mutable controller state that shapes *future* rounds —
     /// the round counter, the hysteresis baseline (last applied plan and
     /// rescaling directions) and the last-known-good fallback plan — so a
@@ -374,6 +397,7 @@ impl ResilientManager {
     pub fn restore_state(&mut self, state: ManagerState) {
         self.round = state.round;
         self.last_applied = state.last_applied;
+        self.plan_epoch = next_plan_epoch();
         self.last_good = state.last_good;
         self.directions = state.directions;
         self.planner.invalidate();
@@ -642,6 +666,7 @@ impl ResilientManager {
             }
         }
         self.last_applied = Some(plan.clone());
+        self.plan_epoch = next_plan_epoch();
         if fresh {
             self.last_good = Some((plan.clone(), round));
         }
@@ -1083,6 +1108,33 @@ mod tests {
             .actions
             .iter()
             .any(|x| matches!(x, FallbackAction::CooldownHold { .. })));
+    }
+
+    #[test]
+    fn plan_epoch_moves_exactly_when_the_applied_plan_is_assigned() {
+        let good = two_service_app(300.0, 300.0);
+        let bad = two_service_app(1.0, 300.0);
+        let mut state = ClusterState::paper_cluster();
+        let mut mgr = ResilientManager::new(ResilienceConfig::default());
+        let w = workloads(&good, 20_000.0);
+        assert_eq!(mgr.plan_epoch(), 0);
+        // A skipped round applies nothing.
+        assert!(mgr.run_round(&bad, &mut state, &w).report.skipped());
+        assert_eq!(mgr.plan_epoch(), 0);
+        assert!(mgr.run_round(&good, &mut state, &w).applied());
+        let first = mgr.plan_epoch();
+        assert_ne!(first, 0);
+        // Re-applying an equal plan is still an assignment.
+        assert!(mgr.run_round(&good, &mut state, &w).applied());
+        let second = mgr.plan_epoch();
+        assert_ne!(second, first);
+        // A clone carries plan and epoch together; a restore takes a new
+        // epoch, and never one another manager has handed out.
+        let twin = mgr.clone();
+        assert_eq!(twin.plan_epoch(), second);
+        let mut restored = ResilientManager::new(ResilienceConfig::default());
+        restored.restore_state(mgr.export_state());
+        assert!(![0, first, second].contains(&restored.plan_epoch()));
     }
 
     #[test]

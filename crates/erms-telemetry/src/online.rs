@@ -87,28 +87,36 @@ pub fn window_samples<'a>(
     } else {
         1.0
     };
-    // Collect per-cell latencies first; windows are only meaningful once
-    // complete.
-    let mut cells: BTreeMap<(MicroserviceId, u64), Vec<f64>> = BTreeMap::new();
-    for span in spans {
-        let window = (span.start_ms / window_ms).floor().max(0.0) as u64;
-        cells
-            .entry((span.microservice, window))
-            .or_default()
-            .push(span.latency_ms());
-    }
+    // One (microservice, window, latency) row per span, grouped by sorting
+    // on the first two: a run of equal keys is a cell, and the runs come out
+    // in the order a map keyed the same way would iterate. (A map probe per
+    // span cost twice what the sort does, under the caller's lock.) Inside a
+    // run the order is whatever the sort left; `stats::percentile` selects
+    // by `total_cmp`, so it returns the same bits for any order.
+    let mut rows: Vec<(MicroserviceId, u64, f64)> = spans
+        .into_iter()
+        .map(|span| {
+            let window = (span.start_ms / window_ms).floor().max(0.0) as u64;
+            (span.microservice, window, span.latency_ms())
+        })
+        .collect();
+    rows.sort_unstable_by_key(|&(ms, window, _)| (ms, window));
     let mut out: BTreeMap<MicroserviceId, Vec<Sample>> = BTreeMap::new();
-    for ((ms, _window), latencies) in cells {
-        if latencies.len() < config.min_samples.max(1) {
+    let mut latencies = Vec::new();
+    for cell in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        if cell.len() < config.min_samples.max(1) {
             continue;
         }
+        let ms = cell[0].0;
         let n = containers.get(&ms).copied().unwrap_or(0);
         if n == 0 {
             continue;
         }
+        latencies.clear();
+        latencies.extend(cell.iter().map(|&(_, _, latency)| latency));
         let tail = stats::percentile(&latencies, config.percentile);
         // Sampled count → estimated true count → per-minute per-container.
-        let gamma = (latencies.len() as f64 / sampling) * (60_000.0 / window_ms) / f64::from(n);
+        let gamma = (cell.len() as f64 / sampling) * (60_000.0 / window_ms) / f64::from(n);
         out.entry(ms)
             .or_default()
             .push(Sample::new(tail, gamma, itf.cpu, itf.memory));
@@ -331,6 +339,98 @@ impl OnlineProfiler {
 mod tests {
     use super::*;
     use erms_core::ids::ServiceId;
+    use proptest::prelude::*;
+
+    /// The windowing as it was written first, one map probe per span: the
+    /// oracle [`window_samples`] is held to, bit for bit.
+    fn window_samples_by_map<'a>(
+        spans: impl IntoIterator<Item = &'a SpanRecord>,
+        containers: &BTreeMap<MicroserviceId, u32>,
+        itf: Interference,
+        sampling: f64,
+        config: &WindowConfig,
+    ) -> BTreeMap<MicroserviceId, Vec<Sample>> {
+        let window_ms = if config.window_ms.is_finite() && config.window_ms > 0.0 {
+            config.window_ms
+        } else {
+            1_000.0
+        };
+        let sampling = if sampling.is_finite() && sampling > 0.0 {
+            sampling.min(1.0)
+        } else {
+            1.0
+        };
+        let mut cells: BTreeMap<(MicroserviceId, u64), Vec<f64>> = BTreeMap::new();
+        for span in spans {
+            let window = (span.start_ms / window_ms).floor().max(0.0) as u64;
+            cells
+                .entry((span.microservice, window))
+                .or_default()
+                .push(span.latency_ms());
+        }
+        let mut out: BTreeMap<MicroserviceId, Vec<Sample>> = BTreeMap::new();
+        for ((ms, _window), latencies) in cells {
+            if latencies.len() < config.min_samples.max(1) {
+                continue;
+            }
+            let n = containers.get(&ms).copied().unwrap_or(0);
+            if n == 0 {
+                continue;
+            }
+            let tail = stats::percentile(&latencies, config.percentile);
+            let gamma = (latencies.len() as f64 / sampling) * (60_000.0 / window_ms) / f64::from(n);
+            out.entry(ms)
+                .or_default()
+                .push(Sample::new(tail, gamma, itf.cpu, itf.memory));
+        }
+        out
+    }
+
+    fn bits(
+        samples: &BTreeMap<MicroserviceId, Vec<Sample>>,
+    ) -> Vec<(MicroserviceId, Vec<[u64; 4]>)> {
+        samples
+            .iter()
+            .map(|(&ms, bucket)| {
+                let bucket = bucket
+                    .iter()
+                    .map(|s| [s.latency_ms, s.gamma, s.cpu, s.mem].map(f64::to_bits))
+                    .collect();
+                (ms, bucket)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Grouping by sort returns the map the per-span probe returned, in
+        /// every bit: spans out of order, ties in latency, negative starts,
+        /// microservices without containers, thin windows.
+        #[test]
+        fn sorted_grouping_equals_the_map_probe(
+            rows in prop::collection::vec((0u32..6, -500.0f64..6_000.0, 0u32..40), 0..400),
+            deployed in prop::collection::vec(0u32..4, 6),
+            sampling in 0.05f64..1.5,
+            (min_samples, window_ms, percentile) in (0usize..5, 100.0f64..2_000.0, 0.0f64..1.0),
+        ) {
+            // Latencies from a small set, so cells hold equal values.
+            let spans: Vec<SpanRecord> = rows
+                .iter()
+                .map(|&(ms, start, step)| span(ms, start, f64::from(step) * 0.37))
+                .collect();
+            let containers: BTreeMap<_, _> = deployed
+                .iter()
+                .enumerate()
+                .map(|(ms, &n)| (MicroserviceId::new(ms as u32), n))
+                .collect();
+            let itf = Interference::new(0.3, 0.1);
+            let config = WindowConfig { window_ms, percentile, min_samples };
+            let sorted = window_samples(spans.iter(), &containers, itf, sampling, &config);
+            let probed = window_samples_by_map(spans.iter(), &containers, itf, sampling, &config);
+            prop_assert_eq!(bits(&sorted), bits(&probed));
+        }
+    }
 
     fn span(ms: u32, start: f64, latency: f64) -> SpanRecord {
         SpanRecord {
