@@ -20,6 +20,7 @@ use erms_profilers::piecewise::PiecewiseFitter;
 use erms_sim::runtime::{SimConfig, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
 use erms_sim::stats;
+use erms_sim::telemetry::{FnSink, SpanRecord};
 
 fn main() {
     // One microservice, one container with 2 worker threads, 4 ms mean
@@ -74,11 +75,11 @@ fn main() {
             sim.set_uniform_interference(*itf);
             let mut w = WorkloadVector::new();
             w.set(svc, RequestRate::per_minute(rate));
-            let result = sim.run(&w, &containers, &BTreeMap::new()).unwrap();
-            let own: Vec<f64> = result.ms_own_latencies[&ms]
-                .iter()
-                .map(|(_, l, _)| *l)
-                .collect();
+            // One microservice in the app: every span is its own latency.
+            let mut own: Vec<f64> = Vec::new();
+            let sink = FnSink::spans(|s: &SpanRecord| own.push(s.latency_ms()));
+            sim.run_with_sink(&w, &containers, &BTreeMap::new(), sink)
+                .unwrap();
             if own.is_empty() {
                 continue;
             }

@@ -14,6 +14,7 @@ use erms_core::latency::Interference;
 use erms_sim::runtime::{Scheduling, SimConfig, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
 use erms_sim::stats;
+use erms_sim::telemetry::{FnSink, SpanRecord};
 use erms_workload::apps::fig5_app;
 
 fn main() {
@@ -50,18 +51,18 @@ fn main() {
             sim.set_service_time(ms, ServiceTimeModel::new(1.7, 0.4, 0.0, 0.0));
         }
         sim.set_uniform_interference(Interference::new(0.2, 0.2));
-        let result = sim.run(&w, &containers, &priorities).unwrap();
-        let own = |svc| {
-            let rows = &result.ms_own_latencies[&p];
-            let v: Vec<f64> = rows
-                .iter()
-                .filter(|(_, _, s)| *s == svc)
-                .map(|(_, l, _)| *l)
-                .collect();
-            stats::percentile(&v, 0.95)
-        };
-        let hi = own(s1);
-        let lo = own(s2);
+        // Own latencies at the shared microservice, per service.
+        let (mut high, mut low): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+        let sink = FnSink::spans(|s: &SpanRecord| {
+            if s.microservice == p {
+                let v = if s.service == s1 { &mut high } else { &mut low };
+                v.push(s.latency_ms());
+            }
+        });
+        sim.run_with_sink(&w, &containers, &priorities, sink)
+            .unwrap();
+        let hi = stats::percentile(&high, 0.95);
+        let lo = stats::percentile(&low, 0.95);
         high_p95.push(hi);
         low_p95.push(lo);
         rows.push(vec![

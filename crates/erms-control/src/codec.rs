@@ -27,6 +27,7 @@ use erms_core::resources::Resources;
 use erms_core::scaling::ServicePlan;
 use erms_profilers::dataset::Sample;
 use erms_sim::telemetry::SpanRecord;
+use erms_telemetry::online::WindowConfig;
 
 use crate::json::{Json, JsonError, Parser};
 
@@ -915,11 +916,21 @@ pub fn span_batch_to_json(batch: &SpanBatch) -> Json {
 const SPAN_SHAPE: &str =
     "span batch: span must be six numbers [service, ms, container, class, start, end]";
 
+/// A rate in `(0, 1]` that the profiler can divide a window's span count
+/// by: the largest per-container rate `window_samples` can form from it —
+/// `u32::MAX` spans in one window on one container — must be finite, or
+/// the sample it becomes is one no snapshot can carry.
 fn checked_sampling(sampling: f64) -> Result<f64, DecodeError> {
-    if sampling > 0.0 && sampling <= 1.0 {
+    let windows_per_min = 60_000.0 / WindowConfig::default().window_ms;
+    let largest_rate = f64::from(u32::MAX) / sampling * windows_per_min;
+    if sampling > 0.0 && sampling <= 1.0 && largest_rate.is_finite() {
         Ok(sampling)
     } else {
-        Err("span batch: `sampling` must be in (0, 1]".into())
+        Err(
+            "span batch: `sampling` must be in (0, 1], and not so small \
+             that a window's rate overflows"
+                .into(),
+        )
     }
 }
 

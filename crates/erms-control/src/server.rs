@@ -34,7 +34,7 @@ use crate::codec::{app_from_json, span_batch_from_text, workloads_from_json, Dec
 use crate::http::{Handler, Request, Response, Server};
 use crate::json::Json;
 use crate::snapshot;
-use crate::tenant::{with_plan_text, DecisionRecord, Registry, Tenant};
+use crate::tenant::{with_plan_text, Registry, Tenant};
 
 /// Configuration of a control-plane instance.
 #[derive(Debug, Clone)]
@@ -404,39 +404,20 @@ fn get_plan(shared: &Arc<Shared>, id: &str) -> Response {
     }
 }
 
-fn record_to_json(r: &DecisionRecord) -> Json {
-    Json::obj(vec![
-        ("round", Json::Num(r.round as f64)),
-        ("scheme", Json::str(&r.scheme)),
-        ("total_containers", Json::Num(r.total_containers as f64)),
-        ("refitted", Json::Num(r.refitted as f64)),
-        (
-            "actions",
-            Json::Arr(r.actions.iter().map(Json::str).collect()),
-        ),
-        (
-            "errors",
-            Json::Arr(r.errors.iter().map(Json::str).collect()),
-        ),
-        ("degraded", Json::Bool(r.degraded)),
-        ("skipped", Json::Bool(r.skipped)),
-    ])
-}
-
 fn replan(shared: &Arc<Shared>, id: &str) -> Response {
     let Some(handle) = tenant_handle(shared, id) else {
         return no_tenant(id);
     };
     let (record, plan) = with_plan_text(&handle, |tenant| tenant.replan().clone());
     // The plan's text is spliced in as it stands; only the record is new.
-    let decision = record_to_json(&record).render();
+    let decision = snapshot::record_to_json(&record).render();
     let plan = plan.as_deref().unwrap_or("null");
     Response::json(200, format!("{{\"decision\":{decision},\"plan\":{plan}}}"))
 }
 
 fn history(shared: &Arc<Shared>, id: &str) -> Response {
     match locked(shared, id, |t| {
-        t.history.iter().map(record_to_json).collect()
+        t.history.iter().map(snapshot::record_to_json).collect()
     }) {
         Ok(records) => ok_json(Json::Arr(records)),
         Err(not_found) => not_found,
@@ -556,7 +537,10 @@ mod tests {
         let (record, plan) = plane
             .with_tenant("demo", |t| {
                 let plan = plan_to_json(t.plan().expect("applied"));
-                (record_to_json(t.history.last().expect("one round")), plan)
+                (
+                    snapshot::record_to_json(t.history.last().expect("one round")),
+                    plan,
+                )
             })
             .unwrap();
         let spliced = Json::obj(vec![("decision", record), ("plan", plan.clone())]).render();

@@ -37,7 +37,9 @@ use crate::tenant::{DecisionRecord, Registry, Tenant};
 /// keep a migration or an explicit rejection for older versions.
 pub const SNAPSHOT_VERSION: u64 = 1;
 
-fn record_to_json(r: &DecisionRecord) -> Json {
+/// The one encoding of a decision record: history replies and snapshots
+/// both go through it.
+pub(crate) fn record_to_json(r: &DecisionRecord) -> Json {
     Json::obj(vec![
         ("round", Json::Num(r.round as f64)),
         ("scheme", Json::str(&r.scheme)),

@@ -222,11 +222,14 @@ struct Daemon {
 
 impl Daemon {
     fn start() -> Self {
+        Self::start_with(ControlPlaneConfig::default())
+    }
+
+    fn start_with(config: ControlPlaneConfig) -> Self {
         // Two hosts: the pool is most of a small registry's snapshot, which
         // is rendered after every request.
         let pool = vec![Host::paper_host(), Host::paper_host()];
-        let plane =
-            ControlPlane::start(ControlPlaneConfig::default(), Registry::new(pool)).expect("start");
+        let plane = ControlPlane::start(config, Registry::new(pool)).expect("start");
         let mut client = Client::new(plane.addr()).unwrap();
         for id in ["planned", "bare"] {
             let body = Json::obj(vec![
@@ -454,12 +457,18 @@ fn decoders_agree_on_the_corner_cases() {
     }
 }
 
-/// What `as u32` used to clamp, and a span that ends before it starts, are
-/// refused by both decoders with a message naming the field, and by the
-/// daemon with a 400 that changes nothing.
+/// What `as u32` used to clamp, a span that ends before it starts, and a
+/// sampling rate that overflows a window's rate are refused by both
+/// decoders with a message naming the field, and by the daemon with a 400
+/// that changes nothing — so the next snapshot still renders.
 #[test]
 fn clamped_span_fields_are_refused() {
-    let mut daemon = Daemon::start();
+    let snapshot_path =
+        std::env::temp_dir().join(format!("erms-wire-tests-{}.json", std::process::id()));
+    let mut daemon = Daemon::start_with(ControlPlaneConfig {
+        snapshot_path: Some(snapshot_path.clone()),
+        ..ControlPlaneConfig::default()
+    });
     let span = |container: &str, class: &str, start: &str, end: &str| {
         format!(
             "{{\"sampling\":1,\"containers\":[[0,1]],\"spans\":[[0,0,{container},{class},{start},{end}]]}}"
@@ -477,6 +486,14 @@ fn clamped_span_fields_are_refused() {
         (span("0", "0", "2", "1"), "end_ms"),
         (span("0", "0", "-1", "-2"), "end_ms"),
         (span("0", "0", "-1e308", "1e308"), "end_ms"),
+        // Eight spans fill a window: taken, 8 / 1e-320 is a rate of `inf`.
+        (
+            format!(
+                "{{\"sampling\":1e-320,\"containers\":[[0,1]],\"spans\":[{}]}}",
+                ["[0,0,0,0,1,2]"; 8].join(",")
+            ),
+            "sampling",
+        ),
     ] {
         for decoded in [span_batch_from_text(&body), tree_decode(&body)] {
             let why = decoded.expect_err(&body);
@@ -486,5 +503,8 @@ fn clamped_span_fields_are_refused() {
         assert_eq!(status, 400, "{body}: {reply}");
         assert!(reply.contains(field), "{body}: {reply}");
     }
+    let (status, reply) = daemon.client.request("POST", "/v1/snapshot", None).unwrap();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+    std::fs::remove_file(&snapshot_path).ok();
     daemon.plane.stop();
 }

@@ -74,7 +74,7 @@ pub mod timekey;
 pub use faults::{ClusterFault, ClusterFaultPlan, FaultError, FaultPlan, SpotReclamation};
 pub use partition::Partition;
 pub use replicate::{replicate, replicate_serial, replication_seed};
-pub use runtime::{PercentileView, Scheduling, SimConfig, SimResult, Simulation};
+pub use runtime::{Scheduling, SimConfig, SimResult, Simulation};
 pub use service_time::ServiceTimeModel;
 pub use shard::{shard_of, ShardStats};
 pub use telemetry::{NullSink, RequestRecord, SpanRecord, TelemetrySink};

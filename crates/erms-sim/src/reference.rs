@@ -35,6 +35,11 @@ impl<'a> Simulation<'a> {
     /// engine to that). This path is O(log n) per event and exists only
     /// for comparison — use [`Simulation::run`] for real work.
     ///
+    /// Beside the result it returns the own-latency rows it records per
+    /// microservice, `(arrival time, own latency, service)` in completion
+    /// order — what a [`TelemetrySink`](crate::telemetry::TelemetrySink)
+    /// on the dense engine sees as spans.
+    ///
     /// # Errors
     ///
     /// Exactly the configuration errors of [`Simulation::run`].
@@ -43,11 +48,14 @@ impl<'a> Simulation<'a> {
         workloads: &WorkloadVector,
         containers: &BTreeMap<MicroserviceId, u32>,
         priorities: &BTreeMap<MicroserviceId, Vec<ServiceId>>,
-    ) -> Result<SimResult> {
+    ) -> Result<(SimResult, OwnRows)> {
         self.validate(workloads, containers)?;
         Ok(RefEngine::new(self, workloads, containers, priorities).run())
     }
 }
+
+/// Own-latency rows by microservice: `(arrival, own latency, service)`.
+type OwnRows = BTreeMap<MicroserviceId, Vec<(f64, f64, ServiceId)>>;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
@@ -291,7 +299,7 @@ impl<'s, 'a> RefEngine<'s, 'a> {
         id
     }
 
-    fn run(mut self) -> SimResult {
+    fn run(mut self) -> (SimResult, OwnRows) {
         for (sid, rate) in self.workloads.iter() {
             let lambda = rate.as_per_ms();
             if lambda > 0.0 {
@@ -316,9 +324,8 @@ impl<'s, 'a> RefEngine<'s, 'a> {
                 Event::Fault(i) => self.on_fault(i as usize),
             }
         }
-        SimResult {
+        let result = SimResult {
             service_latencies: self.result_latencies,
-            ms_own_latencies: self.result_own,
             trace_store: self.store,
             generated: self.generated,
             completed: self.completed,
@@ -331,7 +338,8 @@ impl<'s, 'a> RefEngine<'s, 'a> {
             reclaimed_containers: 0,
             lost_spans: self.lost_spans,
             events,
-        }
+        };
+        (result, self.result_own)
     }
 
     /// The O(all-calls) victim scan the dense engine replaced: every crash

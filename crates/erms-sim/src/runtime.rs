@@ -310,9 +310,6 @@ impl<'a> Simulation<'a> {
 pub struct SimResult {
     /// End-to-end latencies per service (post-warm-up completions).
     pub service_latencies: BTreeMap<ServiceId, Vec<f64>>,
-    /// Per-microservice own latencies: `(arrival time, own latency,
-    /// service)`.
-    pub ms_own_latencies: BTreeMap<MicroserviceId, Vec<(f64, f64, ServiceId)>>,
     /// Sampled spans (Jaeger stand-in).
     pub trace_store: TraceStore,
     /// Requests generated (arrivals).
@@ -359,56 +356,6 @@ impl SimResult {
             .get(&service)
             .map(|v| stats::fraction_above(v, threshold_ms))
             .unwrap_or(0.0)
-    }
-
-    /// Builds a sorted per-service view of the latency samples: sorts each
-    /// service's vector once, after which any number of percentile and
-    /// violation-rate queries cost O(1) / O(log n) instead of a copy+sort
-    /// per call. Answers agree exactly with [`Self::latency_percentile`]
-    /// and [`Self::violation_rate`].
-    pub fn percentile_view(&self) -> PercentileView {
-        PercentileView {
-            sorted: self
-                .service_latencies
-                .iter()
-                .map(|(&sid, v)| {
-                    let mut sorted = v.clone();
-                    stats::sort_samples(&mut sorted);
-                    (sid, sorted)
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Sorted per-service latency samples from [`SimResult::percentile_view`]:
-/// sort once, query many percentiles.
-#[derive(Debug, Clone)]
-pub struct PercentileView {
-    sorted: BTreeMap<ServiceId, Vec<f64>>,
-}
-
-impl PercentileView {
-    /// Tail latency of a service (nearest-rank percentile; 0 for services
-    /// with no samples).
-    pub fn latency_percentile(&self, service: ServiceId, p: f64) -> f64 {
-        self.sorted
-            .get(&service)
-            .map(|v| stats::percentile_sorted(v, p))
-            .unwrap_or(0.0)
-    }
-
-    /// Fraction of a service's requests exceeding `threshold_ms`.
-    pub fn violation_rate(&self, service: ServiceId, threshold_ms: f64) -> f64 {
-        self.sorted
-            .get(&service)
-            .map(|v| stats::fraction_above_sorted(v, threshold_ms))
-            .unwrap_or(0.0)
-    }
-
-    /// The sorted samples of one service, if it completed any requests.
-    pub fn sorted_latencies(&self, service: ServiceId) -> Option<&[f64]> {
-        self.sorted.get(&service).map(Vec::as_slice)
     }
 }
 
@@ -624,9 +571,6 @@ struct Engine<'e, S: TelemetrySink> {
     /// Latency samples by `ServiceId::index()`; converted to the public
     /// map form (skipping untouched services) at the end of the run.
     result_latencies: Vec<Vec<f64>>,
-    /// Own-latency rows by `MicroserviceId::index()`; converted like
-    /// `result_latencies`.
-    result_own: Vec<Vec<(f64, f64, ServiceId)>>,
     generated: u64,
     completed: u64,
     dropped: u64,
@@ -683,7 +627,6 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
         }
         let fault_schedule = lower_fault_schedule(sim);
         let service_count = sim.app.service_count();
-        let ms_count = sim.app.microservice_count();
         // Reserve the result tables near their Poisson-expected sizes so
         // steady-state pushes never trigger a doubling memcpy mid-run;
         // contents are unaffected. Capped so a mis-sized config cannot
@@ -695,10 +638,6 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
             .iter()
             .map(|rate| Vec::with_capacity(((rate * horizon_ms) as usize + 16).min(1 << 21)))
             .collect();
-        let total_rate: f64 = tables.hot.rate_per_ms.iter().sum();
-        let own_cap = ((total_rate * horizon_ms) as usize + 16).min(1 << 21);
-        let result_own: Vec<Vec<(f64, f64, ServiceId)>> =
-            (0..ms_count).map(|_| Vec::with_capacity(own_cap)).collect();
         Self {
             queue: CalendarQueue::new(),
             batch_items: Vec::new(),
@@ -733,7 +672,6 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
             next_trace: 1,
             next_span: 1,
             result_latencies,
-            result_own,
             generated: 0,
             completed: 0,
             dropped: 0,
@@ -951,16 +889,8 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
             .filter(|(_, v)| !v.is_empty())
             .map(|(i, v)| (ServiceId::new(i as u32), v))
             .collect();
-        let ms_own_latencies: BTreeMap<MicroserviceId, Vec<(f64, f64, ServiceId)>> = self
-            .result_own
-            .into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(i, v)| (MicroserviceId::new(i as u32), v))
-            .collect();
         SimResult {
             service_latencies,
-            ms_own_latencies,
             trace_store: self.store,
             generated: self.generated,
             completed: self.completed,
@@ -1233,19 +1163,16 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
             self.push(time + dt, Event::Done(next));
         }
 
-        // Record own latency (queueing + processing).
-        if arrive >= self.warmup_ms {
-            self.result_own[mi].push((arrive, time - arrive, service));
-            if S::ENABLED {
-                self.sink.on_span(&SpanRecord {
-                    service,
-                    microservice: ms,
-                    container: container_idx as u32,
-                    priority_class: self.tables.hot.class(mi, service) as u32,
-                    start_ms: arrive,
-                    end_ms: time,
-                });
-            }
+        // Own latency (queueing + processing) is the sink's to record.
+        if S::ENABLED && arrive >= self.warmup_ms {
+            self.sink.on_span(&SpanRecord {
+                service,
+                microservice: ms,
+                container: container_idx as u32,
+                priority_class: self.tables.hot.class(mi, service) as u32,
+                start_ms: arrive,
+                end_ms: time,
+            });
         }
 
         // Fan out the first stage, or complete immediately.
@@ -1455,6 +1382,7 @@ pub(crate) fn exp_sample(lambda: f64, rng: &mut impl Rng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::FnSink;
     use erms_core::app::{AppBuilder, RequestRate, Sla};
     use erms_core::latency::LatencyProfile;
     use erms_core::resources::Resources;
@@ -1561,19 +1489,19 @@ mod tests {
         let cs = containers(&[(u, 2), (h, 2), (p, 2)]);
         let mut priorities = BTreeMap::new();
         priorities.insert(p, vec![s1, s2]);
-        let with_prio = sim.run(&w, &cs, &priorities).unwrap();
-        let no_prio = sim.run(&w, &cs, &BTreeMap::new()).unwrap();
-        let own = |r: &SimResult, svc: ServiceId| -> f64 {
-            let rows = &r.ms_own_latencies[&p];
-            let v: Vec<f64> = rows
-                .iter()
-                .filter(|(_, _, s)| *s == svc)
-                .map(|(_, l, _)| *l)
-                .collect();
+        // P95 of s1's own latency at P, collected through the sink.
+        let own_p95 = |priorities: &BTreeMap<MicroserviceId, Vec<ServiceId>>| -> f64 {
+            let mut v: Vec<f64> = Vec::new();
+            let sink = FnSink::spans(|s: &SpanRecord| {
+                if s.microservice == p && s.service == s1 {
+                    v.push(s.latency_ms());
+                }
+            });
+            sim.run_with_sink(&w, &cs, priorities, sink).unwrap();
             stats::percentile(&v, 0.95)
         };
-        let prio_high = own(&with_prio, s1);
-        let fcfs_high = own(&no_prio, s1);
+        let prio_high = own_p95(&priorities);
+        let fcfs_high = own_p95(&BTreeMap::new());
         assert!(
             prio_high < fcfs_high,
             "priority should cut the high-priority service's P latency: {prio_high} vs {fcfs_high}"

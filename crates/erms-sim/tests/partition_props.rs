@@ -10,7 +10,8 @@
 //!    `max(avg × (1 + tol), avg + w_max)`), and *deterministic*
 //!    (repeated calls are equal — it is a pure function, so equality is
 //!    exact, not approximate).
-//! 2. **Bit-identity** — `run_sharded_with_partition` equals the K=1 run
+//! 2. **Bit-identity** — a partitioned run, observed through per-shard
+//!    sinks, equals the K=1 run
 //!    field for field, `f64` bit for `f64` bit, for random apps ×
 //!    partition kinds (modulo, topology-aware, arbitrary random tables) ×
 //!    fault plans × thread counts, exercising the adaptive window
@@ -19,15 +20,18 @@
 //! Everything lives in one `#[test]` per oracle: `RAYON_NUM_THREADS` is
 //! process-global state and cases mutate it.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{digest, observe_modulo, observe_sharded};
 use erms_core::app::{App, AppBuilder, RequestRate, Sla, WorkloadVector};
 use erms_core::ids::{MicroserviceId, ServiceId};
 use erms_core::latency::LatencyProfile;
 use erms_core::resources::Resources;
 use erms_sim::faults::FaultPlan;
 use erms_sim::partition::Partition;
-use erms_sim::runtime::{SimConfig, SimResult, Simulation};
+use erms_sim::runtime::{SimConfig, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
 use erms_trace::synth::{generate, SynthConfig};
 use proptest::prelude::*;
@@ -130,53 +134,6 @@ fn build_partition(spec: &AppSpec, app: &App, workloads: &WorkloadVector) -> Par
     }
 }
 
-/// Compact FNV-1a digest over every deterministic field of a result.
-fn digest(result: &SimResult) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(result.generated);
-    eat(result.completed);
-    eat(result.dropped);
-    eat(result.timed_out);
-    eat(result.crash_violations);
-    eat(result.crashed_containers);
-    eat(result.lost_spans);
-    eat(result.events);
-    for (sid, latencies) in &result.service_latencies {
-        eat(sid.index() as u64);
-        eat(latencies.len() as u64);
-        for l in latencies {
-            eat(l.to_bits());
-        }
-    }
-    for (ms, rows) in &result.ms_own_latencies {
-        eat(ms.index() as u64);
-        eat(rows.len() as u64);
-        for (at, own, sid) in rows {
-            eat(at.to_bits());
-            eat(own.to_bits());
-            eat(sid.index() as u64);
-        }
-    }
-    for (id, spans) in result.trace_store.iter() {
-        eat(id.0);
-        eat(spans.len() as u64);
-        for s in spans {
-            eat(s.span_id.0);
-            eat(s.start_ms.to_bits());
-            eat(s.end_ms.to_bits());
-        }
-    }
-    h
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -241,10 +198,9 @@ proptest! {
             w.set(sid, RequestRate::per_minute(spec.rate_per_min));
         }
         let partition = build_partition(&spec, &app, &w);
-        let base = sim.run_sharded(&w, &containers, &BTreeMap::new(), 1).unwrap();
-        let (sharded, stats) = sim
-            .run_sharded_with_partition(&w, &containers, &BTreeMap::new(), &partition)
-            .unwrap();
+        let base = observe_modulo(&sim, &app, &w, &containers, &BTreeMap::new(), 1);
+        let (sharded, stats) =
+            observe_sharded(&sim, &w, &containers, &BTreeMap::new(), &partition);
         let (got, want) = (digest(&sharded), digest(&base));
         prop_assert!(
             got == want,

@@ -8,8 +8,11 @@
 //! and cargo runs tests within a binary concurrently). CI additionally
 //! runs this binary under `RAYON_NUM_THREADS=1`, `2` and `4`.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{observe_modulo, OwnRows};
 use erms_core::app::{App, AppBuilder, RequestRate, Sla, WorkloadVector};
 use erms_core::ids::{MicroserviceId, ServiceId};
 use erms_core::latency::{Interference, LatencyProfile};
@@ -54,8 +57,10 @@ fn containers_for(app: &App, n: u32) -> BTreeMap<MicroserviceId, u32> {
     app.microservices().map(|(ms, _)| (ms, n)).collect()
 }
 
-/// Strict bit-level equality of two sharded results.
-fn assert_bit_identical(got: &SimResult, want: &SimResult, label: &str) {
+/// Strict bit-level equality of two sharded results and of the
+/// own-latency rows their sinks saw.
+fn assert_bit_identical(got: &(SimResult, OwnRows), want: &(SimResult, OwnRows), label: &str) {
+    let ((got, got_rows), (want, want_rows)) = (got, want);
     assert_eq!(got.generated, want.generated, "{label}: generated");
     assert_eq!(got.completed, want.completed, "{label}: completed");
     assert_eq!(got.dropped, want.dropped, "{label}: dropped");
@@ -86,11 +91,11 @@ fn assert_bit_identical(got: &SimResult, want: &SimResult, label: &str) {
         }
     }
 
-    let g_keys: Vec<_> = got.ms_own_latencies.keys().collect();
-    let w_keys: Vec<_> = want.ms_own_latencies.keys().collect();
+    let g_keys: Vec<_> = got_rows.keys().collect();
+    let w_keys: Vec<_> = want_rows.keys().collect();
     assert_eq!(g_keys, w_keys, "{label}: own-latency key sets");
-    for (ms, g_rows) in &got.ms_own_latencies {
-        let w_rows = &want.ms_own_latencies[ms];
+    for (ms, g_rows) in got_rows {
+        let w_rows = &want_rows[ms];
         assert_eq!(g_rows.len(), w_rows.len(), "{label}: {ms} row count");
         for (i, (g, w)) in g_rows.iter().zip(w_rows).enumerate() {
             assert_eq!(g.0.to_bits(), w.0.to_bits(), "{label}: {ms} row {i} at_ms");
@@ -180,14 +185,22 @@ fn sharded_runs_are_bit_identical_across_k_and_threads() {
                     if services.len() > 1 {
                         priorities.insert(ms_ids[2], services.clone());
                     }
-                    let base = sim.run_sharded(&w, &cs, &priorities, 1).unwrap();
-                    assert!(base.generated > 0, "sweep cell generated nothing");
+                    let base = observe_modulo(&sim, &app, &w, &cs, &priorities, 1);
+                    assert!(base.0.generated > 0, "sweep cell generated nothing");
+                    assert!(!base.1.is_empty(), "sweep cell observed no spans");
+                    // Every K would agree on spans leaked from the warm-up,
+                    // so that is checked on its own.
+                    let warmup_ms = base_config(seed).warmup_ms;
+                    assert!(
+                        base.1.values().flatten().all(|row| row.0 >= warmup_ms),
+                        "a sink saw a call that arrived during warm-up"
+                    );
                     for k in [2usize, 3, 8] {
                         let label = format!(
                             "{app_name} rate={rate} faults={with_faults} \
                              seed={seed} K={k} threads={threads}"
                         );
-                        let sharded = sim.run_sharded(&w, &cs, &priorities, k).unwrap();
+                        let sharded = observe_modulo(&sim, &app, &w, &cs, &priorities, k);
                         assert_bit_identical(&sharded, &base, &label);
                     }
                 }
@@ -268,10 +281,10 @@ fn domain_failure_spanning_shards_is_atomic() {
     for &sid in &services {
         w.set(sid, RequestRate::per_minute(6_000.0));
     }
-    let base = sim.run_sharded(&w, &cs, &BTreeMap::new(), 1).unwrap();
-    assert_eq!(base.crashed_containers, 3, "domain not fully killed");
+    let base = observe_modulo(&sim, &app, &w, &cs, &BTreeMap::new(), 1);
+    assert_eq!(base.0.crashed_containers, 3, "domain not fully killed");
     for k in [2usize, 4] {
-        let sharded = sim.run_sharded(&w, &cs, &BTreeMap::new(), k).unwrap();
+        let sharded = observe_modulo(&sim, &app, &w, &cs, &BTreeMap::new(), k);
         assert_bit_identical(&sharded, &base, &format!("domain-failure K={k}"));
     }
 }

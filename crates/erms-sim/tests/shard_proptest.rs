@@ -9,14 +9,17 @@
 //! Everything lives in one `#[test]`: `RAYON_NUM_THREADS` is
 //! process-global state and cases mutate it.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{digest, observe_modulo};
 use erms_core::app::{App, AppBuilder, RequestRate, Sla, WorkloadVector};
 use erms_core::ids::{MicroserviceId, ServiceId};
 use erms_core::latency::LatencyProfile;
 use erms_core::resources::Resources;
 use erms_sim::faults::FaultPlan;
-use erms_sim::runtime::{SimConfig, SimResult, Simulation};
+use erms_sim::runtime::{SimConfig, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
 use proptest::prelude::*;
 
@@ -92,53 +95,6 @@ fn build_app(spec: &AppSpec) -> (App, Vec<MicroserviceId>, Vec<ServiceId>) {
     (b.build().unwrap(), pool, services)
 }
 
-/// Compact FNV-1a digest over every deterministic field of a result.
-fn digest(result: &SimResult) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(result.generated);
-    eat(result.completed);
-    eat(result.dropped);
-    eat(result.timed_out);
-    eat(result.crash_violations);
-    eat(result.crashed_containers);
-    eat(result.lost_spans);
-    eat(result.events);
-    for (sid, latencies) in &result.service_latencies {
-        eat(sid.index() as u64);
-        eat(latencies.len() as u64);
-        for l in latencies {
-            eat(l.to_bits());
-        }
-    }
-    for (ms, rows) in &result.ms_own_latencies {
-        eat(ms.index() as u64);
-        eat(rows.len() as u64);
-        for (at, own, sid) in rows {
-            eat(at.to_bits());
-            eat(own.to_bits());
-            eat(sid.index() as u64);
-        }
-    }
-    for (id, spans) in result.trace_store.iter() {
-        eat(id.0);
-        eat(spans.len() as u64);
-        for s in spans {
-            eat(s.span_id.0);
-            eat(s.start_ms.to_bits());
-            eat(s.end_ms.to_bits());
-        }
-    }
-    h
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -174,11 +130,9 @@ proptest! {
         for &sid in &services {
             w.set(sid, RequestRate::per_minute(spec.rate_per_min));
         }
-        let base = sim.run_sharded(&w, &containers, &BTreeMap::new(), 1).unwrap();
-        let sharded = sim
-            .run_sharded(&w, &containers, &BTreeMap::new(), spec.shards)
-            .unwrap();
-        let (got, want) = (digest(&sharded), digest(&base));
+        // The sinks feed the own-latency rows into the digest.
+        let observe = |k| observe_modulo(&sim, &app, &w, &containers, &BTreeMap::new(), k);
+        let (got, want) = (digest(&observe(spec.shards)), digest(&observe(1)));
         prop_assert!(
             got == want,
             "K={} threads={} diverged from K=1 ({got:#x} vs {want:#x})",

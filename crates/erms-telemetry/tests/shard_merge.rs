@@ -23,6 +23,7 @@ use erms_core::latency::LatencyProfile;
 use erms_core::resources::Resources;
 use erms_sim::runtime::{SimConfig, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
+use erms_sim::Partition;
 use erms_telemetry::{TelemetryCollector, TelemetryConfig};
 
 fn fanout_app() -> (App, Vec<MicroserviceId>, Vec<ServiceId>) {
@@ -78,8 +79,9 @@ fn shard_sinks_partition_the_stream_and_merge_cleanly() {
         .run_sharded(&w, &containers, &BTreeMap::new(), 4)
         .unwrap();
     let mut single = vec![TelemetryCollector::for_app(&app, telemetry_config())];
-    let observed_k1 = sim
-        .run_sharded_with_sinks(&w, &containers, &BTreeMap::new(), 1, &mut single)
+    let modulo = |k| Partition::modulo(app.microservice_count(), k);
+    let (observed_k1, _) = sim
+        .run_sharded_with_sinks(&w, &containers, &BTreeMap::new(), &modulo(1), &mut single)
         .unwrap();
     let single = single.pop().unwrap();
 
@@ -87,8 +89,14 @@ fn shard_sinks_partition_the_stream_and_merge_cleanly() {
     let mut shard_sinks: Vec<TelemetryCollector> = (0..4)
         .map(|_| TelemetryCollector::for_app(&app, telemetry_config()))
         .collect();
-    let observed_k4 = sim
-        .run_sharded_with_sinks(&w, &containers, &BTreeMap::new(), 4, &mut shard_sinks)
+    let (observed_k4, _) = sim
+        .run_sharded_with_sinks(
+            &w,
+            &containers,
+            &BTreeMap::new(),
+            &modulo(4),
+            &mut shard_sinks,
+        )
         .unwrap();
 
     // Sink invisibility on the sharded path: observing the run does not

@@ -4,7 +4,9 @@
 //! map-based engine (`Simulation::run_reference`, kept verbatim in
 //! `erms-sim/src/reference.rs`) *exactly* — same counters, same latency
 //! samples float bit for float bit, same span counts — across a matrix of
-//! (app, rate, fault plan, seed) configurations. Any divergence means the
+//! (app, rate, fault plan, seed) configurations; and the spans a sink sees
+//! on the dense engine must be, row for row, the own-latency rows the
+//! reference records. Any divergence means the
 //! refactor changed simulation semantics, not just its speed.
 //!
 //! A compact digest (FNV-1a over counters and every latency bit pattern)
@@ -21,6 +23,7 @@ use erms_core::resources::Resources;
 use erms_sim::faults::FaultPlan;
 use erms_sim::runtime::{Scheduling, SimConfig, SimResult, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
+use erms_sim::telemetry::{FnSink, SpanRecord};
 
 /// Chain app: s → a → c (sequential).
 fn chain_app() -> (App, Vec<MicroserviceId>, Vec<ServiceId>) {
@@ -57,8 +60,38 @@ fn containers_for(app: &App, n: u32) -> BTreeMap<MicroserviceId, u32> {
     app.microservices().map(|(ms, _)| (ms, n)).collect()
 }
 
-/// Strict bit-level equality of two results.
-fn assert_bit_identical(dense: &SimResult, reference: &SimResult, label: &str) {
+/// Own-latency rows by microservice: `(arrival, own latency, service)` in
+/// completion order — the form `run_reference` returns.
+type OwnRows = BTreeMap<MicroserviceId, Vec<(f64, f64, ServiceId)>>;
+
+/// The dense engine's own-latency rows: a second, sink-observed pass of the
+/// same configuration (the unobserved `run()` stays the subject of every
+/// other comparison; `golden_digest_unchanged_with_telemetry_sink` pins
+/// that the two passes agree).
+fn dense_own_rows(
+    sim: &Simulation<'_>,
+    w: &WorkloadVector,
+    cs: &BTreeMap<MicroserviceId, u32>,
+    priorities: &BTreeMap<MicroserviceId, Vec<ServiceId>>,
+) -> OwnRows {
+    let mut rows = OwnRows::new();
+    let sink = FnSink::spans(|s: &SpanRecord| {
+        rows.entry(s.microservice)
+            .or_default()
+            .push((s.start_ms, s.latency_ms(), s.service));
+    });
+    sim.run_with_sink(w, cs, priorities, sink).unwrap();
+    rows
+}
+
+/// Strict bit-level equality of a dense run (result and sink-observed
+/// rows) with a reference run.
+fn assert_bit_identical(
+    dense: &SimResult,
+    dense_rows: &OwnRows,
+    (reference, reference_rows): &(SimResult, OwnRows),
+    label: &str,
+) {
     assert_eq!(dense.generated, reference.generated, "{label}: generated");
     assert_eq!(dense.completed, reference.completed, "{label}: completed");
     assert_eq!(dense.dropped, reference.dropped, "{label}: dropped");
@@ -102,11 +135,11 @@ fn assert_bit_identical(dense: &SimResult, reference: &SimResult, label: &str) {
         }
     }
 
-    let d_keys: Vec<_> = dense.ms_own_latencies.keys().collect();
-    let r_keys: Vec<_> = reference.ms_own_latencies.keys().collect();
+    let d_keys: Vec<_> = dense_rows.keys().collect();
+    let r_keys: Vec<_> = reference_rows.keys().collect();
     assert_eq!(d_keys, r_keys, "{label}: own-latency key sets");
-    for (ms, d_rows) in &dense.ms_own_latencies {
-        let r_rows = &reference.ms_own_latencies[ms];
+    for (ms, d_rows) in dense_rows {
+        let r_rows = &reference_rows[ms];
         assert_eq!(d_rows.len(), r_rows.len(), "{label}: {ms} row count");
         for (i, (d, r)) in d_rows.iter().zip(r_rows).enumerate() {
             assert_eq!(d.0.to_bits(), r.0.to_bits(), "{label}: {ms} row {i} at_ms");
@@ -199,8 +232,9 @@ fn dense_engine_matches_reference_on_golden_matrix() {
                     }
                     let label = format!("{app_name} rate={rate} faults={with_faults} seed={seed}");
                     let dense = sim.run(&w, &cs, &priorities).unwrap();
+                    let dense_rows = dense_own_rows(&sim, &w, &cs, &priorities);
                     let reference = sim.run_reference(&w, &cs, &priorities).unwrap();
-                    assert_bit_identical(&dense, &reference, &label);
+                    assert_bit_identical(&dense, &dense_rows, &reference, &label);
                 }
             }
         }
@@ -224,8 +258,9 @@ fn dense_engine_matches_reference_under_fcfs_and_host_failure() {
         w.set(sid, RequestRate::per_minute(6_000.0));
     }
     let dense = sim.run(&w, &cs, &BTreeMap::new()).unwrap();
+    let dense_rows = dense_own_rows(&sim, &w, &cs, &BTreeMap::new());
     let reference = sim.run_reference(&w, &cs, &BTreeMap::new()).unwrap();
-    assert_bit_identical(&dense, &reference, "fcfs host-failure");
+    assert_bit_identical(&dense, &dense_rows, &reference, "fcfs host-failure");
     assert!(dense.crashed_containers == 3);
 }
 
@@ -244,7 +279,7 @@ fn golden_digest_is_pinned() {
     let mut w = WorkloadVector::new();
     w.set(services[0], RequestRate::per_minute(3_000.0));
     let dense = sim.run(&w, &cs, &BTreeMap::new()).unwrap();
-    let reference = sim.run_reference(&w, &cs, &BTreeMap::new()).unwrap();
+    let (reference, _) = sim.run_reference(&w, &cs, &BTreeMap::new()).unwrap();
     assert_eq!(digest(&dense), digest(&reference));
     // Captured from the pre-refactor engine (see file docs). If this
     // fails, the engines changed semantics *together* — that is a

@@ -10,6 +10,7 @@ use erms::profilers::metrics::accuracy;
 use erms::profilers::piecewise::PiecewiseFitter;
 use erms::sim::runtime::{SimConfig, Simulation};
 use erms::sim::service_time::ServiceTimeModel;
+use erms::sim::telemetry::{FnSink, NullSink, SpanRecord, TelemetrySink};
 use erms::trace::aggregate::per_minute_observations;
 use erms::trace::extract::{extract_trace_graph, merge_service_graphs, own_latencies};
 
@@ -38,6 +39,7 @@ fn run_sim(
     rate: f64,
     seed: u64,
     containers: &BTreeMap<MicroserviceId, u32>,
+    sink: impl TelemetrySink,
 ) -> erms::sim::SimResult {
     let mut sim = Simulation::new(
         app,
@@ -56,14 +58,15 @@ fn run_sim(
     sim.set_uniform_interference(Interference::new(0.3, 0.3));
     let mut w = WorkloadVector::new();
     w.set(svc, RequestRate::per_minute(rate));
-    sim.run(&w, containers, &BTreeMap::new()).unwrap()
+    sim.run_with_sink(&w, containers, &BTreeMap::new(), sink)
+        .unwrap()
 }
 
 #[test]
 fn traces_reconstruct_the_dependency_graph() {
     let (app, [front, back], svc) = two_tier_app();
     let containers: BTreeMap<_, _> = [(front, 1u32), (back, 1)].into_iter().collect();
-    let result = run_sim(&app, svc, 3_000.0, 1, &containers);
+    let result = run_sim(&app, svc, 3_000.0, 1, &containers, NullSink);
     assert!(result.trace_store.trace_count() > 20);
     // Single-trace extraction.
     let (_, spans) = result.trace_store.iter().next().unwrap();
@@ -86,7 +89,7 @@ fn eq1_latencies_compose_to_end_to_end() {
     // root server span duration (within network delays).
     let (app, [front, back], svc) = two_tier_app();
     let containers: BTreeMap<_, _> = [(front, 1u32), (back, 1)].into_iter().collect();
-    let result = run_sim(&app, svc, 3_000.0, 2, &containers);
+    let result = run_sim(&app, svc, 3_000.0, 2, &containers, NullSink);
     let (_, spans) = result.trace_store.iter().next().unwrap();
     let obs = own_latencies(spans);
     let total_own: f64 = obs.iter().map(|o| o.latency_ms).sum();
@@ -110,7 +113,14 @@ fn profiling_recovers_the_latency_curve() {
         .into_iter()
         .enumerate()
     {
-        let result = run_sim(&app, svc, rate, 10 + i as u64, &containers);
+        // Ground truth: every own latency of `back`, through the sink.
+        let mut back_lat: Vec<f64> = Vec::new();
+        let sink = FnSink::spans(|s: &SpanRecord| {
+            if s.microservice == back {
+                back_lat.push(s.latency_ms());
+            }
+        });
+        let result = run_sim(&app, svc, rate, 10 + i as u64, &containers, sink);
         let mut observations = Vec::new();
         for (_, spans) in result.trace_store.iter() {
             observations.extend(own_latencies(spans));
@@ -128,10 +138,6 @@ fn profiling_recovers_the_latency_curve() {
                 ));
             }
         }
-        let back_lat: Vec<f64> = result.ms_own_latencies[&back]
-            .iter()
-            .map(|(_, l, _)| *l)
-            .collect();
         truth_points.push((rate, erms::sim::stats::percentile(&back_lat, 0.95)));
         let _ = front;
     }
@@ -154,7 +160,7 @@ fn profiling_recovers_the_latency_curve() {
 fn sampled_store_is_a_subset_of_full_store() {
     let (app, [front, back], svc) = two_tier_app();
     let containers: BTreeMap<_, _> = [(front, 2u32), (back, 2)].into_iter().collect();
-    let result = run_sim(&app, svc, 6_000.0, 3, &containers);
+    let result = run_sim(&app, svc, 6_000.0, 3, &containers, NullSink);
     // 20% sampling of ~8k requests.
     let expected = result.completed as f64 * 0.2;
     let kept = result.trace_store.trace_count() as f64;

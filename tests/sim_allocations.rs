@@ -12,6 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use erms::core::prelude::*;
 use erms::sim::runtime::{SimConfig, Simulation};
@@ -21,14 +22,17 @@ use erms::telemetry::{TelemetryCollector, TelemetryConfig};
 use erms::workload::apps::fig5_app;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Counts every allocator entry point (alloc, realloc — a `Vec` doubling
-/// is a realloc) and forwards to the system allocator.
+/// is a realloc) and the bytes asked for (a realloc asks for what it grows
+/// by), and forwards to the system allocator.
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -38,6 +42,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        let grown = new_size.saturating_sub(layout.size());
+        ALLOC_BYTES.fetch_add(grown as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,20 +51,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Runs the Fig. 5 scenario for `duration_ms` and returns
-/// (events processed, allocator calls made during `run` itself). With
+/// What one counted run reports: (events processed, allocator calls made
+/// during `run` itself, requests generated, bytes asked for during `run`).
+type Counted = (u64, u64, u64, u64);
+
+/// Runs the Fig. 5 scenario for `duration_ms` and counts it. With
 /// `sampling = Some(rate)` a telemetry collector is attached; it is
 /// constructed *outside* the counted window (ring and sketch tables are
 /// preallocated up front), so the count isolates the sink's per-event
 /// marginal cost.
-fn run_counted(duration_ms: f64, sampling: Option<f64>) -> (u64, u64) {
+fn run_counted(duration_ms: f64, sampling: Option<f64>) -> Counted {
     run_counted_inner(duration_ms, sampling, None, false)
 }
 
 /// The sharded variant: same scenario through `run_sharded` at `shards`
 /// shards. Telemetry sinks are not attached (the shard engine takes one
 /// sink per shard; the merge cost is covered by erms-telemetry's tests).
-fn run_counted_sharded(duration_ms: f64, shards: usize) -> (u64, u64) {
+fn run_counted_sharded(duration_ms: f64, shards: usize) -> Counted {
     run_counted_inner(duration_ms, None, Some(shards), false)
 }
 
@@ -67,7 +76,7 @@ fn run_counted_sharded(duration_ms: f64, shards: usize) -> (u64, u64) {
 /// identical fault prefix), plus a 2% front-door drop rate for ongoing
 /// call-slot churn. Exercises the calendar queue's steady state under
 /// fault events and the call arena's free-list reuse.
-fn run_counted_faulted(duration_ms: f64) -> (u64, u64) {
+fn run_counted_faulted(duration_ms: f64) -> Counted {
     run_counted_inner(duration_ms, None, None, true)
 }
 
@@ -76,7 +85,7 @@ fn run_counted_inner(
     sampling: Option<f64>,
     shards: Option<usize>,
     faults: bool,
-) -> (u64, u64) {
+) -> Counted {
     let (app, [u, h, _p], [s1, s2]) = fig5_app(300.0);
     let itf = Interference::new(0.3, 0.3);
     let mut w = WorkloadVector::new();
@@ -133,6 +142,7 @@ fn run_counted_inner(
     });
 
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
     let result = match (collector.as_mut(), shards) {
         (Some(collector), _) => sim
             .run_with_sink(&w, &containers, &priorities, collector)
@@ -143,18 +153,22 @@ fn run_counted_inner(
         (None, None) => sim.run(&w, &containers, &priorities).expect("sim runs"),
     };
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before;
     if let Some(collector) = &collector {
         assert!(collector.spans_seen() > 0, "sink saw no spans");
     }
-    (result.events, allocs)
+    (result.events, allocs, result.generated, bytes)
 }
 
-/// One test function only: the counter is global to the test binary, so
-/// concurrent tests would pollute each other's windows.
+/// The counters are global to the test binary: each test holds this for
+/// its whole body, so no two counted windows overlap.
+static COUNTED_WINDOW: Mutex<()> = Mutex::new(());
+
 #[test]
 fn event_loop_allocations_grow_sublinearly_with_events() {
-    let (events_short, allocs_short) = run_counted(4_000.0, None);
-    let (events_long, allocs_long) = run_counted(32_000.0, None);
+    let _window = COUNTED_WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let (events_short, allocs_short, ..) = run_counted(4_000.0, None);
+    let (events_long, allocs_long, ..) = run_counted(32_000.0, None);
 
     let event_ratio = events_long as f64 / events_short as f64;
     let alloc_ratio = allocs_long as f64 / allocs_short as f64;
@@ -186,8 +200,8 @@ fn event_loop_allocations_grow_sublinearly_with_events() {
     // the ring buffer is preallocated and sketch buckets grow O(log), so
     // the sink must stay allocation-lean — well under one marginal
     // allocator call per event.
-    let (sink_events_short, sink_allocs_short) = run_counted(4_000.0, Some(0.01));
-    let (sink_events_long, sink_allocs_long) = run_counted(32_000.0, Some(0.01));
+    let (sink_events_short, sink_allocs_short, ..) = run_counted(4_000.0, Some(0.01));
+    let (sink_events_long, sink_allocs_long, ..) = run_counted(32_000.0, Some(0.01));
     let sink_marginal = (sink_allocs_long - sink_allocs_short) as f64
         / (sink_events_long - sink_events_short) as f64;
     assert!(
@@ -209,8 +223,8 @@ fn event_loop_allocations_grow_sublinearly_with_events() {
     // (capacity ping-pong, never dropped), and per-shard heaps grow
     // amortized — so the K = 4 path stays under 0.5 marginal allocator
     // calls per event too.
-    let (shard_events_short, shard_allocs_short) = run_counted_sharded(4_000.0, 4);
-    let (shard_events_long, shard_allocs_long) = run_counted_sharded(32_000.0, 4);
+    let (shard_events_short, shard_allocs_short, ..) = run_counted_sharded(4_000.0, 4);
+    let (shard_events_long, shard_allocs_long, ..) = run_counted_sharded(32_000.0, 4);
     let shard_marginal = (shard_allocs_long - shard_allocs_short) as f64
         / (shard_events_long - shard_events_short) as f64;
     assert!(
@@ -230,8 +244,8 @@ fn event_loop_allocations_grow_sublinearly_with_events() {
     // entries recycle through free lists, never through the allocator.
     // The loose 0.05 headroom covers the tail of Vec doublings
     // (result vectors, bucket array rebuilds) — O(log events), not O(n).
-    let (churn_events_short, churn_allocs_short) = run_counted_faulted(4_000.0);
-    let (churn_events_long, churn_allocs_long) = run_counted_faulted(32_000.0);
+    let (churn_events_short, churn_allocs_short, ..) = run_counted_faulted(4_000.0);
+    let (churn_events_long, churn_allocs_long, ..) = run_counted_faulted(32_000.0);
     let churn_marginal = (churn_allocs_long - churn_allocs_short) as f64
         / (churn_events_long - churn_events_short) as f64;
     assert!(
@@ -241,4 +255,32 @@ fn event_loop_allocations_grow_sublinearly_with_events() {
          ({churn_allocs_short} allocs for {churn_events_short} events vs \
          {churn_allocs_long} allocs for {churn_events_long} events)"
     );
+}
+
+/// A run nobody observes keeps nothing per call. Past its fixed setup, the
+/// bytes a sink-less run asks the allocator for grow with the *requests*
+/// it generates — the 8-byte end-to-end latency each leaves in
+/// `SimResult::service_latencies`, plus amortised growth — never with the
+/// calls those requests fan out into (several per request here): an
+/// always-on per-call recorder costs at least its row per call and breaks
+/// the bound.
+#[test]
+fn unobserved_runs_keep_nothing_per_call() {
+    let _window = COUNTED_WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    type Run = fn(f64) -> Counted;
+    let engines: [(&str, Run); 2] = [
+        ("run", |ms| run_counted(ms, None)),
+        ("run_sharded K=2", |ms| run_counted_sharded(ms, 2)),
+    ];
+    for (engine, run) in engines {
+        let (_, _, generated_short, bytes_short) = run(4_000.0);
+        let (_, _, generated_long, bytes_long) = run(32_000.0);
+        let per_request =
+            (bytes_long - bytes_short) as f64 / (generated_long - generated_short) as f64;
+        assert!(
+            per_request < 24.0,
+            "{engine}: {per_request:.1} marginal bytes per request ({bytes_short} B for \
+             {generated_short} requests vs {bytes_long} B for {generated_long})"
+        );
+    }
 }
