@@ -1,4 +1,4 @@
-//! §6.5.2 — scaling overhead of Erms (Criterion benchmarks).
+//! §6.5.2 — scaling overhead of Erms.
 //!
 //! Paper (Python prototype on an Intel Xeon): Latency Target Computation
 //! averages 15 ms per dependency graph and 300 ms for the largest
@@ -9,8 +9,14 @@
 //!
 //! Also includes the POP-partitioning ablation (whole-cluster vs grouped
 //! placement) called out in DESIGN.md.
+//!
+//! Each case runs 2 warm-up iterations, then reports the mean wall time of
+//! 10 measured ones. Run with `cargo bench -p erms-bench --bench scalability`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+use erms_bench::table;
 use erms_core::app::{RequestRate, WorkloadVector};
 use erms_core::latency::Interference;
 use erms_core::manager::ErmsScaler;
@@ -18,10 +24,43 @@ use erms_core::provisioning::{provision, ClusterState, Host, PlacementPolicy};
 use erms_core::scaling::{own_workloads, plan_service, ScalerConfig};
 use erms_trace::alibaba::{generate, AlibabaConfig};
 
+const WARMUP_ITERS: u32 = 2;
+const MEASURE_ITERS: u32 = 10;
+
+/// Mean wall time of `routine` over the measured iterations, each fed a
+/// fresh `setup` output built outside the timed region.
+fn time_batched<I, O>(mut setup: impl FnMut() -> I, mut routine: impl FnMut(I) -> O) -> Duration {
+    for _ in 0..WARMUP_ITERS {
+        black_box(routine(setup()));
+    }
+    let mut total = Duration::ZERO;
+    for _ in 0..MEASURE_ITERS {
+        let input = setup();
+        let start = Instant::now();
+        black_box(routine(input));
+        total += start.elapsed();
+    }
+    total / MEASURE_ITERS
+}
+
+/// [`time_batched`] without a per-iteration input.
+fn time<O>(mut routine: impl FnMut() -> O) -> Duration {
+    time_batched(|| (), |()| routine())
+}
+
+fn row(group: &str, case: impl ToString, mean: Duration) -> Vec<String> {
+    let ms = mean.as_secs_f64() * 1e3;
+    let mean = if ms >= 1.0 {
+        format!("{ms:.3} ms")
+    } else {
+        format!("{:.1} us", ms * 1e3)
+    };
+    vec![group.to_string(), case.to_string(), mean]
+}
+
 /// Latency Target Computation time vs dependency-graph size.
-fn bench_latency_target_computation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("latency_target_computation");
-    for &nodes in &[50usize, 200, 1000] {
+fn latency_target_computation(rows: &mut Vec<Vec<String>>) {
+    for nodes in [50usize, 200, 1000] {
         let generated = generate(&AlibabaConfig {
             services: 1,
             microservice_pool: nodes + 10,
@@ -35,19 +74,16 @@ fn bench_latency_target_computation(c: &mut Criterion) {
         let rate = RequestRate::per_minute(10_000.0);
         let eff = own_workloads(app, sid, rate).expect("workloads");
         let config = ScalerConfig::default();
-        group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
-            b.iter(|| {
-                plan_service(app, sid, rate, &eff, Interference::default(), &config)
-                    .expect("feasible")
-            })
+        let mean = time(|| {
+            plan_service(app, sid, rate, &eff, Interference::default(), &config).expect("feasible")
         });
+        rows.push(row("latency_target_computation", nodes, mean));
     }
-    group.finish();
 }
 
 /// Full Online-Scaling round (two LTC passes + priorities) on a
 /// multi-service app.
-fn bench_online_scaling(c: &mut Criterion) {
+fn online_scaling(rows: &mut Vec<Vec<String>>) {
     let generated = generate(&AlibabaConfig {
         services: 50,
         microservice_pool: 400,
@@ -58,14 +94,13 @@ fn bench_online_scaling(c: &mut Criterion) {
     let app = &generated.app;
     let w = WorkloadVector::uniform(app, RequestRate::per_minute(5_000.0));
     let scaler = ErmsScaler::new(app);
-    c.bench_function("online_scaling_50_services", |b| {
-        b.iter(|| scaler.plan(&w, Interference::default()).expect("feasible"))
-    });
+    let mean = time(|| scaler.plan(&w, Interference::default()).expect("feasible"));
+    rows.push(row("online_scaling", "50_services", mean));
 }
 
 /// Provisioning ~1000 containers across 5000 hosts (the paper's 200 ms
 /// claim), whole-cluster vs POP-partitioned.
-fn bench_provisioning(c: &mut Criterion) {
+fn provisioning(rows: &mut Vec<Vec<String>>) {
     let generated = generate(&AlibabaConfig {
         services: 20,
         microservice_pool: 150,
@@ -82,9 +117,6 @@ fn bench_provisioning(c: &mut Criterion) {
         "provisioning bench places {} containers",
         plan.total_containers()
     );
-
-    let mut group = c.benchmark_group("provisioning_5000_hosts");
-    group.sample_size(10);
     for (label, policy) in [
         (
             "whole_cluster",
@@ -96,21 +128,22 @@ fn bench_provisioning(c: &mut Criterion) {
         ),
         ("k8s_default", PlacementPolicy::KubernetesDefault),
     ] {
-        group.bench_function(label, |b| {
-            b.iter_batched(
-                || ClusterState::new((0..5_000).map(|_| Host::paper_host()).collect()),
-                |mut state| provision(&mut state, app, &plan, policy).expect("fits"),
-                criterion::BatchSize::LargeInput,
-            )
-        });
+        let mean = time_batched(
+            || ClusterState::new((0..5_000).map(|_| Host::paper_host()).collect()),
+            |mut state| provision(&mut state, app, &plan, policy).expect("fits"),
+        );
+        rows.push(row("provisioning_5000_hosts", label, mean));
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_latency_target_computation,
-    bench_online_scaling,
-    bench_provisioning
-);
-criterion_main!(benches);
+fn main() {
+    let mut rows = Vec::new();
+    latency_target_computation(&mut rows);
+    online_scaling(&mut rows);
+    provisioning(&mut rows);
+    table::print(
+        "§6.5.2 scaling overhead (mean of 10 iterations after 2 warm-up)",
+        &["group", "case", "mean / iter"],
+        &rows,
+    );
+}

@@ -18,9 +18,7 @@ use erms_core::app::{App, AppBuilder, Microservice, RequestRate, Service, Sla, W
 use erms_core::autoscaler::ScalingPlan;
 use erms_core::graph::{DependencyGraph, Node};
 use erms_core::ids::{MicroserviceId, NodeId, ServiceId};
-use erms_core::latency::{
-    CutoffModel, CutoffNode, CutoffTree, Interference, Interval, LatencyProfile, Segment,
-};
+use erms_core::latency::{CutoffModel, CutoffNode, CutoffTree, Interval, LatencyProfile, Segment};
 use erms_core::provisioning::{ClusterState, FailureDomain, Host, HostLifecycle};
 use erms_core::resilience::ManagerState;
 use erms_core::resources::Resources;
@@ -248,19 +246,6 @@ pub fn profile_from_json(j: &Json) -> Result<LatencyProfile, DecodeError> {
             .ok_or_else(|| "profile: missing field `cutoff`".to_string())?,
     )?;
     Ok(LatencyProfile::new(low, high, cutoff))
-}
-
-/// Encodes an interference point.
-pub fn interference_to_json(itf: Interference) -> Json {
-    Json::obj(vec![("cpu", num(itf.cpu)), ("memory", num(itf.memory))])
-}
-
-/// Decodes an interference point (clamped to `[0, 1]` by the constructor).
-pub fn interference_from_json(j: &Json) -> Result<Interference, DecodeError> {
-    Ok(Interference::new(
-        get_f64(j, "cpu", "interference")?,
-        get_f64(j, "memory", "interference")?,
-    ))
 }
 
 // ---------------------------------------------------------------- app
@@ -1095,6 +1080,7 @@ pub fn span_batch_from_text(text: &str) -> Result<SpanBatch, DecodeError> {
 mod tests {
     use super::*;
     use erms_core::app::AppBuilder;
+    use erms_core::latency::Interference;
 
     fn fixture_app() -> App {
         let mut b = AppBuilder::new("social");

@@ -36,14 +36,6 @@ impl Sla {
             threshold_ms,
         }
     }
-
-    /// An SLA on the 99th-percentile end-to-end latency.
-    pub fn p99_ms(threshold_ms: f64) -> Self {
-        Self {
-            percentile: 0.99,
-            threshold_ms,
-        }
-    }
 }
 
 /// A request arrival rate.

@@ -12,8 +12,7 @@
 //!
 //! # How dirtiness is detected
 //!
-//! A [`PlanDelta`] is advisory: it *forces* services/microservices dirty,
-//! but the planner additionally recomputes, every round, the
+//! There is no hint API: every round the planner recomputes the
 //! planner-visible projection of each input and bit-compares it against
 //! the stored copy:
 //!
@@ -26,7 +25,8 @@
 //!
 //! Bit-equal projections imply the cold planner would produce bit-equal
 //! output, so skipping is provably safe; a changed projection dirties the
-//! owning microservice regardless of what the caller declared.
+//! owning microservice. [`IncrementalPlanner::invalidate`] forces a cold
+//! rebuild.
 //!
 //! # What is reused
 //!
@@ -39,7 +39,7 @@
 //! entirely when a service's rate, SLA, profiles and effective workloads
 //! are all bit-unchanged.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::app::{App, Service, WorkloadVector};
 use crate::autoscaler::ScalingPlan;
@@ -52,89 +52,6 @@ use crate::manager::SchedulingMode;
 use crate::merge::{ArenaKind, MergedGraph, VirtualParams};
 use crate::scaling::{containers_for_profile, EffectiveWorkloads, ScalerConfig, ServicePlan};
 
-/// A set of inputs the caller knows changed since the previous round
-/// (workload, profile or SLA edits).
-///
-/// The delta is a *hint*, not a contract: the planner independently
-/// bit-compares every planner-visible input each round, so an
-/// under-reported delta cannot produce a stale plan — it only forces
-/// *extra* work when over-reported. [`PlanDelta::full`] requests a
-/// complete rebuild of the planner state.
-///
-/// (Not to be confused with [`crate::actions::PlanDelta`], the
-/// container-action diff between two finished plans.)
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanDelta {
-    full: bool,
-    microservices: BTreeSet<MicroserviceId>,
-    services: BTreeSet<ServiceId>,
-}
-
-impl PlanDelta {
-    /// An empty delta: the planner relies purely on its own change
-    /// detection.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// A delta requesting a full rebuild of all planner state.
-    #[must_use]
-    pub fn full() -> Self {
-        Self {
-            full: true,
-            ..Self::default()
-        }
-    }
-
-    /// Builds a delta from an iterator of changed microservices (e.g. the
-    /// re-fitted set of an online profiling round).
-    pub fn of_microservices(changed: impl IntoIterator<Item = MicroserviceId>) -> Self {
-        Self {
-            full: false,
-            microservices: changed.into_iter().collect(),
-            services: BTreeSet::new(),
-        }
-    }
-
-    /// Marks a microservice's profile/resources as changed.
-    pub fn touch_microservice(&mut self, ms: MicroserviceId) -> &mut Self {
-        self.microservices.insert(ms);
-        self
-    }
-
-    /// Marks a service's SLA/workload as changed (forces both planning
-    /// passes for the service).
-    pub fn touch_service(&mut self, service: ServiceId) -> &mut Self {
-        self.services.insert(service);
-        self
-    }
-
-    /// Whether this delta requests a full rebuild.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.full
-    }
-
-    /// Whether nothing was explicitly touched.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        !self.full && self.microservices.is_empty() && self.services.is_empty()
-    }
-
-    /// The explicitly touched microservices.
-    #[must_use]
-    pub fn microservices(&self) -> &BTreeSet<MicroserviceId> {
-        &self.microservices
-    }
-
-    /// The explicitly touched services.
-    #[must_use]
-    pub fn services(&self) -> &BTreeSet<ServiceId> {
-        &self.services
-    }
-}
-
 /// Cumulative work counters of an [`IncrementalPlanner`].
 ///
 /// `services_reused` vs `services_replanned` is the headline ratio: how
@@ -145,7 +62,8 @@ pub struct PlannerMetrics {
     /// Planning rounds completed.
     pub rounds: u64,
     /// Rounds that rebuilt all state from scratch (first round, topology
-    /// change, explicit [`PlanDelta::full`], or recovery after an error).
+    /// change, config/mode change, [`IncrementalPlanner::invalidate`], or
+    /// recovery after an error).
     pub full_builds: u64,
     /// First-pass (own-workload) per-service solves executed.
     pub initial_replans: u64,
@@ -350,7 +268,7 @@ struct SvcView<'a> {
 ///
 /// ```
 /// use erms_core::app::{AppBuilder, RequestRate, Sla, WorkloadVector};
-/// use erms_core::incremental::{IncrementalPlanner, PlanDelta};
+/// use erms_core::incremental::IncrementalPlanner;
 /// use erms_core::latency::{Interference, LatencyProfile};
 /// use erms_core::manager::{erms_plan, SchedulingMode};
 /// use erms_core::resources::Resources;
@@ -367,12 +285,12 @@ struct SvcView<'a> {
 /// w.set(s, RequestRate::per_minute(10_000.0));
 ///
 /// let mut planner = IncrementalPlanner::new(ScalerConfig::default(), SchedulingMode::Priority);
-/// let warm = planner.replan(&app, &w, itf, &PlanDelta::empty(), None).unwrap().clone();
+/// let warm = planner.replan_auto(&app, &w, itf, None).unwrap().clone();
 /// let cold = erms_plan(&app, &w, itf, &ScalerConfig::default(), SchedulingMode::Priority).unwrap();
 /// assert_eq!(warm, cold);
 ///
 /// w.set(s, RequestRate::per_minute(12_000.0));
-/// let warm = planner.replan(&app, &w, itf, &PlanDelta::empty(), None).unwrap().clone();
+/// let warm = planner.replan_auto(&app, &w, itf, None).unwrap().clone();
 /// let cold = erms_plan(&app, &w, itf, &ScalerConfig::default(), SchedulingMode::Priority).unwrap();
 /// assert_eq!(warm, cold);
 /// ```
@@ -392,7 +310,8 @@ impl Default for IncrementalPlanner {
 
 impl IncrementalPlanner {
     /// Creates a planner with the given configuration and scheduling
-    /// mode. No state is built until the first [`replan`](Self::replan).
+    /// mode. No state is built until the first
+    /// [`replan_auto`](Self::replan_auto).
     #[must_use]
     pub fn new(config: ScalerConfig, mode: SchedulingMode) -> Self {
         Self {
@@ -443,22 +362,6 @@ impl IncrementalPlanner {
         }
     }
 
-    /// Re-plans with pure self-detection of changes (an empty
-    /// [`PlanDelta`]).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`replan`](Self::replan).
-    pub fn replan_auto(
-        &mut self,
-        app: &App,
-        workloads: &WorkloadVector,
-        itf: Interference,
-        cache: Option<&PlanCache>,
-    ) -> Result<&ScalingPlan> {
-        self.replan(app, workloads, itf, &PlanDelta::empty(), cache)
-    }
-
     /// Computes the plan for the current inputs, reusing every piece of
     /// the previous round whose inputs are bit-unchanged. The result is
     /// bit-identical to
@@ -474,17 +377,16 @@ impl IncrementalPlanner {
     /// * [`Error::SlaInfeasible`] when a service's SLA is below its
     ///   latency floor;
     /// * [`Error::EmptyGraph`] for services without call nodes.
-    pub fn replan(
+    pub fn replan_auto(
         &mut self,
         app: &App,
         workloads: &WorkloadVector,
         itf: Interference,
-        delta: &PlanDelta,
         cache: Option<&PlanCache>,
     ) -> Result<&ScalingPlan> {
         let fresh = match &self.state {
             None => true,
-            Some(state) => delta.is_full() || !signature_matches(state, app),
+            Some(state) => !signature_matches(state, app),
         };
         let ctx = Ctx {
             app,
@@ -500,7 +402,6 @@ impl IncrementalPlanner {
                 &mut state,
                 &ctx,
                 workloads,
-                delta,
                 true,
                 self.mode,
                 &mut self.metrics,
@@ -508,15 +409,8 @@ impl IncrementalPlanner {
             self.state = Some(state);
         } else {
             let state = self.state.as_mut().expect("warm state");
-            if let Err(err) = run_round(
-                state,
-                &ctx,
-                workloads,
-                delta,
-                false,
-                self.mode,
-                &mut self.metrics,
-            ) {
+            if let Err(err) = run_round(state, &ctx, workloads, false, self.mode, &mut self.metrics)
+            {
                 self.state = None;
                 return Err(err);
             }
@@ -611,18 +505,16 @@ fn build_skeleton(app: &App, mode: SchedulingMode) -> Result<PlannerState> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_round(
     state: &mut PlannerState,
     ctx: &Ctx<'_>,
     workloads: &WorkloadVector,
-    delta: &PlanDelta,
     fresh: bool,
     mode: SchedulingMode,
     metrics: &mut PlannerMetrics,
 ) -> Result<()> {
     let nsvc = state.services.len();
-    detect_changes(state, ctx, workloads, delta, fresh);
+    detect_changes(state, ctx, workloads, fresh);
 
     // ---- Pass 1: per-service targets under own workloads.
     for sid_idx in 0..nsvc {
@@ -807,7 +699,6 @@ fn detect_changes(
     state: &mut PlannerState,
     ctx: &Ctx<'_>,
     workloads: &WorkloadVector,
-    delta: &PlanDelta,
     fresh: bool,
 ) {
     let mut nonfinite = false;
@@ -837,21 +728,11 @@ fn detect_changes(
         state.ms_dirty[i] = fresh || proj != state.ms_proj[i];
         state.ms_proj[i] = proj;
     }
-    for &ms in delta.microservices() {
-        if ms.index() < state.ms_dirty.len() {
-            state.ms_dirty[ms.index()] = true;
-        }
-    }
     for (sid, svc) in ctx.app.services() {
         let bits = svc.sla.threshold_ms.to_bits();
         let i = sid.index();
         state.sla_changed[i] = fresh || bits != state.sla_bits[i];
         state.sla_bits[i] = bits;
-    }
-    for &sid in delta.services() {
-        if sid.index() < state.sla_changed.len() {
-            state.sla_changed[sid.index()] = true;
-        }
     }
 }
 

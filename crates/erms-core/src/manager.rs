@@ -18,9 +18,9 @@
 //! evaluated in Fig. 14(a): no priorities, every service models the total
 //! arrival stream at shared microservices (Eq. 16).
 //!
-//! [`ErmsManager`] closes the loop against a [`ClusterState`]: it reads the
-//! cluster-average interference, plans, and provisions — one scaling round
-//! of the periodic controller.
+//! One round of the periodic controller is
+//! [`ResilientManager::run_round`](crate::resilience::ResilientManager::run_round):
+//! it reads the cluster-average interference, plans, and provisions.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,7 +35,6 @@ use crate::ids::{MicroserviceId, ServiceId};
 use crate::incremental::{IncrementalPlanner, PlannerMetrics};
 use crate::latency::Interference;
 use crate::multiplexing::{assign_priorities, cumulative_workloads, total_workloads};
-use crate::provisioning::{provision, ClusterState, PlacementPolicy, ProvisionReport};
 use crate::scaling::{own_workloads, plan_service_cached, ScalerConfig, ServicePlan};
 
 /// How requests from different services are ordered at shared
@@ -58,7 +57,6 @@ pub struct ErmsScaler<'a> {
     app: &'a App,
     config: ScalerConfig,
     mode: SchedulingMode,
-    cache: Option<Arc<PlanCache>>,
 }
 
 impl<'a> ErmsScaler<'a> {
@@ -68,7 +66,6 @@ impl<'a> ErmsScaler<'a> {
             app,
             config: ScalerConfig::default(),
             mode: SchedulingMode::Priority,
-            cache: None,
         }
     }
 
@@ -86,14 +83,6 @@ impl<'a> ErmsScaler<'a> {
         self
     }
 
-    /// Shares a [`PlanCache`] memoizing graph merges across rounds.
-    /// Plans are bit-identical with or without a cache.
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Computes a scaling plan for the observed workloads and cluster
     /// interference.
     ///
@@ -102,14 +91,7 @@ impl<'a> ErmsScaler<'a> {
     /// Returns [`Error::SlaInfeasible`](crate::Error::SlaInfeasible) when a
     /// service's SLA cannot be met by any allocation.
     pub fn plan(&self, workloads: &WorkloadVector, itf: Interference) -> Result<ScalingPlan> {
-        erms_plan_cached(
-            self.app,
-            workloads,
-            itf,
-            &self.config,
-            self.mode,
-            self.cache.as_deref(),
-        )
+        erms_plan(self.app, workloads, itf, &self.config, self.mode)
     }
 }
 
@@ -269,90 +251,13 @@ impl Autoscaler for Erms {
     }
 }
 
-/// One full controller round: observe interference, plan, provision.
-#[derive(Debug)]
-pub struct ErmsManager<'a> {
-    app: &'a App,
-    config: ScalerConfig,
-    mode: SchedulingMode,
-    placement: PlacementPolicy,
-}
-
-/// The outcome of one [`ErmsManager::run_round`] invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundOutcome {
-    /// The plan that was applied.
-    pub plan: ScalingPlan,
-    /// The interference observed before scaling.
-    pub observed_interference: Interference,
-    /// Placement summary.
-    pub provision: ProvisionReport,
-}
-
-impl<'a> ErmsManager<'a> {
-    /// Creates a manager with default configuration (priority scheduling,
-    /// whole-cluster interference-aware placement).
-    pub fn new(app: &'a App) -> Self {
-        Self {
-            app,
-            config: ScalerConfig::default(),
-            mode: SchedulingMode::Priority,
-            placement: PlacementPolicy::default(),
-        }
-    }
-
-    /// Overrides the placement policy.
-    #[must_use]
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
-        self
-    }
-
-    /// Overrides the scheduling mode.
-    #[must_use]
-    pub fn with_mode(mut self, mode: SchedulingMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Overrides the scaler configuration.
-    #[must_use]
-    pub fn with_config(mut self, config: ScalerConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Runs one periodic scaling round against the cluster: reads the
-    /// cluster-average interference (§5.3.1), computes a plan, and places /
-    /// releases containers (§5.4).
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and placement failures
-    /// ([`Error::SlaInfeasible`](crate::Error::SlaInfeasible),
-    /// [`Error::InsufficientCapacity`](crate::Error::InsufficientCapacity)).
-    pub fn run_round(
-        &self,
-        state: &mut ClusterState,
-        workloads: &WorkloadVector,
-    ) -> Result<RoundOutcome> {
-        let itf = state.average_interference(self.app);
-        let plan = erms_plan(self.app, workloads, itf, &self.config, self.mode)?;
-        let provision = provision(state, self.app, &plan, self.placement)?;
-        Ok(RoundOutcome {
-            plan,
-            observed_interference: itf,
-            provision,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::app::{AppBuilder, RequestRate, Sla};
     use crate::evaluate::plan_meets_slas;
     use crate::latency::LatencyProfile;
+    use crate::provisioning::{provision, ClusterState, PlacementPolicy};
     use crate::resources::Resources;
 
     fn sharing_app() -> (App, [MicroserviceId; 3], [ServiceId; 2]) {
@@ -451,11 +356,17 @@ mod tests {
         let (app, _, _) = sharing_app();
         let mut state = ClusterState::paper_cluster();
         let w = WorkloadVector::uniform(&app, RequestRate::per_minute(20_000.0));
-        let manager = ErmsManager::new(&app);
-        let outcome = manager.run_round(&mut state, &w).unwrap();
-        assert!(outcome.provision.placed > 0);
+        let config = ScalerConfig::default();
+        let round = |state: &mut ClusterState, w: &WorkloadVector| {
+            let itf = state.average_interference(&app);
+            let plan = erms_plan(&app, w, itf, &config, SchedulingMode::Priority).unwrap();
+            let report = provision(state, &app, &plan, PlacementPolicy::default()).unwrap();
+            (plan, report)
+        };
+        let (plan, report) = round(&mut state, &w);
+        assert!(report.placed > 0);
         assert_eq!(
-            outcome.plan.total_containers(),
+            plan.total_containers(),
             state
                 .hosts()
                 .iter()
@@ -464,8 +375,8 @@ mod tests {
         );
         // Scale down on a second round with lower workload.
         let w2 = WorkloadVector::uniform(&app, RequestRate::per_minute(2_000.0));
-        let outcome2 = manager.run_round(&mut state, &w2).unwrap();
-        assert!(outcome2.provision.released > 0);
+        let (_, report2) = round(&mut state, &w2);
+        assert!(report2.released > 0);
     }
 
     #[test]

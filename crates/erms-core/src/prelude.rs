@@ -18,7 +18,7 @@ pub use crate::incremental::{IncrementalPlanner, PlannerMetrics};
 pub use crate::latency::{
     CutoffModel, Interference, Interval, LatencyProfile, LinearParams, Segment,
 };
-pub use crate::manager::{Erms, ErmsManager, ErmsScaler, SchedulingMode};
+pub use crate::manager::{Erms, ErmsScaler, SchedulingMode};
 pub use crate::merge::{MergeTree, MergedGraph, VirtualParams};
 pub use crate::multiplexing::{SchemeComparison, SharingScenario};
 pub use crate::provisioning::{ClusterState, FailureDomain, Host, HostLifecycle, PlacementPolicy};

@@ -1,15 +1,17 @@
 //! Self-healing control loop: bounded retries, a degradation ladder, and
 //! plan hysteresis for the periodic Erms controller.
 //!
-//! [`ErmsManager`](crate::manager::ErmsManager) is the happy-path round:
-//! observe → plan → provision, propagating every failure to the caller and
-//! leaving the cluster untouched on error (provisioning is transactional,
-//! see [`provision`]). On a real cluster the world breaks mid-round —
-//! containers crash, hosts drain, an operator pushes an SLA below the
-//! latency floor, refitted profiles go bad — and a controller that simply
-//! errors out stops managing exactly when it is needed most. FIRM (Qiu et
-//! al., OSDI '20) frames SLO mitigation *under anomalies* as the core
-//! problem; [`ResilientManager`] is this reproduction's answer.
+//! The happy-path round is three calls: observe
+//! ([`ClusterState::average_interference`]) → plan
+//! ([`erms_plan`](crate::manager::erms_plan)) → place
+//! ([`provision`](crate::provisioning::provision)), each propagating its
+//! failure to the caller and leaving the cluster untouched on error
+//! (provisioning is transactional). On a real cluster the world breaks
+//! mid-round — containers crash, hosts drain, an operator pushes an SLA
+//! below the latency floor, refitted profiles go bad — and a controller
+//! that simply errors out stops managing exactly when it is needed most.
+//! FIRM (Qiu et al., OSDI '20) frames SLO mitigation *under anomalies* as
+//! the core problem; [`ResilientManager`] is this reproduction's answer.
 //!
 //! Every round runs the same ladder:
 //!
@@ -262,11 +264,9 @@ pub struct ManagerState {
 
 /// The self-healing wrapper around the Erms controller round.
 ///
-/// Unlike [`ErmsManager`](crate::manager::ErmsManager), which borrows one
-/// [`App`] for its lifetime, `ResilientManager` takes the application per
-/// round: the production loop refits profiles (and hence rebuilds the app)
-/// between rounds, and a bad refit is precisely one of the faults the
-/// ladder must absorb.
+/// `ResilientManager` takes the application per round: the production
+/// loop refits profiles (and hence rebuilds the app) between rounds, and
+/// a bad refit is precisely one of the faults the ladder must absorb.
 ///
 /// # Example
 ///

@@ -205,11 +205,7 @@ impl<'s, 'a> RefEngine<'s, 'a> {
                         .collect(),
                     rr: 0,
                     model: sim.service_times.get(&ms).copied().unwrap_or_default(),
-                    itf: sim
-                        .interference
-                        .get(&ms)
-                        .copied()
-                        .unwrap_or(sim.uniform_itf),
+                    itf: sim.uniform_itf,
                 },
             );
         }

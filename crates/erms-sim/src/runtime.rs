@@ -98,7 +98,6 @@ pub struct Simulation<'a> {
     pub(crate) config: SimConfig,
     pub(crate) service_times: BTreeMap<MicroserviceId, ServiceTimeModel>,
     pub(crate) threads: BTreeMap<MicroserviceId, usize>,
-    pub(crate) interference: BTreeMap<MicroserviceId, Interference>,
     pub(crate) uniform_itf: Interference,
     pub(crate) faults: FaultPlan,
 }
@@ -112,7 +111,6 @@ impl<'a> Simulation<'a> {
             config,
             service_times: BTreeMap::new(),
             threads: BTreeMap::new(),
-            interference: BTreeMap::new(),
             uniform_itf: Interference::default(),
             faults: FaultPlan::default(),
         }
@@ -133,13 +131,6 @@ impl<'a> Simulation<'a> {
     /// Sets the interference every microservice experiences.
     pub fn set_uniform_interference(&mut self, itf: Interference) -> &mut Self {
         self.uniform_itf = itf;
-        self
-    }
-
-    /// Overrides the interference one microservice's containers experience
-    /// (containers on differently-loaded hosts, §5.4).
-    pub fn set_interference(&mut self, ms: MicroserviceId, itf: Interference) -> &mut Self {
-        self.interference.insert(ms, itf);
         self
     }
 
@@ -1386,6 +1377,7 @@ mod tests {
     use erms_core::app::{AppBuilder, RequestRate, Sla};
     use erms_core::latency::LatencyProfile;
     use erms_core::resources::Resources;
+    use std::collections::BTreeSet;
 
     fn chain_app() -> (App, [MicroserviceId; 2], ServiceId) {
         let mut b = AppBuilder::new("sim");
@@ -1481,23 +1473,42 @@ mod tests {
         for ms in [u, h, p] {
             sim.set_service_time(ms, ServiceTimeModel::new(1.5, 0.3, 0.0, 0.0));
         }
-        // P is the bottleneck: 2 containers, combined load ~85% of its
-        // capacity.
+        // P is the bottleneck: 3 containers serving both services.
         let mut w = WorkloadVector::new();
-        w.set(s1, RequestRate::per_minute(20_000.0));
-        w.set(s2, RequestRate::per_minute(20_000.0));
-        let cs = containers(&[(u, 2), (h, 2), (p, 2)]);
+        w.set(s1, RequestRate::per_minute(30_000.0));
+        w.set(s2, RequestRate::per_minute(30_000.0));
+        let cs = containers(&[(u, 2), (h, 2), (p, 3)]);
         let mut priorities = BTreeMap::new();
         priorities.insert(p, vec![s1, s2]);
-        // P95 of s1's own latency at P, collected through the sink.
+        // P95 of s1's own latency at P, collected through the sink. The
+        // same pass checks every span's labels: its container is one of
+        // its microservice's deployed containers, and its priority class
+        // is its service's position in that microservice's priority order
+        // (0 where there is none).
         let own_p95 = |priorities: &BTreeMap<MicroserviceId, Vec<ServiceId>>| -> f64 {
             let mut v: Vec<f64> = Vec::new();
+            let (mut containers_at_p, mut classes_at_p) = (BTreeSet::new(), BTreeSet::new());
             let sink = FnSink::spans(|s: &SpanRecord| {
+                assert!(
+                    s.container < cs[&s.microservice],
+                    "container out of range: {s:?}"
+                );
+                let class = priorities
+                    .get(&s.microservice)
+                    .and_then(|order| order.iter().position(|&sid| sid == s.service))
+                    .unwrap_or(0);
+                assert_eq!(s.priority_class as usize, class, "priority class: {s:?}");
+                if s.microservice == p {
+                    containers_at_p.insert(s.container);
+                    classes_at_p.insert(s.priority_class);
+                }
                 if s.microservice == p && s.service == s1 {
                     v.push(s.latency_ms());
                 }
             });
             sim.run_with_sink(&w, &cs, priorities, sink).unwrap();
+            assert_eq!(containers_at_p, BTreeSet::from([0, 1, 2]));
+            assert_eq!(classes_at_p.len(), priorities.get(&p).map_or(1, Vec::len));
             stats::percentile(&v, 0.95)
         };
         let prio_high = own_p95(&priorities);

@@ -272,12 +272,7 @@ impl SimTables {
                     .max(1) as u32,
             );
             let model = sim.service_times.get(&ms_id).copied().unwrap_or_default();
-            let itf = sim
-                .interference
-                .get(&ms_id)
-                .copied()
-                .unwrap_or(sim.uniform_itf);
-            samplers.push(ServiceTimeSampler::new(model, itf));
+            samplers.push(ServiceTimeSampler::new(model, sim.uniform_itf));
         }
         let services = sim
             .app

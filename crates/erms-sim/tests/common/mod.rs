@@ -9,9 +9,8 @@ use erms_sim::runtime::{SimResult, Simulation};
 use erms_sim::telemetry::{FnSink, SpanRecord};
 use erms_sim::{Partition, ShardStats};
 
-/// Own-latency rows by microservice: `(arrival, own latency, service)`
-/// in completion order.
-pub type OwnRows = BTreeMap<MicroserviceId, Vec<(f64, f64, ServiceId)>>;
+/// The spans the sinks saw, by microservice, in completion order.
+pub type OwnRows = BTreeMap<MicroserviceId, Vec<SpanRecord>>;
 
 /// Runs `sim` under `partition` with one span-recording sink per shard and
 /// groups the streams by microservice. Each microservice lives on one
@@ -34,9 +33,7 @@ pub fn observe_sharded(
     drop(sinks);
     let mut rows = OwnRows::new();
     for s in streams.iter().flatten() {
-        rows.entry(s.microservice)
-            .or_default()
-            .push((s.start_ms, s.latency_ms(), s.service));
+        rows.entry(s.microservice).or_default().push(*s);
     }
     ((result, rows), stats)
 }
@@ -88,10 +85,10 @@ pub fn digest((result, own_rows): &(SimResult, OwnRows)) -> u64 {
     for (ms, rows) in own_rows {
         eat(ms.index() as u64);
         eat(rows.len() as u64);
-        for (at, own, sid) in rows {
-            eat(at.to_bits());
-            eat(own.to_bits());
-            eat(sid.index() as u64);
+        for s in rows {
+            eat(s.start_ms.to_bits());
+            eat(s.latency_ms().to_bits());
+            eat(s.service.index() as u64);
         }
     }
     for (id, spans) in result.trace_store.iter() {

@@ -98,9 +98,17 @@ fn assert_bit_identical(got: &(SimResult, OwnRows), want: &(SimResult, OwnRows),
         let w_rows = &want_rows[ms];
         assert_eq!(g_rows.len(), w_rows.len(), "{label}: {ms} row count");
         for (i, (g, w)) in g_rows.iter().zip(w_rows).enumerate() {
-            assert_eq!(g.0.to_bits(), w.0.to_bits(), "{label}: {ms} row {i} at_ms");
-            assert_eq!(g.1.to_bits(), w.1.to_bits(), "{label}: {ms} row {i} own");
-            assert_eq!(g.2, w.2, "{label}: {ms} row {i} service");
+            assert_eq!(
+                g.start_ms.to_bits(),
+                w.start_ms.to_bits(),
+                "{label}: {ms} row {i} at_ms"
+            );
+            assert_eq!(
+                g.latency_ms().to_bits(),
+                w.latency_ms().to_bits(),
+                "{label}: {ms} row {i} own"
+            );
+            assert_eq!(g.service, w.service, "{label}: {ms} row {i} service");
         }
     }
 
@@ -135,6 +143,31 @@ fn assert_bit_identical(got: &(SimResult, OwnRows), want: &(SimResult, OwnRows),
     }
 }
 
+/// Every span's labels: its container is one of its microservice's
+/// deployed containers, and its priority class is its service's position in
+/// that microservice's priority order (0 where there is none).
+fn assert_span_labels(
+    rows: &OwnRows,
+    containers: &BTreeMap<MicroserviceId, u32>,
+    priorities: &BTreeMap<MicroserviceId, Vec<ServiceId>>,
+    label: &str,
+) {
+    for s in rows.values().flatten() {
+        assert!(
+            s.container < containers[&s.microservice],
+            "{label}: container out of range: {s:?}"
+        );
+        let class = priorities
+            .get(&s.microservice)
+            .and_then(|order| order.iter().position(|&sid| sid == s.service))
+            .unwrap_or(0);
+        assert_eq!(
+            s.priority_class as usize, class,
+            "{label}: priority class: {s:?}"
+        );
+    }
+}
+
 fn base_config(seed: u64) -> SimConfig {
     SimConfig {
         duration_ms: 20_000.0,
@@ -165,7 +198,7 @@ fn sharded_runs_are_bit_identical_across_k_and_threads() {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         for (app_name, build) in apps {
             let (app, ms_ids, services) = build();
-            let cs = containers_for(&app, 2);
+            let cs = containers_for(&app, 3);
             for rate in [600.0, 9_000.0] {
                 for with_faults in [false, true] {
                     let seed = 7u64;
@@ -192,15 +225,17 @@ fn sharded_runs_are_bit_identical_across_k_and_threads() {
                     // so that is checked on its own.
                     let warmup_ms = base_config(seed).warmup_ms;
                     assert!(
-                        base.1.values().flatten().all(|row| row.0 >= warmup_ms),
+                        base.1.values().flatten().all(|s| s.start_ms >= warmup_ms),
                         "a sink saw a call that arrived during warm-up"
                     );
+                    assert_span_labels(&base.1, &cs, &priorities, app_name);
                     for k in [2usize, 3, 8] {
                         let label = format!(
                             "{app_name} rate={rate} faults={with_faults} \
                              seed={seed} K={k} threads={threads}"
                         );
                         let sharded = observe_modulo(&sim, &app, &w, &cs, &priorities, k);
+                        assert_span_labels(&sharded.1, &cs, &priorities, &label);
                         assert_bit_identical(&sharded, &base, &label);
                     }
                 }

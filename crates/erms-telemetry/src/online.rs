@@ -70,6 +70,13 @@ impl Default for WindowConfig {
 /// sampling rate the spans were collected at (used to scale counts back
 /// to true traffic); `containers` is the deployment the spans were
 /// observed under.
+///
+/// A `sampling` that is not finite or not above zero is treated as 1.0,
+/// and one above 1.0 is clamped to 1.0. A cell yields no sample when it
+/// holds fewer than [`WindowConfig::min_samples`] spans, when its
+/// microservice has no containers in `containers`, or when its γ is not
+/// finite — a positive but tiny `sampling` (e.g. a subnormal) scales the
+/// count past `f64::MAX`.
 pub fn window_samples<'a>(
     spans: impl IntoIterator<Item = &'a SpanRecord>,
     containers: &BTreeMap<MicroserviceId, u32>,
@@ -112,11 +119,14 @@ pub fn window_samples<'a>(
         if n == 0 {
             continue;
         }
+        // Sampled count → estimated true count → per-minute per-container.
+        let gamma = (cell.len() as f64 / sampling) * (60_000.0 / window_ms) / f64::from(n);
+        if !gamma.is_finite() {
+            continue;
+        }
         latencies.clear();
         latencies.extend(cell.iter().map(|&(_, _, latency)| latency));
         let tail = stats::percentile(&latencies, config.percentile);
-        // Sampled count → estimated true count → per-minute per-container.
-        let gamma = (cell.len() as f64 / sampling) * (60_000.0 / window_ms) / f64::from(n);
         out.entry(ms)
             .or_default()
             .push(Sample::new(tail, gamma, itf.cpu, itf.memory));
@@ -129,8 +139,9 @@ pub fn window_samples<'a>(
 pub struct RefitOutcome {
     /// The app with re-fitted latency profiles installed (identical ids
     /// and topology; microservices without enough data keep their old
-    /// profile). Hand this to `ErmsScaler::new` or
-    /// `ResilientManager::run_round` to re-plan.
+    /// profile). Hand this to `ErmsScaler::new`,
+    /// `IncrementalPlanner::replan_auto` or `ResilientManager::run_round`
+    /// to re-plan.
     pub app: App,
     /// Microservices whose profile was re-fitted this round.
     pub refitted: Vec<MicroserviceId>,
@@ -145,28 +156,18 @@ impl RefitOutcome {
     pub fn changed(&self) -> bool {
         !self.refitted.is_empty()
     }
-
-    /// The refit expressed as an advisory planner delta: exactly the
-    /// microservices whose profile changed this round. Feed this to
-    /// [`IncrementalPlanner::replan`](erms_core::incremental::IncrementalPlanner::replan)
-    /// so a refit of a few microservices re-plans only the services that
-    /// call them. (The delta is advisory — the planner self-detects
-    /// changes bit-exactly even with an empty delta.)
-    #[must_use]
-    pub fn plan_delta(&self) -> erms_core::incremental::PlanDelta {
-        erms_core::incremental::PlanDelta::of_microservices(self.refitted.iter().copied())
-    }
 }
 
+/// Cap on retained samples per microservice; oldest are dropped first
+/// (bounded memory over an unbounded run).
+const MAX_SAMPLES: usize = 2_048;
+
 /// Accumulates windowed observations across rounds and re-fits
-/// per-microservice piecewise-linear profiles on demand.
+/// per-microservice piecewise-linear profiles (with the default
+/// [`PiecewiseFitter`]) on demand.
 #[derive(Debug, Clone)]
 pub struct OnlineProfiler {
-    fitter: PiecewiseFitter,
     window: WindowConfig,
-    /// Cap on retained samples per microservice; oldest are dropped
-    /// first (bounded memory over an unbounded run).
-    max_samples: usize,
     samples: BTreeMap<MicroserviceId, Vec<Sample>>,
 }
 
@@ -177,35 +178,19 @@ impl Default for OnlineProfiler {
 }
 
 impl OnlineProfiler {
-    /// Creates a profiler with default fitter and window settings.
+    /// Creates a profiler with the default window settings.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            fitter: PiecewiseFitter::default(),
             window: WindowConfig::default(),
-            max_samples: 2_048,
             samples: BTreeMap::new(),
         }
-    }
-
-    /// Replaces the piecewise fitter configuration.
-    #[must_use]
-    pub fn with_fitter(mut self, fitter: PiecewiseFitter) -> Self {
-        self.fitter = fitter;
-        self
     }
 
     /// Replaces the windowing configuration.
     #[must_use]
     pub fn with_window(mut self, window: WindowConfig) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Caps retained samples per microservice (minimum 16).
-    #[must_use]
-    pub fn with_max_samples(mut self, max_samples: usize) -> Self {
-        self.max_samples = max_samples.max(16);
         self
     }
 
@@ -243,8 +228,8 @@ impl OnlineProfiler {
             added += samples.len();
             let bucket = self.samples.entry(ms).or_default();
             bucket.extend(samples);
-            if bucket.len() > self.max_samples {
-                let drop = bucket.len() - self.max_samples;
+            if bucket.len() > MAX_SAMPLES {
+                let drop = bucket.len() - MAX_SAMPLES;
                 bucket.drain(..drop);
             }
         }
@@ -264,12 +249,6 @@ impl OnlineProfiler {
         self.samples = samples;
     }
 
-    /// Observations currently retained for one microservice.
-    #[must_use]
-    pub fn sample_count(&self, ms: MicroserviceId) -> usize {
-        self.samples.get(&ms).map_or(0, Vec::len)
-    }
-
     /// Re-fits every microservice with enough retained observations and
     /// returns a rebuilt `App` (same names, ids and dependency graphs)
     /// carrying the updated profiles. A microservice keeps its old
@@ -280,7 +259,8 @@ impl OnlineProfiler {
     pub fn refit(&self, app: &App) -> RefitOutcome {
         // The fitter needs at least two minimum-size segments to
         // consider a knee; below that a fit would be pure noise.
-        let need = (2 * self.fitter.min_segment_samples).max(4);
+        let fitter = PiecewiseFitter::default();
+        let need = (2 * fitter.min_segment_samples).max(4);
         let mut refitted = Vec::new();
         let mut kept = Vec::new();
         let mut b = AppBuilder::new(app.name());
@@ -289,7 +269,7 @@ impl OnlineProfiler {
                 .samples
                 .get(&ms)
                 .filter(|s| s.len() >= need)
-                .and_then(|s| self.fitter.fit(s).ok())
+                .and_then(|s| fitter.fit(s).ok())
                 // Least squares over the convex pre-knee region can tilt
                 // the low segment into a negative zero-load intercept,
                 // which would make the planner treat the microservice as
@@ -487,5 +467,27 @@ mod tests {
         );
         // ms 0: one span < min_samples. ms 1: no containers.
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn tiny_positive_sampling_never_stores_an_infinite_gamma() {
+        let spans: Vec<SpanRecord> = (0..40).map(|i| span(0, f64::from(i) * 20.0, 5.0)).collect();
+        let containers: BTreeMap<_, _> = [(MicroserviceId::new(0), 2u32)].into();
+        let itf = Interference::new(0.2, 0.2);
+        let mut profiler = OnlineProfiler::new();
+        assert_eq!(
+            profiler.ingest_spans(spans.iter(), &containers, itf, 1.0),
+            1
+        );
+        // Each of these passes `> 0`, and the cell's count divided by it
+        // overflows.
+        for sampling in [1e-320, 5e-324, f64::MIN_POSITIVE] {
+            profiler.ingest_spans(spans.iter(), &containers, itf, sampling);
+        }
+        let retained: Vec<&Sample> = profiler.samples().values().flatten().collect();
+        for s in &retained {
+            assert!(s.gamma.is_finite() && s.latency_ms.is_finite(), "{s:?}");
+        }
+        assert_eq!(retained.len(), 1, "only the sampling = 1.0 cell is kept");
     }
 }

@@ -162,12 +162,6 @@ impl QuantileSketch {
         }
     }
 
-    /// Number of occupied grid positions currently allocated.
-    #[must_use]
-    pub fn bucket_span(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Whether the `max_bins` cap ever collapsed low buckets (low — not
     /// tail — quantiles may then exceed the α bound).
     #[must_use]

@@ -4,7 +4,9 @@
 //!
 //! Run with `cargo run --release --example dynamic_autoscaling`.
 
+use erms::core::manager::erms_plan;
 use erms::core::prelude::*;
+use erms::core::provisioning::provision;
 use erms::workload::apps::hotel_reservation;
 use erms::workload::dynamic::DynamicWorkload;
 use erms::workload::interference::{inject, InterferenceLevel};
@@ -17,8 +19,8 @@ fn main() -> Result<()> {
     let mut cluster = ClusterState::paper_cluster();
     inject(&mut cluster, InterferenceLevel::CpuModerate, 0.5);
 
-    let manager =
-        ErmsManager::new(app).with_placement(PlacementPolicy::InterferenceAware { groups: 4 });
+    let config = ScalerConfig::default();
+    let placement = PlacementPolicy::InterferenceAware { groups: 4 };
     let series = DynamicWorkload {
         base: 15_000.0,
         amplitude: 0.5,
@@ -34,20 +36,15 @@ fn main() -> Result<()> {
     for minute in 1..=45 {
         // Observe last minute's workload, replan, and provision.
         let observed = WorkloadVector::uniform(app, series[minute - 1]);
-        let outcome = manager.run_round(&mut cluster, &observed)?;
+        let itf = cluster.average_interference(app);
+        let plan = erms_plan(app, &observed, itf, &config, SchedulingMode::Priority)?;
+        let report = provision(&mut cluster, app, &plan, placement)?;
         // What actually happens this minute.
         let actual = WorkloadVector::uniform(app, series[minute]);
         let worst = app
             .services()
             .map(|(sid, _)| {
-                service_latency(
-                    app,
-                    &outcome.plan,
-                    &actual,
-                    sid,
-                    &outcome.observed_interference,
-                )
-                .unwrap_or(f64::INFINITY)
+                service_latency(app, &plan, &actual, sid, &itf).unwrap_or(f64::INFINITY)
             })
             .fold(0.0f64, f64::max);
         if minute % 3 == 0 {
@@ -55,9 +52,9 @@ fn main() -> Result<()> {
                 "{:>6} {:>12.0} {:>11} {:>8} {:>9} {:>9.1}",
                 minute,
                 series[minute].as_per_minute(),
-                outcome.plan.total_containers(),
-                outcome.provision.placed,
-                outcome.provision.released,
+                plan.total_containers(),
+                report.placed,
+                report.released,
                 worst
             );
         }

@@ -154,15 +154,14 @@ fn main() {
     }
 
     // Closed loop: re-fit, re-plan incrementally, observe the new
-    // deployment, repeat. The refit outcome names exactly which
-    // microservices drifted, so each re-plan touches only the services
-    // calling them — while staying bit-identical to a cold plan.
+    // deployment, repeat. The planner bit-compares every profile it reads,
+    // so each re-plan touches only the services calling a re-fitted
+    // microservice — while staying bit-identical to a cold plan.
     let mut planner = IncrementalPlanner::new(ScalerConfig::default(), SchedulingMode::Priority);
     let cache = PlanCache::new();
     let mut refit = profiler.refit(&app);
     for round in 1..=3u64 {
-        let delta = refit.plan_delta();
-        let plan = match planner.replan(&refit.app, &w, itf, &delta, Some(&cache)) {
+        let plan = match planner.replan_auto(&refit.app, &w, itf, Some(&cache)) {
             Ok(plan) => plan.clone(),
             Err(e) => {
                 println!("round {round}: planning failed ({e}); keeping deployment");

@@ -8,7 +8,7 @@
 //! drive scripted (golden) and randomized (proptest) mutation sequences
 //! and compare against [`erms_plan_cached`] after every single step.
 
-use erms::core::incremental::{IncrementalPlanner, PlanDelta};
+use erms::core::incremental::IncrementalPlanner;
 use erms::core::manager::erms_plan_cached;
 use erms::core::prelude::*;
 use erms::trace::alibaba::{generate, AlibabaConfig};
@@ -99,14 +99,13 @@ fn check_step(
     planner: &mut IncrementalPlanner,
     app: &App,
     w: &WorkloadVector,
-    delta: &PlanDelta,
     cache: Option<&PlanCache>,
 ) {
     let itf = Interference::default();
     let cold = erms_plan_cached(app, w, itf, planner.config(), planner.mode(), None);
     let config = planner.config().clone();
     let mode = planner.mode();
-    match (planner.replan(app, w, itf, delta, cache), cold) {
+    match (planner.replan_auto(app, w, itf, cache), cold) {
         (Ok(warm), Ok(cold)) => assert_plans_bit_identical(app, warm, &cold),
         (Err(warm), Err(cold)) => {
             assert_eq!(warm, cold, "warm and cold fail with different errors")
@@ -224,58 +223,62 @@ fn run_golden_sequence(mode: SchedulingMode, use_cache: bool) {
     }
 
     // Cold build.
-    check_step(&mut planner, &app, &w, &PlanDelta::empty(), cache_ref);
+    check_step(&mut planner, &app, &w, cache_ref);
     // Steady state: nothing changed — must still be bit-identical, and
     // the planner must have reused every service.
     let reused_before = planner.metrics().services_reused;
-    check_step(&mut planner, &app, &w, &PlanDelta::empty(), cache_ref);
+    check_step(&mut planner, &app, &w, cache_ref);
     assert_eq!(
         planner.metrics().services_reused - reused_before,
         svcs.len() as u64,
         "steady-state round must reuse every service"
     );
-    // Single-service rate bump (auto-detected, empty delta).
+    // Single-service rate bump.
     w.set(svcs[0], RequestRate::per_minute(55_000.0));
-    check_step(&mut planner, &app, &w, &PlanDelta::empty(), cache_ref);
+    check_step(&mut planner, &app, &w, cache_ref);
     // All rates change at once.
     for (i, &sid) in svcs.iter().enumerate() {
         w.set(sid, RequestRate::per_minute(31_000.0 + 11_000.0 * i as f64));
     }
-    check_step(&mut planner, &app, &w, &PlanDelta::empty(), cache_ref);
+    check_step(&mut planner, &app, &w, cache_ref);
     // A service goes idle...
     w.set(svcs[1], RequestRate::per_minute(0.0));
-    check_step(&mut planner, &app, &w, &PlanDelta::empty(), cache_ref);
+    check_step(&mut planner, &app, &w, cache_ref);
     // ...and comes back.
     w.set(svcs[1], RequestRate::per_minute(44_000.0));
-    check_step(&mut planner, &app, &w, &PlanDelta::empty(), cache_ref);
-    // Profile drift at the most-shared microservice (postStorage), with an
-    // advisory delta naming it — the delta is a hint, correctness must not
-    // depend on it.
+    check_step(&mut planner, &app, &w, cache_ref);
+    // Profile drift at the most-shared microservice (postStorage): found
+    // by re-projection alone.
     app = drift_profile(&app, mss[2], 1.35);
-    let delta = PlanDelta::of_microservices([mss[2]]);
-    check_step(&mut planner, &app, &w, &delta, cache_ref);
-    // Over-reported delta on an *unchanged* input: still bit-identical.
-    let delta = PlanDelta::of_microservices([mss[4]]);
-    check_step(&mut planner, &app, &w, &delta, cache_ref);
+    check_step(&mut planner, &app, &w, cache_ref);
+    // The same inputs again: still bit-identical.
+    check_step(&mut planner, &app, &w, cache_ref);
     // SLA tightens.
     app = scale_sla(&app, svcs[2], 0.6);
-    check_step(&mut planner, &app, &w, &PlanDelta::empty(), cache_ref);
+    check_step(&mut planner, &app, &w, cache_ref);
     // SLA becomes infeasible: warm and cold must fail identically, and the
     // planner must drop its state...
     let feasible = app.clone();
     app = scale_sla(&app, svcs[2], 1e-4);
-    check_step(&mut planner, &app, &w, &PlanDelta::empty(), cache_ref);
+    check_step(&mut planner, &app, &w, cache_ref);
     // ...so the recovery round is a full cold rebuild that again matches.
     let full_builds_before = planner.metrics().full_builds;
     app = feasible;
-    check_step(&mut planner, &app, &w, &PlanDelta::empty(), cache_ref);
+    check_step(&mut planner, &app, &w, cache_ref);
     assert_eq!(
         planner.metrics().full_builds,
         full_builds_before + 1,
         "recovery after a planning error must rebuild cold"
     );
-    // Forced full invalidation matches too.
-    check_step(&mut planner, &app, &w, &PlanDelta::full(), cache_ref);
+    // Forced full invalidation rebuilds cold and matches too.
+    let full_builds_before = planner.metrics().full_builds;
+    planner.invalidate();
+    check_step(&mut planner, &app, &w, cache_ref);
+    assert_eq!(
+        planner.metrics().full_builds,
+        full_builds_before + 1,
+        "an invalidated planner must rebuild cold"
+    );
 }
 
 #[test]
@@ -322,7 +325,7 @@ fn golden_sequence_generated_topology() {
     }
     for mode in [SchedulingMode::Priority, SchedulingMode::Fcfs] {
         let mut planner = IncrementalPlanner::new(ScalerConfig::default(), mode);
-        check_step(&mut planner, &app, &w, &PlanDelta::empty(), Some(&cache));
+        check_step(&mut planner, &app, &w, Some(&cache));
         // Sparse rate churn: ~10% of services change each round.
         for round in 0..4u32 {
             for (i, &sid) in sids.iter().enumerate() {
@@ -334,7 +337,7 @@ fn golden_sequence_generated_topology() {
                     );
                 }
             }
-            check_step(&mut planner, &app, &w, &PlanDelta::empty(), Some(&cache));
+            check_step(&mut planner, &app, &w, Some(&cache));
         }
         // One microservice's model drifts (the online-profiler path).
         let shared = app
@@ -343,17 +346,16 @@ fn golden_sequence_generated_topology() {
             .copied()
             .expect("generated app has sharing");
         app = drift_profile(&app, shared, 1.2);
-        let delta = PlanDelta::of_microservices([shared]);
-        check_step(&mut planner, &app, &w, &delta, Some(&cache));
+        check_step(&mut planner, &app, &w, Some(&cache));
         // Half the services go idle, then everything comes back.
         for &sid in sids.iter().take(n / 2) {
             w.set(sid, RequestRate::per_minute(0.0));
         }
-        check_step(&mut planner, &app, &w, &PlanDelta::empty(), Some(&cache));
+        check_step(&mut planner, &app, &w, Some(&cache));
         for (i, &sid) in sids.iter().enumerate() {
             w.set(sid, RequestRate::per_minute(200.0 + 35.0 * i as f64));
         }
-        check_step(&mut planner, &app, &w, &PlanDelta::empty(), Some(&cache));
+        check_step(&mut planner, &app, &w, Some(&cache));
     }
 }
 
@@ -391,7 +393,7 @@ proptest! {
             IncrementalPlanner::new(ScalerConfig::default(), SchedulingMode::Fcfs),
         ];
         for planner in &mut planners {
-            check_step(planner, &app, &w, &PlanDelta::empty(), Some(&cache));
+            check_step(planner, &app, &w, Some(&cache));
         }
         for &(kind, idx, factor) in &steps {
             match kind % 5 {
@@ -425,7 +427,7 @@ proptest! {
                 }
             }
             for planner in &mut planners {
-                check_step(planner, &app, &w, &PlanDelta::empty(), Some(&cache));
+                check_step(planner, &app, &w, Some(&cache));
             }
         }
     }
