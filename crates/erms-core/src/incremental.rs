@@ -48,7 +48,7 @@ use crate::error::{Error, Result};
 use crate::graph::DependencyGraph;
 use crate::ids::{MicroserviceId, NodeId, ServiceId};
 use crate::latency::{Interference, Interval};
-use crate::manager::SchedulingMode;
+use crate::manager::{container_count, SchedulingMode};
 use crate::merge::{ArenaKind, MergedGraph, VirtualParams};
 use crate::scaling::{containers_for_profile, EffectiveWorkloads, ScalerConfig, ServicePlan};
 
@@ -376,7 +376,9 @@ impl IncrementalPlanner {
     ///
     /// * [`Error::SlaInfeasible`] when a service's SLA is below its
     ///   latency floor;
-    /// * [`Error::EmptyGraph`] for services without call nodes.
+    /// * [`Error::EmptyGraph`] for services without call nodes;
+    /// * [`Error::InvalidParameter`] when a microservice's demand is not a
+    ///   finite container count.
     pub fn replan_auto(
         &mut self,
         app: &App,
@@ -679,13 +681,8 @@ fn run_round(
             if !state.demand_set[i] {
                 continue;
             }
-            let n = state.demand[i];
-            let count = if n <= 0.0 {
-                0
-            } else {
-                n.ceil().max(1.0) as u32
-            };
             let ms = MicroserviceId::new(i as u32);
+            let count = container_count(ms, state.demand[i])?;
             if state.plan.get(ms) != Some(count) {
                 state.plan.set_containers(ms, count);
             }

@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use crate::app::{App, WorkloadVector};
 use crate::autoscaler::{Autoscaler, ScalingContext, ScalingPlan};
 use crate::cache::PlanCache;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::ids::{MicroserviceId, ServiceId};
 use crate::incremental::{IncrementalPlanner, PlannerMetrics};
 use crate::latency::Interference;
@@ -89,7 +89,9 @@ impl<'a> ErmsScaler<'a> {
     /// # Errors
     ///
     /// Returns [`Error::SlaInfeasible`](crate::Error::SlaInfeasible) when a
-    /// service's SLA cannot be met by any allocation.
+    /// service's SLA cannot be met by any allocation, and
+    /// [`Error::InvalidParameter`](crate::Error::InvalidParameter) when a
+    /// microservice's demand is not a finite container count.
     pub fn plan(&self, workloads: &WorkloadVector, itf: Interference) -> Result<ScalingPlan> {
         erms_plan(self.app, workloads, itf, &self.config, self.mode)
     }
@@ -172,17 +174,36 @@ pub fn erms_plan_cached(
     // * a microservice on no call path gets *no* entry, and
     //   `provision` leaves its current deployment untouched.
     for (ms, n) in demand {
-        let count = if n <= 0.0 {
-            0
-        } else {
-            n.ceil().max(1.0) as u32
-        };
-        plan.set_containers(ms, count);
+        plan.set_containers(ms, container_count(ms, n)?);
     }
     for (ms, order) in priorities {
         plan.set_priority_order(ms, order);
     }
     Ok(plan)
+}
+
+/// Rounds a microservice's container demand up to a whole count (§7): 0
+/// for no demand, at least 1 for any positive demand. Both planners round
+/// through here, so they agree on every count and every refusal.
+///
+/// # Errors
+///
+/// [`Error::InvalidParameter`] naming `ms` when the demand is not finite or
+/// rounds above `u32::MAX`: a cast would saturate it to a count no cluster
+/// can place.
+pub(crate) fn container_count(ms: MicroserviceId, demand: f64) -> Result<u32> {
+    let rounded = demand.ceil();
+    if !demand.is_finite() || rounded > f64::from(u32::MAX) {
+        return Err(Error::InvalidParameter(format!(
+            "container demand {demand} of microservice {ms} is not a finite count \
+             within u32"
+        )));
+    }
+    Ok(if demand <= 0.0 {
+        0
+    } else {
+        rounded.max(1.0) as u32
+    })
 }
 
 /// Erms as an [`Autoscaler`] for scheme comparisons.
@@ -409,6 +430,30 @@ mod tests {
             .plan(&w, Interference::default())
             .unwrap();
         assert!(plan.containers(h) >= 1);
+    }
+
+    #[test]
+    fn unplaceable_demand_is_refused_not_saturated() {
+        // A rate of +∞ or 1e300 asks for more containers than a u32 holds:
+        // both planners refuse it, with the same error, rather than round
+        // it to u32::MAX. The warm planner is checked after a finite round,
+        // so the refusal comes from its incremental path.
+        let (app, _, _) = sharing_app();
+        let config = ScalerConfig::default();
+        let itf = Interference::default();
+        let finite = WorkloadVector::uniform(&app, RequestRate::per_minute(20_000.0));
+        for rate in [f64::INFINITY, 1e300] {
+            let w = WorkloadVector::uniform(&app, RequestRate::per_minute(rate));
+            let cold = erms_plan(&app, &w, itf, &config, SchedulingMode::Priority);
+            assert!(
+                matches!(&cold, Err(Error::InvalidParameter(msg)) if msg.contains("microservice")),
+                "rate {rate}: {cold:?}"
+            );
+            let mut planner = IncrementalPlanner::new(config.clone(), SchedulingMode::Priority);
+            planner.replan_auto(&app, &finite, itf, None).unwrap();
+            let warm = planner.replan_auto(&app, &w, itf, None).cloned();
+            assert_eq!(warm, cold, "rate {rate}");
+        }
     }
 
     #[test]

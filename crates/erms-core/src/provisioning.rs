@@ -225,7 +225,10 @@ impl Host {
     /// Actual utilisation including background load, as a pair of
     /// fractions.
     pub fn utilization(&self, app: &App) -> (f64, f64) {
-        let (cpu, mem) = self.container_usage(app);
+        self.utilization_from(self.container_usage(app))
+    }
+
+    fn utilization_from(&self, (cpu, mem): (f64, f64)) -> (f64, f64) {
         (
             ((cpu + self.background_cpu) / self.cpu_capacity).clamp(0.0, 1.0),
             ((mem + self.background_mem) / self.mem_capacity).clamp(0.0, 1.0),
@@ -235,7 +238,10 @@ impl Host {
     /// Utilisation from container *requests* only — what the Kubernetes
     /// default scheduler sees.
     pub fn requested_utilization(&self, app: &App) -> (f64, f64) {
-        let (cpu, mem) = self.container_usage(app);
+        self.requested_utilization_from(self.container_usage(app))
+    }
+
+    fn requested_utilization_from(&self, (cpu, mem): (f64, f64)) -> (f64, f64) {
         (
             (cpu / self.cpu_capacity).clamp(0.0, 1.0),
             (mem / self.mem_capacity).clamp(0.0, 1.0),
@@ -246,11 +252,57 @@ impl Host {
     /// pressure colocated containers actually *feel* on this hardware.
     /// Identical to [`Host::utilization`] when `interference_scale == 1.0`.
     pub fn felt_utilization(&self, app: &App) -> (f64, f64) {
-        let (c, m) = self.utilization(app);
+        self.felt_utilization_from(self.container_usage(app))
+    }
+
+    fn felt_utilization_from(&self, usage: (f64, f64)) -> (f64, f64) {
+        let (c, m) = self.utilization_from(usage);
         (
             (c * self.interference_scale).clamp(0.0, 1.0),
             (m * self.interference_scale).clamp(0.0, 1.0),
         )
+    }
+
+    /// Whether one more container requesting `(need_cpu, need_mem)` fits
+    /// next to the containers using `(cpu, mem)`. Cordoned (reclaiming)
+    /// hosts fit nothing.
+    fn fits(&self, (cpu, mem): (f64, f64), (need_cpu, need_mem): (f64, f64)) -> bool {
+        !self.reclaiming()
+            && cpu + self.background_cpu + need_cpu <= self.cpu_capacity
+            && mem + self.background_mem + need_mem <= self.mem_capacity
+    }
+
+    /// The greedy placement score of this host under `policy` given its
+    /// container usage `used`; the least-scored host that fits wins.
+    fn placement_score(&self, used: (f64, f64), policy: PlacementPolicy) -> f64 {
+        match policy {
+            PlacementPolicy::KubernetesDefault => {
+                // Least-requested: only container requests count.
+                let (c, m) = self.requested_utilization_from(used);
+                c + m
+            }
+            PlacementPolicy::InterferenceAware { .. } => {
+                // Actual utilisation including background load, scaled by
+                // the host class's interference profile: filling the host
+                // where the new container would *feel* the least pressure
+                // is the greedy step that most reduces unbalance across a
+                // heterogeneous mix.
+                let (c, m) = self.felt_utilization_from(used);
+                c + m
+            }
+        }
+    }
+
+    /// Removes one container of `ms`, which the caller knows is here.
+    fn release_one(&mut self, ms: MicroserviceId) {
+        let entry = self
+            .containers
+            .get_mut(&ms)
+            .expect("the caller picked a host holding `ms`");
+        *entry -= 1;
+        if *entry == 0 {
+            self.containers.remove(&ms);
+        }
     }
 
     /// The interference containers on this host experience (§5.2 uses host
@@ -313,16 +365,7 @@ impl ClusterState {
     /// Cluster-average interference — the value the Online Scaling module
     /// feeds into the profiling model (§5.3.1).
     pub fn average_interference(&self, app: &App) -> Interference {
-        if self.hosts.is_empty() {
-            return Interference::new(0.0, 0.0);
-        }
-        let n = self.hosts.len() as f64;
-        let (c, m) = self
-            .hosts
-            .iter()
-            .map(|h| h.felt_utilization(app))
-            .fold((0.0, 0.0), |(ac, am), (c, m)| (ac + c, am + m));
-        Interference::new(c / n, m / n)
+        mean_felt(self.hosts.iter().map(|h| h.felt_utilization(app)))
     }
 
     /// Average interference experienced by the containers of `ms`
@@ -396,29 +439,14 @@ impl ClusterState {
     /// loaded hosts first), returning how many were actually removed — the
     /// "container crash" fault at cluster level.
     pub fn crash_containers(&mut self, app: &App, ms: MicroserviceId, count: u32) -> u32 {
+        let mut usage = UsageCache::new(&self.hosts, app);
         let mut removed = 0;
         while removed < count {
-            let Some(victim) = self
-                .hosts
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| h.containers_of(ms) > 0)
-                .max_by(|(_, a), (_, b)| {
-                    let (ac, am) = a.utilization(app);
-                    let (bc, bm) = b.utilization(app);
-                    (ac + am).total_cmp(&(bc + bm))
-                })
-                .map(|(i, _)| i)
-            else {
+            let Some(victim) = usage.most_loaded_holding(&self.hosts, ms) else {
                 break;
             };
-            let host = &mut self.hosts[victim];
-            if let Some(entry) = host.containers.get_mut(&ms) {
-                *entry -= 1;
-                if *entry == 0 {
-                    host.containers.remove(&ms);
-                }
-            }
+            self.hosts[victim].release_one(ms);
+            usage.refresh(&self.hosts, app, victim);
             removed += 1;
         }
         removed
@@ -432,19 +460,7 @@ impl ClusterState {
     /// Resource unbalance (§5.4): the mean squared deviation of host
     /// utilisation (CPU and memory) from the cluster-wide mean.
     pub fn unbalance(&self, app: &App) -> f64 {
-        if self.hosts.is_empty() {
-            return 0.0;
-        }
-        let mean = self.average_interference(app);
-        let n = self.hosts.len() as f64;
-        self.hosts
-            .iter()
-            .map(|h| {
-                let (c, m) = h.felt_utilization(app);
-                (c - mean.cpu).powi(2) + (m - mean.memory).powi(2)
-            })
-            .sum::<f64>()
-            / n
+        unbalance_of(self.hosts.iter().map(|h| h.felt_utilization(app)))
     }
 
     // ---- vertical scaling (resize-in-place) ----------------------------
@@ -484,6 +500,14 @@ impl ClusterState {
     /// Applies one vertical-scaling factor to every microservice of `app`.
     /// `factor = 1.0` restores full-size containers.
     pub fn set_uniform_resize(&mut self, app: &App, factor: f64) {
+        // Restoring full size where nothing was ever resized removes
+        // nothing: skip the microservices × hosts walk of empty maps.
+        if (factor - 1.0).abs() < 1e-12
+            && self.resize.is_empty()
+            && self.hosts.iter().all(|h| h.resize.is_empty())
+        {
+            return;
+        }
         for (ms, _) in app.microservices() {
             self.resize_in_place(ms, factor);
         }
@@ -594,6 +618,63 @@ impl ClusterState {
     }
 }
 
+/// Cluster-average of per-host felt utilisation pairs (zero for no hosts).
+fn mean_felt(felt: impl ExactSizeIterator<Item = (f64, f64)>) -> Interference {
+    if felt.len() == 0 {
+        return Interference::new(0.0, 0.0);
+    }
+    let n = felt.len() as f64;
+    let (c, m) = felt.fold((0.0, 0.0), |(ac, am), (c, m)| (ac + c, am + m));
+    Interference::new(c / n, m / n)
+}
+
+/// Mean squared deviation of per-host felt utilisation pairs from their
+/// mean (zero for no hosts).
+fn unbalance_of(felt: impl ExactSizeIterator<Item = (f64, f64)> + Clone) -> f64 {
+    if felt.len() == 0 {
+        return 0.0;
+    }
+    let mean = mean_felt(felt.clone());
+    let n = felt.len() as f64;
+    felt.map(|(c, m)| (c - mean.cpu).powi(2) + (m - mean.memory).powi(2))
+        .sum::<f64>()
+        / n
+}
+
+/// Each host's [`Host::container_usage`], computed once per pass and
+/// recomputed — by the same function, never updated incrementally — for a
+/// host after each container placed on or released from it. Readings go
+/// through the same expressions as the uncached accessors, so a pass over
+/// the cache makes bit-identical choices.
+struct UsageCache(Vec<(f64, f64)>);
+
+impl UsageCache {
+    fn new(hosts: &[Host], app: &App) -> Self {
+        Self(hosts.iter().map(|h| h.container_usage(app)).collect())
+    }
+
+    fn refresh(&mut self, hosts: &[Host], app: &App, index: usize) {
+        self.0[index] = hosts[index].container_usage(app);
+    }
+
+    /// The host holding a container of `ms` with the highest actual
+    /// utilisation (CPU + memory, background included), the last one on a
+    /// tie; `None` when no host holds one.
+    fn most_loaded_holding(&self, hosts: &[Host], ms: MicroserviceId) -> Option<usize> {
+        hosts
+            .iter()
+            .zip(&self.0)
+            .enumerate()
+            .filter(|(_, (h, _))| h.containers_of(ms) > 0)
+            .max_by(|(_, (a, &ua)), (_, (b, &ub))| {
+                let (ac, am) = a.utilization_from(ua);
+                let (bc, bm) = b.utilization_from(ub);
+                (ac + am).total_cmp(&(bc + bm))
+            })
+            .map(|(i, _)| i)
+    }
+}
+
 /// Which placement algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlacementPolicy {
@@ -653,9 +734,10 @@ pub fn provision_with_resize(
     resize_factor: f64,
 ) -> Result<ProvisionReport> {
     // Work on a scratch copy and commit atomically on success. A journal of
-    // inverse operations would avoid the clone, but cluster states are small
-    // (a few dozen hosts with per-microservice counters) and the clone makes
-    // the rollback trivially correct under every failure path.
+    // inverse operations would avoid the clone, but even for hundreds of
+    // hosts the clone copies only each host's two small per-microservice
+    // maps — a fraction of what the pass itself reads — and it makes the
+    // rollback trivially correct under every failure path.
     let mut working = state.clone();
     working.set_uniform_resize(app, resize_factor);
     let report = provision_in_place(&mut working, app, plan, policy)?;
@@ -665,6 +747,11 @@ pub fn provision_with_resize(
 
 /// The non-transactional provisioning pass; may leave `state` partially
 /// mutated on error, which [`provision`] hides behind a scratch copy.
+///
+/// Costs O(hosts + entries + hosts × containers moved), an entry being one
+/// (microservice, count) pair on a host: one walk of every host's entries
+/// counts the planned microservices' containers, and a [`UsageCache`]
+/// re-reads only the hosts a placement or release touched.
 fn provision_in_place(
     state: &mut ClusterState,
     app: &App,
@@ -696,104 +783,79 @@ fn provision_in_place(
         });
     }
 
+    // Current containers of each planned microservice, in plan order (the
+    // plan iterates in id order, so a binary search finds an entry's slot).
+    let planned: Vec<(MicroserviceId, u32)> = plan.iter().collect();
+    let mut current = vec![0u32; planned.len()];
+    for h in &state.hosts {
+        for (&ms, &count) in &h.containers {
+            if let Ok(j) = planned.binary_search_by_key(&ms, |&(m, _)| m) {
+                current[j] += count;
+            }
+        }
+    }
+    let mut usage = UsageCache::new(&state.hosts, app);
     let mut placed = 0u32;
     let mut released = 0u32;
 
     // Releases first: free the most-loaded hosts.
-    for (ms, target) in plan.iter() {
-        let mut current = state.containers_of(ms);
-        while current > target {
-            let victim = state
-                .hosts
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| h.containers_of(ms) > 0)
-                .max_by(|(_, a), (_, b)| {
-                    let (ac, am) = a.utilization(app);
-                    let (bc, bm) = b.utilization(app);
-                    (ac + am).total_cmp(&(bc + bm))
-                })
-                .map(|(i, _)| i)
-                // Invariant, not user-reachable: the loop condition
-                // `current > target` holds only while containers_of(ms) > 0,
-                // so some host must have one.
-                .expect("containers_of > 0 implies a host has one");
-            let host = &mut state.hosts[victim];
-            let entry = host.containers.get_mut(&ms).expect("victim has container");
-            *entry -= 1;
-            if *entry == 0 {
-                host.containers.remove(&ms);
-            }
-            current -= 1;
+    for (&(ms, target), current) in planned.iter().zip(&mut current) {
+        while *current > target {
+            let victim = usage
+                .most_loaded_holding(&state.hosts, ms)
+                // Invariant, not user-reachable: `current` counts the
+                // containers of `ms` still placed, so some host has one.
+                .expect("a positive count implies a host has one");
+            state.hosts[victim].release_one(ms);
+            usage.refresh(&state.hosts, app, victim);
+            *current -= 1;
             released += 1;
         }
     }
 
-    // Placements.
+    // Placements. A host's score depends on nothing but its usage, so it
+    // is computed once per host and again beside each usage refresh.
     let group_count = match policy {
         PlacementPolicy::InterferenceAware { groups } => groups.max(1),
         PlacementPolicy::KubernetesDefault => 1,
     };
     let host_count = state.hosts.len();
+    let mut scores: Vec<f64> = state
+        .hosts
+        .iter()
+        .zip(&usage.0)
+        .map(|(h, &used)| h.placement_score(used, policy))
+        .collect();
     let mut next_group = 0usize;
-    for (ms, target) in plan.iter() {
+    for (&(ms, target), current) in planned.iter().zip(&mut current) {
         let m = app.microservice(ms)?;
         let factor = state.resize_factor(ms);
-        let (need_cpu, need_mem) = (m.resources.cpu * factor, m.resources.memory_mb * factor);
-        let mut current = state.containers_of(ms);
-        while current < target {
+        let need = (m.resources.cpu * factor, m.resources.memory_mb * factor);
+        while *current < target {
             // Candidate hosts: the POP group for interference-aware mode,
             // the whole cluster for the Kubernetes baseline. Cordoned
             // (reclaiming) hosts are never candidates.
             let group = next_group % group_count;
             next_group += 1;
-            let fits = |i: usize| -> bool {
-                let h = &state.hosts[i];
-                let (cpu, mem) = h.container_usage(app);
-                !h.reclaiming()
-                    && cpu + h.background_cpu + need_cpu <= h.cpu_capacity
-                    && mem + h.background_mem + need_mem <= h.mem_capacity
-            };
-            let candidates: Vec<usize> = (0..host_count)
-                .filter(|i| group_count == 1 || i % group_count == group)
-                .filter(|&i| fits(i))
-                .collect();
-            let candidates = if candidates.is_empty() {
+            let hosts = &state.hosts;
+            let fits = |i: &usize| hosts[*i].fits(usage.0[*i], need);
+            let least = |x: &usize, y: &usize| scores[*x].total_cmp(&scores[*y]);
+            let best = (group..host_count)
+                .step_by(group_count)
+                .filter(fits)
+                .min_by(least)
                 // Group full: fall back to any host with room.
-                (0..host_count).filter(|&i| fits(i)).collect()
-            } else {
-                candidates
-            };
-            let Some(&best) = candidates.iter().min_by(|&&x, &&y| {
-                let score = |i: usize| -> f64 {
-                    let h = &state.hosts[i];
-                    match policy {
-                        PlacementPolicy::KubernetesDefault => {
-                            // Least-requested: only container requests count.
-                            let (c, mm) = h.requested_utilization(app);
-                            c + mm
-                        }
-                        PlacementPolicy::InterferenceAware { .. } => {
-                            // Actual utilisation including background load,
-                            // scaled by the host class's interference
-                            // profile: filling the host where the new
-                            // container would *feel* the least pressure is
-                            // the greedy step that most reduces unbalance
-                            // across a heterogeneous mix.
-                            let (c, mm) = h.felt_utilization(app);
-                            c + mm
-                        }
-                    }
-                };
-                score(x).total_cmp(&score(y))
-            }) else {
+                .or_else(|| (0..host_count).filter(fits).min_by(least));
+            let Some(best) = best else {
                 return Err(Error::InsufficientCapacity {
                     requested_cpu: requested,
                     available_cpu: available,
                 });
             };
             *state.hosts[best].containers.entry(ms).or_insert(0) += 1;
-            current += 1;
+            usage.refresh(&state.hosts, app, best);
+            scores[best] = state.hosts[best].placement_score(usage.0[best], policy);
+            *current += 1;
             placed += 1;
         }
     }
@@ -801,7 +863,13 @@ fn provision_in_place(
     Ok(ProvisionReport {
         placed,
         released,
-        unbalance: state.unbalance(app),
+        unbalance: unbalance_of(
+            state
+                .hosts
+                .iter()
+                .zip(&usage.0)
+                .map(|(h, &used)| h.felt_utilization_from(used)),
+        ),
     })
 }
 
@@ -838,6 +906,295 @@ mod tests {
 
     fn cluster(n: usize) -> ClusterState {
         ClusterState::new((0..n).map(|_| Host::paper_host()).collect())
+    }
+
+    /// The provisioning pass before the count pass and the usage cache:
+    /// it probes every host for every planned microservice and recomputes
+    /// host usage at every comparison. Kept verbatim as the oracle the
+    /// cached pass must match bit for bit.
+    fn provision_in_place_reference(
+        state: &mut ClusterState,
+        app: &App,
+        plan: &ScalingPlan,
+        policy: PlacementPolicy,
+    ) -> Result<ProvisionReport> {
+        // Capacity sanity check on CPU. Hosts with a pending reclamation
+        // notice are cordoned: they contribute no capacity and accept no new
+        // placements — whatever lands there would be destroyed at the grace
+        // deadline anyway.
+        let requested: f64 = plan
+            .iter()
+            .map(|(ms, c)| {
+                app.microservice(ms)
+                    .map(|m| m.resources.cpu * state.resize_factor(ms) * c as f64)
+                    .unwrap_or(0.0)
+            })
+            .sum();
+        let available: f64 = state
+            .hosts
+            .iter()
+            .filter(|h| !h.reclaiming())
+            .map(|h| (h.cpu_capacity - h.background_cpu).max(0.0))
+            .sum();
+        if requested > available {
+            return Err(Error::InsufficientCapacity {
+                requested_cpu: requested,
+                available_cpu: available,
+            });
+        }
+
+        let mut placed = 0u32;
+        let mut released = 0u32;
+
+        // Releases first: free the most-loaded hosts.
+        for (ms, target) in plan.iter() {
+            let mut current = state.containers_of(ms);
+            while current > target {
+                let victim = state
+                    .hosts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, h)| h.containers_of(ms) > 0)
+                    .max_by(|(_, a), (_, b)| {
+                        let (ac, am) = a.utilization(app);
+                        let (bc, bm) = b.utilization(app);
+                        (ac + am).total_cmp(&(bc + bm))
+                    })
+                    .map(|(i, _)| i)
+                    // Invariant, not user-reachable: the loop condition
+                    // `current > target` holds only while containers_of(ms) > 0,
+                    // so some host must have one.
+                    .expect("containers_of > 0 implies a host has one");
+                let host = &mut state.hosts[victim];
+                let entry = host.containers.get_mut(&ms).expect("victim has container");
+                *entry -= 1;
+                if *entry == 0 {
+                    host.containers.remove(&ms);
+                }
+                current -= 1;
+                released += 1;
+            }
+        }
+
+        // Placements.
+        let group_count = match policy {
+            PlacementPolicy::InterferenceAware { groups } => groups.max(1),
+            PlacementPolicy::KubernetesDefault => 1,
+        };
+        let host_count = state.hosts.len();
+        let mut next_group = 0usize;
+        for (ms, target) in plan.iter() {
+            let m = app.microservice(ms)?;
+            let factor = state.resize_factor(ms);
+            let (need_cpu, need_mem) = (m.resources.cpu * factor, m.resources.memory_mb * factor);
+            let mut current = state.containers_of(ms);
+            while current < target {
+                // Candidate hosts: the POP group for interference-aware mode,
+                // the whole cluster for the Kubernetes baseline. Cordoned
+                // (reclaiming) hosts are never candidates.
+                let group = next_group % group_count;
+                next_group += 1;
+                let fits = |i: usize| -> bool {
+                    let h = &state.hosts[i];
+                    let (cpu, mem) = h.container_usage(app);
+                    !h.reclaiming()
+                        && cpu + h.background_cpu + need_cpu <= h.cpu_capacity
+                        && mem + h.background_mem + need_mem <= h.mem_capacity
+                };
+                let candidates: Vec<usize> = (0..host_count)
+                    .filter(|i| group_count == 1 || i % group_count == group)
+                    .filter(|&i| fits(i))
+                    .collect();
+                let candidates = if candidates.is_empty() {
+                    // Group full: fall back to any host with room.
+                    (0..host_count).filter(|&i| fits(i)).collect()
+                } else {
+                    candidates
+                };
+                let Some(&best) = candidates.iter().min_by(|&&x, &&y| {
+                    let score = |i: usize| -> f64 {
+                        let h = &state.hosts[i];
+                        match policy {
+                            PlacementPolicy::KubernetesDefault => {
+                                // Least-requested: only container requests count.
+                                let (c, mm) = h.requested_utilization(app);
+                                c + mm
+                            }
+                            PlacementPolicy::InterferenceAware { .. } => {
+                                // Actual utilisation including background load,
+                                // scaled by the host class's interference
+                                // profile: filling the host where the new
+                                // container would *feel* the least pressure is
+                                // the greedy step that most reduces unbalance
+                                // across a heterogeneous mix.
+                                let (c, mm) = h.felt_utilization(app);
+                                c + mm
+                            }
+                        }
+                    };
+                    score(x).total_cmp(&score(y))
+                }) else {
+                    return Err(Error::InsufficientCapacity {
+                        requested_cpu: requested,
+                        available_cpu: available,
+                    });
+                };
+                *state.hosts[best].containers.entry(ms).or_insert(0) += 1;
+                current += 1;
+                placed += 1;
+            }
+        }
+
+        Ok(ProvisionReport {
+            placed,
+            released,
+            unbalance: state.unbalance(app),
+        })
+    }
+
+    /// [`provision_with_resize`] over the oracle, with the resize applied
+    /// one microservice at a time as before the no-op shortcut.
+    fn provision_with_resize_reference(
+        state: &mut ClusterState,
+        app: &App,
+        plan: &ScalingPlan,
+        policy: PlacementPolicy,
+        resize_factor: f64,
+    ) -> Result<ProvisionReport> {
+        let mut working = state.clone();
+        for (ms, _) in app.microservices() {
+            working.resize_in_place(ms, resize_factor);
+        }
+        let report = provision_in_place_reference(&mut working, app, plan, policy)?;
+        *state = working;
+        Ok(report)
+    }
+
+    /// (cpu, memory MB, interference scale) of the generated host classes.
+    const HOST_SHAPES: [(f64, f64, f64); 4] = [
+        (8.0, 16_384.0, 1.0),
+        (16.0, 32_768.0, 1.3),
+        (32.0, 65_536.0, 0.9),
+        (64.0, 131_072.0, 1.6),
+    ];
+
+    /// Microservice ids the generators draw from: the app's own plus two it
+    /// does not know.
+    const MS_IDS: u32 = 8;
+
+    /// One generated host: shape, background (cpu, mem) fractions,
+    /// lifecycle code, (microservice, count) placements and per-host
+    /// resize factors.
+    type HostSpec = (usize, f64, f64, u8, Vec<(u32, u32)>, Vec<(u32, f64)>);
+
+    fn generated_app(resources: &[(f64, f64)]) -> App {
+        let mut b = AppBuilder::new("p");
+        for (i, &(cpu, mem)) in resources.iter().enumerate() {
+            let m = b.microservice(
+                format!("m{i}"),
+                LatencyProfile::linear(0.01, 1.0),
+                Resources::new(cpu, mem),
+            );
+            b.service(format!("s{i}"), Sla::p95_ms(100.0), |g| {
+                g.entry(m);
+            });
+        }
+        b.build().unwrap()
+    }
+
+    fn generated_cluster(hosts: &[HostSpec], cluster_resize: (u8, &[(u32, f64)])) -> ClusterState {
+        let mut state = ClusterState::new(Vec::new());
+        for (i, (shape, bg_cpu, bg_mem, life, placed, resized)) in hosts.iter().enumerate() {
+            let (cpu, mem, scale) = HOST_SHAPES[*shape];
+            let mut h = Host::new(cpu, mem);
+            h.interference_scale = scale;
+            h.background_cpu = cpu * bg_cpu;
+            h.background_mem = mem * bg_mem;
+            if life % 2 == 1 {
+                h = h.with_lifecycle(HostLifecycle::Spot);
+            }
+            h.restore_placements(
+                placed.iter().map(|&(ms, n)| (MicroserviceId::new(ms), n)),
+                resized.iter().map(|&(ms, f)| (MicroserviceId::new(ms), f)),
+            );
+            state.hosts.push(h);
+            if *life >= 2 {
+                state.post_reclaim_notice(i, 3);
+            }
+        }
+        let (mode, factors) = cluster_resize;
+        let factors = factors.iter().map(|&(ms, f)| (MicroserviceId::new(ms), f));
+        match mode {
+            // Cluster-wide factors mirrored onto every host.
+            1 => factors.for_each(|(ms, f)| state.resize_in_place(ms, f)),
+            // Cluster-wide factors restored verbatim, hosts untouched.
+            2 => state.restore_resize_factors(factors),
+            _ => {}
+        }
+        state
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The count pass and the usage cache change what a pass costs,
+        /// never what it does: the same cluster state, the same report
+        /// (unbalance to the bit) and the same error as the oracle, and an
+        /// error leaves the cluster as it was.
+        #[test]
+        fn cached_pass_matches_the_oracle(
+            resources in proptest::collection::vec((0.1f64..2.0, 128.0f64..4096.0), 1..7),
+            hosts in proptest::collection::vec(
+                (
+                    0usize..HOST_SHAPES.len(),
+                    0.0f64..0.7,
+                    0.0f64..0.7,
+                    0u8..4,
+                    proptest::collection::vec((0u32..MS_IDS, 1u32..6), 0..5),
+                    proptest::collection::vec((0u32..MS_IDS, 0.5f64..1.5), 0..3),
+                ),
+                1..9,
+            ),
+            (cluster_mode, cluster_factors) in
+                (0u8..3, proptest::collection::vec((0u32..MS_IDS, 0.5f64..1.5), 0..3)),
+            targets in proptest::collection::vec((0u32..40, 0u8..4, 1u32..10), 0..9),
+            (policy, resize) in (0u8..3, 0u8..2),
+        ) {
+            let app = generated_app(&resources);
+            let state = generated_cluster(&hosts, (cluster_mode, &cluster_factors));
+            let mut plan = ScalingPlan::new("t");
+            for &(pick, kind, count) in &targets {
+                // One entry in forty names a microservice the app does not
+                // know (which fails the pass); kind 0 is an explicit
+                // scale-to-zero; microservices the plan never names stay
+                // uncovered.
+                let ms = if pick == 0 { MS_IDS - 1 } else { pick % resources.len() as u32 };
+                plan.set_containers(MicroserviceId::new(ms), if kind == 0 { 0 } else { count });
+            }
+            let policy = match policy {
+                0 => PlacementPolicy::InterferenceAware { groups: 1 },
+                1 => PlacementPolicy::InterferenceAware { groups: 4 },
+                _ => PlacementPolicy::KubernetesDefault,
+            };
+            let resize = if resize == 0 { 1.0 } else { 0.8 };
+
+            let mut fast = state.clone();
+            let got = provision_with_resize(&mut fast, &app, &plan, policy, resize);
+            let mut slow = state.clone();
+            let want = provision_with_resize_reference(&mut slow, &app, &plan, policy, resize);
+            proptest::prop_assert_eq!(&fast, &slow);
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    proptest::prop_assert_eq!(got, want);
+                    proptest::prop_assert_eq!(got.unbalance.to_bits(), want.unbalance.to_bits());
+                }
+                (Err(got), Err(want)) => {
+                    proptest::prop_assert_eq!(got, want);
+                    proptest::prop_assert_eq!(&fast, &state);
+                }
+                (got, want) => proptest::prop_assert!(false, "got {got:?}, oracle {want:?}"),
+            }
+        }
     }
 
     #[test]
