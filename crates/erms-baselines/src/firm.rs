@@ -1,4 +1,4 @@
-//! Firm [35]: critical-component localisation plus an incremental
+//! Firm \[35\]: critical-component localisation plus an incremental
 //! (RL-style) resource tuner.
 //!
 //! Firm first identifies, per critical path, the microservice with the

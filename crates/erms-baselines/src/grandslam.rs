@@ -1,4 +1,4 @@
-//! GrandSLAm [22]: latency targets proportional to mean microservice
+//! GrandSLAm \[22\]: latency targets proportional to mean microservice
 //! latency.
 //!
 //! GrandSLAm "computes latency targets for each service such that it is

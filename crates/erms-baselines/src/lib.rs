@@ -1,11 +1,11 @@
 //! Baseline autoscalers reproduced for comparison (§6.1).
 //!
-//! * [`grandslam`] — GrandSLAm [22]: latency targets proportional to each
+//! * [`grandslam`] — GrandSLAm \[22\]: latency targets proportional to each
 //!   microservice's *mean* latency across workloads;
-//! * [`rhythm`] — Rhythm [45]: per-microservice contribution as the
+//! * [`rhythm`] — Rhythm \[45\]: per-microservice contribution as the
 //!   normalised product of mean latency, latency variance, and the
 //!   correlation between microservice latency and end-to-end latency;
-//! * [`firm`] — Firm [35]: critical-component localisation per critical
+//! * [`firm`] — Firm \[35\]: critical-component localisation per critical
 //!   path plus an incremental (RL-style) tuner that adjusts the bottleneck
 //!   microservice's containers step by step;
 //! * [`stats`] — the latency statistics those heuristics consume, derived

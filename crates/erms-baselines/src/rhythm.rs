@@ -1,4 +1,4 @@
-//! Rhythm [45]: component-distinguishable latency-target allocation.
+//! Rhythm \[45\]: component-distinguishable latency-target allocation.
 //!
 //! Rhythm scores each microservice by the *normalised product* of its mean
 //! latency, its latency variance, and the correlation coefficient between

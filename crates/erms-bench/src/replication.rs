@@ -4,7 +4,7 @@
 //! workload, Fig. 16 trace-driven) validate their analytically planned
 //! allocations by *simulating* the plan N times with independently seeded
 //! replications and reducing the results in replication order. All of them
-//! go through [`erms_sim::replicate`], so the replications run in parallel
+//! go through [`erms_sim::replicate()`], so the replications run in parallel
 //! on multi-core hosts while staying bit-identical to a serial loop
 //! (seed = base ⊕ index, ordered reduction — see `erms-sim/src/replicate.rs`).
 

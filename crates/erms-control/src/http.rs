@@ -200,8 +200,8 @@ impl Server {
         self.requests.load(Ordering::SeqCst)
     }
 
-    /// Whether shutdown has been requested (e.g. by
-    /// [`request_shutdown`](Server::request_shutdown)).
+    /// Whether shutdown has been requested (e.g. by a handler through
+    /// [`shutdown_flag`](Server::shutdown_flag)).
     pub fn shutdown_requested(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }

@@ -79,7 +79,7 @@ pub enum JsonError {
     /// A number to be serialized was NaN or ±∞, which JSON cannot
     /// represent.
     NonFinite,
-    /// Nesting exceeded [`MAX_DEPTH`].
+    /// Nesting exceeded `MAX_DEPTH`.
     TooDeep,
     /// An object contained the same key twice.
     DuplicateKey(String),

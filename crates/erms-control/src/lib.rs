@@ -25,9 +25,10 @@
 //! server    routes + drain/reload + metrics            (ties it together)
 //! ```
 //!
-//! A tenant lock is never held while rendering, parsing or writing a
-//! socket: bodies are decoded before it is taken and replies rendered
-//! after it is released.
+//! A tenant lock is never held while rendering, parsing, writing a socket
+//! or fitting: bodies are decoded before it is taken, replies rendered
+//! after it is released, and a replan fits a copy of the profiler's window
+//! with no lock held.
 //!
 //! ## Endpoints
 //!
@@ -37,10 +38,10 @@
 //! | `GET /metrics`                        | Prometheus text exposition |
 //! | `GET/POST /v1/tenants`                | list / register tenants |
 //! | `GET/DELETE /v1/tenants/{id}`         | inspect / remove one tenant |
-//! | `POST /v1/tenants/{id}/spans`         | ingest telemetry spans; decoded from the bytes in one pass, no tree; a field out of range is a 400, never a clamp |
+//! | `POST /v1/tenants/{id}/spans`         | ingest telemetry spans; decoded from the bytes in one pass, no tree; a field out of range, or a microservice the tenant does not have, is a 400, never a clamp |
 //! | `POST /v1/tenants/{id}/workloads`     | update request rates |
 //! | `GET /v1/tenants/{id}/plan`           | current scaling plan, from text rendered once per applied plan |
-//! | `POST /v1/tenants/{id}/replan`        | refit + run one control round; replies `{"decision":…,"plan":…}` with the same plan text |
+//! | `POST /v1/tenants/{id}/replan`        | refit (with no lock held) + run one control round; replies `{"decision":…,"plan":…}` with the same plan text |
 //! | `GET /v1/tenants/{id}/history`        | scaling-decision audit trail |
 //! | `POST /v1/snapshot`                   | write the versioned snapshot |
 //! | `POST /v1/reload`                     | drain, restore from snapshot |

@@ -15,7 +15,12 @@
 //! A tenant lock covers work on the tenant's state only. Bodies are decoded
 //! before it is taken (`POST …/spans` straight from the bytes, with no tree),
 //! replies are rendered after it is released, and the applied plan is served
-//! from text rendered once per plan (`tenant::with_plan_text`).
+//! from text rendered once per plan (`tenant::with_plan_text`). `POST
+//! …/replan` fits the profiles outside the lock too: it copies the window
+//! under the lock, fits the copy with no lock held, and locks again to
+//! install the fits and plan (`tenant::replan_with_plan_text`), so a `GET
+//! …/plan` that arrives meanwhile is answered from the kept text instead of
+//! waiting for the profiler.
 //!
 //! Graceful reload: `POST /v1/reload` flips the draining flag (new
 //! requests get 503), waits until it is the only request in flight, swaps
@@ -34,7 +39,7 @@ use crate::codec::{app_from_json, span_batch_from_text, workloads_from_json, Dec
 use crate::http::{Handler, Request, Response, Server};
 use crate::json::Json;
 use crate::snapshot;
-use crate::tenant::{with_plan_text, Registry, Tenant};
+use crate::tenant::{replan_with_plan_text, with_plan_text, Registry, Tenant};
 
 /// Configuration of a control-plane instance.
 #[derive(Debug, Clone)]
@@ -408,7 +413,7 @@ fn replan(shared: &Arc<Shared>, id: &str) -> Response {
     let Some(handle) = tenant_handle(shared, id) else {
         return no_tenant(id);
     };
-    let (record, plan) = with_plan_text(&handle, |tenant| tenant.replan().clone());
+    let (record, plan) = replan_with_plan_text(&handle);
     // The plan's text is spliced in as it stands; only the record is new.
     let decision = snapshot::record_to_json(&record).render();
     let plan = plan.as_deref().unwrap_or("null");
@@ -482,9 +487,11 @@ mod tests {
     use super::*;
     use crate::codec::{app_to_json, plan_to_json};
     use crate::http::Client;
-    use erms_core::app::{AppBuilder, Sla};
+    use erms_core::app::{AppBuilder, RequestRate, Sla, WorkloadVector};
     use erms_core::latency::LatencyProfile;
     use erms_core::resources::Resources;
+    use erms_profilers::dataset::Sample;
+    use std::time::Instant;
 
     fn app_json() -> String {
         let mut b = AppBuilder::new("demo");
@@ -566,6 +573,104 @@ mod tests {
         let (status, _) = client.request("GET", "/v1/tenants/demo", None).unwrap();
         assert_eq!(status, 404);
 
+        plane.stop();
+    }
+
+    /// A tenant of `MICROSERVICES` in a chain whose window holds `SAMPLES`
+    /// observations each at two load levels: a fit that scans for knees
+    /// over all of them, hundreds of milliseconds in a debug build.
+    fn slow_to_fit(plane: &ControlPlane) {
+        const MICROSERVICES: u32 = 4;
+        const SAMPLES: usize = 400;
+        let mut b = AppBuilder::new("slow");
+        let ids: Vec<_> = (0..MICROSERVICES)
+            .map(|i| {
+                b.microservice(
+                    format!("m{i}"),
+                    LatencyProfile::kneed(0.002, 3.0, 0.02, 9000.0),
+                    Resources::new(0.1, 200.0),
+                )
+            })
+            .collect();
+        b.service("s", Sla::p95_ms(200.0), |g| {
+            let mut node = g.entry(ids[0]);
+            for &ms in &ids[1..] {
+                node = g.call_seq(node, ms);
+            }
+        });
+        let app = b.build().unwrap();
+        let window = ids
+            .iter()
+            .map(|&ms| {
+                let samples = (0..SAMPLES)
+                    .map(|i| {
+                        let (gamma, latency) = if i % 2 == 0 {
+                            (400.0, 4.0)
+                        } else {
+                            (1_600.0, 30.0)
+                        };
+                        let jitter = 1.0 + (i % 7) as f64 / 100.0;
+                        Sample::new(latency * jitter, gamma * jitter, 0.1, 0.1)
+                    })
+                    .collect();
+                (ms, samples)
+            })
+            .collect();
+        plane.with_registry(|r| r.create("slow", app)).unwrap();
+        plane.with_tenant("slow", |t| {
+            t.workloads = WorkloadVector::uniform(&t.app, RequestRate::per_minute(6_000.0));
+            assert!(!t.replan().skipped);
+            t.profiler.restore_samples(window);
+        });
+    }
+
+    /// `GET …/plan` sent while a `POST …/replan` fits is answered before the
+    /// replan returns: the fit holds no lock.
+    #[test]
+    fn plan_reads_are_answered_while_a_replan_fits() {
+        let plane = ControlPlane::start(ControlPlaneConfig::default(), Registry::paper_pool())
+            .expect("start");
+        slow_to_fit(&plane);
+        let addr = plane.addr();
+        let mut client = Client::new(addr).unwrap();
+        // Every request the daemon has received, this one included.
+        let mut received = || {
+            let (_, body) = client.request("GET", "/healthz", None).unwrap();
+            let health = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+            health.get("requests").and_then(Json::as_f64).unwrap()
+        };
+        let mut last = received();
+        let (answered, replanned) = std::thread::scope(|s| {
+            let replan = s.spawn(move || {
+                let mut writer = Client::new(addr).unwrap();
+                let (status, _) = writer
+                    .request("POST", "/v1/tenants/slow/replan", None)
+                    .unwrap();
+                assert_eq!(status, 200);
+                Instant::now()
+            });
+            // Poll until the daemon has taken a request besides the polls.
+            loop {
+                let now = received();
+                if now > last + 1.0 || replan.is_finished() {
+                    break;
+                }
+                last = now;
+            }
+            let mut reader = Client::new(addr).unwrap();
+            let answered: Vec<Instant> = (0..5)
+                .map(|_| {
+                    let (status, _) = reader
+                        .request("GET", "/v1/tenants/slow/plan", None)
+                        .unwrap();
+                    assert_eq!(status, 200);
+                    Instant::now()
+                })
+                .collect();
+            (answered, replan.join().unwrap())
+        });
+        let waited = answered.iter().filter(|&&at| at > replanned).count();
+        assert_eq!(waited, 0, "{waited} of 5 plan reads waited for the replan");
         plane.stop();
     }
 

@@ -15,9 +15,11 @@
 //! tenant; the registry and all other tenants keep serving.
 //!
 //! A tenant lock is held for work on the tenant's state and for nothing
-//! else: never while rendering, parsing or writing a socket. Request
-//! bodies are decoded before the lock is taken, and the one large reply,
-//! the applied plan, is text kept beside the plan (`with_plan_text`).
+//! else: never while rendering, parsing, writing a socket or fitting.
+//! Request bodies are decoded before the lock is taken, the one large
+//! reply, the applied plan, is text kept beside the plan
+//! (`with_plan_text`), and a replan over HTTP fits a copy of the profiler's
+//! window with no lock held (`replan_with_plan_text`).
 //!
 //! # Tenant isolation
 //!
@@ -39,10 +41,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use erms_core::app::{App, WorkloadVector};
 use erms_core::autoscaler::ScalingPlan;
+use erms_core::ids::MicroserviceId;
+use erms_core::latency::LatencyProfile;
 use erms_core::provisioning::{ClusterState, Host};
 use erms_core::resilience::{ResilienceConfig, ResilientManager};
+use erms_profilers::dataset::Sample;
 use erms_telemetry::metrics::{record_planner_metrics, record_resilience, MetricsRegistry};
-use erms_telemetry::online::OnlineProfiler;
+use erms_telemetry::online::{install, OnlineProfiler, RefitOutcome};
 
 use crate::codec::{plan_to_json, SpanBatch};
 
@@ -126,8 +131,17 @@ impl Tenant {
     /// # Errors
     ///
     /// Rejects a batch with no usable deployment (no containers in the
-    /// batch and no plan applied yet) — γ would be undefined.
+    /// batch and no plan applied yet) — γ would be undefined — and a batch
+    /// whose spans or `containers` name a microservice the tenant's app
+    /// does not have (the error names it). A rejected batch changes
+    /// nothing.
     pub fn ingest(&mut self, batch: &SpanBatch) -> Result<usize, String> {
+        let named = batch.containers.keys().copied();
+        for ms in named.chain(batch.spans.iter().map(|span| span.microservice)) {
+            if let Err(e) = self.app.microservice(ms) {
+                return Err(format!("span batch: {e}"));
+            }
+        }
         let containers: BTreeMap<_, _> = if batch.containers.is_empty() {
             match self.plan() {
                 Some(plan) => plan.iter().collect(),
@@ -156,8 +170,36 @@ impl Tenant {
     /// the old one bit-for-bit when nothing was re-fitted), so a restored
     /// tenant replaying this method from snapshotted samples walks exactly
     /// the same app sequence as the uninterrupted process.
+    ///
+    /// Everything here runs under whatever lock the caller holds on the
+    /// tenant, the fit included. The daemon's `POST …/replan` fits a copy of
+    /// the window with no lock held instead (`replan_with_plan_text`) and
+    /// ends where this method would have.
     pub fn replan(&mut self) -> &DecisionRecord {
         let refit = self.profiler.refit(&self.app);
+        self.finish_round(refit)
+    }
+
+    /// Phase 3 of `replan_with_plan_text`: installs `fits`, made from
+    /// `window`, when this tenant's window is still bit for bit what was
+    /// fitted, and runs the rest of the round; otherwise the window moved
+    /// since the copy and the round is [`Tenant::replan`].
+    fn replan_with_fits(
+        &mut self,
+        window: &OnlineProfiler,
+        fits: BTreeMap<MicroserviceId, LatencyProfile>,
+    ) -> &DecisionRecord {
+        if same_window(self.profiler.samples(), window.samples()) {
+            let refit = install(&self.app, fits);
+            self.finish_round(refit)
+        } else {
+            self.replan()
+        }
+    }
+
+    /// The round after the refit, shared by both doors: swap the app in,
+    /// plan/apply through the ladder, and record the decision.
+    fn finish_round(&mut self, refit: RefitOutcome) -> &DecisionRecord {
         let refitted = refit.refitted.len();
         self.app = refit.app;
         let outcome = self
@@ -252,6 +294,46 @@ pub(crate) fn with_plan_text<R>(
         tenant.plan_text = Some((epoch, Arc::clone(&text)));
     }
     (result, Some(text))
+}
+
+/// Runs one [`Tenant::replan`] with the fit outside the tenant's lock, and
+/// returns its record beside the plan text as [`with_plan_text`] does.
+///
+/// 1. Under the lock: copy the profiler.
+/// 2. With no lock held: fit the copy.
+/// 3. Under the lock: if the window still equals the copy, install the fits
+///    and run the rest of the round; if an ingest moved it in between, run
+///    [`Tenant::replan`], which fits again under the lock.
+///
+/// The outcome is the one a serial execution gives. The fit reads the
+/// window and nothing else, and the rest of the round reads `app`,
+/// `cluster` and `workloads` under the second lock; so when the compare
+/// holds, the result is that of `Tenant::replan` run at the instant the
+/// second lock was taken. Two replans that overlap fit equal windows and
+/// install equal apps.
+///
+/// # Panics
+///
+/// Panics if the tenant's lock is poisoned.
+pub(crate) fn replan_with_plan_text(handle: &Mutex<Tenant>) -> (DecisionRecord, Option<Arc<str>>) {
+    let window = handle.lock().expect("tenant poisoned").profiler.clone();
+    let fits = window.fit();
+    with_plan_text(handle, |tenant| {
+        tenant.replan_with_fits(&window, fits).clone()
+    })
+}
+
+/// Whether two windows hold the same samples, bit for bit: what a fit
+/// reads of them. (`==` would take a latency of `-0.0` for `0.0`.)
+fn same_window(
+    a: &BTreeMap<MicroserviceId, Vec<Sample>>,
+    b: &BTreeMap<MicroserviceId, Vec<Sample>>,
+) -> bool {
+    let bits = |s: &Sample| [s.latency_ms, s.gamma, s.cpu, s.mem].map(f64::to_bits);
+    a.len() == b.len()
+        && a.iter().zip(b).all(|((ma, sa), (mb, sb))| {
+            ma == mb && sa.len() == sb.len() && sa.iter().zip(sb).all(|(x, y)| bits(x) == bits(y))
+        })
 }
 
 /// Aggregate pool accounting across tenants. Purely observational: the
@@ -433,8 +515,9 @@ mod tests {
     use super::*;
     use crate::snapshot::{registry_from_json, registry_to_json};
     use erms_core::app::{AppBuilder, RequestRate, Sla};
-    use erms_core::latency::LatencyProfile;
+    use erms_core::ids::ServiceId;
     use erms_core::resources::Resources;
+    use erms_sim::telemetry::SpanRecord;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -520,6 +603,40 @@ mod tests {
     }
 
     #[test]
+    fn ingest_refuses_microservices_the_tenant_does_not_have() {
+        let pool = Registry::paper_pool();
+        let mut tenant = Tenant::new("a", tiny_app("a"), pool.pool());
+        let foreign = MicroserviceId::new(4_000_000_000);
+        let known = MicroserviceId::new(0);
+        let spans = |ms| -> Vec<SpanRecord> {
+            (0..8)
+                .map(|i| SpanRecord {
+                    service: ServiceId::new(0),
+                    microservice: ms,
+                    container: 0,
+                    priority_class: 0,
+                    start_ms: f64::from(i) * 100.0,
+                    end_ms: f64::from(i) * 100.0 + 4.0,
+                })
+                .collect()
+        };
+        let batch = |containers: &[MicroserviceId], spans_of| SpanBatch {
+            sampling: 1.0,
+            containers: containers.iter().map(|&ms| (ms, 1)).collect(),
+            spans: spans(spans_of),
+        };
+        for foreign_in in [batch(&[known, foreign], known), batch(&[known], foreign)] {
+            let why = tenant
+                .ingest(&foreign_in)
+                .expect_err("a foreign microservice");
+            assert!(why.contains("4000000000"), "{why}");
+        }
+        assert!(tenant.profiler.samples().is_empty());
+        assert_eq!((tenant.spans_ingested, tenant.samples_ingested), (0, 0));
+        assert_eq!(tenant.ingest(&batch(&[known], known)), Ok(1));
+    }
+
+    #[test]
     fn pool_usage_flags_oversubscription() {
         // Plan against the full paper pool, then re-home the tenant into
         // a registry whose pool template is one tiny host: the requested
@@ -562,8 +679,139 @@ mod tests {
         }
     }
 
+    /// Two microservices in a chain, so that a round plans both.
+    fn chain_app() -> App {
+        let mut b = AppBuilder::new("chain");
+        let front = b.microservice(
+            "front",
+            LatencyProfile::kneed(0.002, 3.0, 0.02, 9000.0),
+            Resources::new(0.1, 200.0),
+        );
+        let back = b.microservice(
+            "back",
+            LatencyProfile::kneed(0.004, 2.0, 0.03, 6000.0),
+            Resources::new(0.1, 200.0),
+        );
+        b.service("s", Sla::p95_ms(100.0), |g| {
+            let root = g.entry(front);
+            g.call_seq(root, back);
+        });
+        b.build().unwrap()
+    }
+
+    /// `windows` whole 1 s windows from window `first` on, each adding one
+    /// sample per microservice of [`chain_app`]: 8 spans a cell, or with
+    /// `two_levels` 8 and 24 in turn, so that the fitter scans for a knee.
+    /// Latency grows with the cell's load, jittered by `salt`.
+    fn window_batch(
+        first: u32,
+        windows: u32,
+        two_levels: bool,
+        containers: bool,
+        salt: u64,
+    ) -> SpanBatch {
+        let mut spans = Vec::new();
+        for window in first..first + windows {
+            let per_cell = if two_levels && window % 2 == 1 { 24 } else { 8 };
+            for ms in 0..2u32 {
+                for i in 0..per_cell {
+                    let start = f64::from(window) * 1_000.0 + f64::from(i) * 37.0;
+                    let jitter = (salt ^ u64::from(window * 97 + ms * 31 + i))
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        >> 54;
+                    let latency = (2.0 + f64::from(ms))
+                        * (1.0 + f64::from(per_cell) / 16.0)
+                        * (0.97 + jitter as f64 / 20_000.0);
+                    spans.push(SpanRecord {
+                        service: ServiceId::new(0),
+                        microservice: MicroserviceId::new(ms),
+                        container: 0,
+                        priority_class: 0,
+                        start_ms: start,
+                        end_ms: start + latency,
+                    });
+                }
+            }
+        }
+        let containers = if containers {
+            (0..2).map(|ms| (MicroserviceId::new(ms), 1)).collect()
+        } else {
+            BTreeMap::new()
+        };
+        SpanBatch {
+            sampling: 1.0,
+            containers,
+            spans,
+        }
+    }
+
+    fn chain_tenant(pool: &[Host]) -> Tenant {
+        let mut tenant = Tenant::new("a", chain_app(), pool);
+        tenant.workloads = WorkloadVector::uniform(&tenant.app, RequestRate::per_minute(20_000.0));
+        tenant
+    }
+
+    /// An ingest between the copy of the window and the install: the round
+    /// must be the one the tenant would have run had it ingested first and
+    /// replanned after, fits made under the lock included.
+    #[test]
+    fn an_ingest_between_copy_and_install_gives_the_serial_round() {
+        let pool = Registry::paper_pool();
+        let mut refitted = 0;
+        // Windows before the copy, windows ingested after it, two levels.
+        for (early, late, two_levels) in [(6, 6, false), (12, 12, true), (12, 0, true)] {
+            let mut tenant = chain_tenant(pool.pool());
+            let mut twin = chain_tenant(pool.pool());
+            let early = window_batch(0, early, two_levels, true, 1);
+            let late = window_batch(100, late, two_levels, true, 2);
+            tenant.ingest(&early).unwrap();
+            twin.ingest(&early).unwrap();
+            // Phases 1 and 2 by hand, then the ingest, then phase 3.
+            let window = tenant.profiler.clone();
+            let fits = window.fit();
+            tenant.ingest(&late).unwrap();
+            let record = tenant.replan_with_fits(&window, fits).clone();
+            twin.ingest(&late).unwrap();
+            assert_eq!(&record, twin.replan());
+            assert_eq!(tenant.app, twin.app);
+            assert_eq!(tenant.cluster, twin.cluster);
+            assert_eq!(tenant.plan(), twin.plan());
+            refitted += record.refitted;
+        }
+        assert!(refitted > 0, "no round refitted anything");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The daemon's three-phase replan ends where `Tenant::replan` does,
+        /// round after round: windows below, at and above the fitter's
+        /// 12-sample minimum, one load level or two, batches with and
+        /// without `containers`.
+        #[test]
+        fn daemon_replan_equals_tenant_replan(
+            rounds in prop::collection::vec((0u32..=8, any::<bool>()), 1..7),
+            two_levels in any::<bool>(),
+        ) {
+            let pool = Registry::paper_pool();
+            let daemon = Mutex::new(chain_tenant(pool.pool()));
+            let twin = Mutex::new(chain_tenant(pool.pool()));
+            let mut first = 0;
+            for (round, &(windows, containers)) in rounds.iter().enumerate() {
+                let batch = window_batch(first, windows, two_levels, containers, round as u64);
+                first += windows;
+                let ingested = daemon.lock().unwrap().ingest(&batch);
+                prop_assert_eq!(ingested, twin.lock().unwrap().ingest(&batch));
+                let (record, text) = replan_with_plan_text(&daemon);
+                let (serial, serial_text) = with_plan_text(&twin, |t| t.replan().clone());
+                prop_assert_eq!(record, serial);
+                prop_assert_eq!(text, serial_text);
+                let (a, b) = (daemon.lock().unwrap(), twin.lock().unwrap());
+                prop_assert_eq!(&a.app, &b.app);
+                prop_assert_eq!(&a.cluster, &b.cluster);
+                prop_assert_eq!(&a.history, &b.history);
+            }
+        }
 
         /// (iv) The kept text is the applied plan's rendering after every
         /// way the applied plan can change: `Tenant::replan`, a round run

@@ -276,11 +276,17 @@ impl Daemon {
 
 /// Property (ii) on one mutated body: the two decoders agree on whether it
 /// is a batch (and on the batch), and the daemon takes it exactly when they
-/// do, leaving no trace of a body it refused. Returns the verdict.
+/// do and it names only microservices of the tenants' app, leaving no trace
+/// of a body it refused. Returns the verdict.
 fn check_mutated(daemon: &mut Daemon, bytes: &[u8]) -> Result<bool, String> {
+    let known = two_microservice_app().microservice_count();
     let accepted = match std::str::from_utf8(bytes) {
         Ok(text) => match (span_batch_from_text(text), tree_decode(text)) {
-            (Ok(streamed), Ok(tree)) if batch_bits(&streamed) == batch_bits(&tree) => true,
+            (Ok(streamed), Ok(tree)) if batch_bits(&streamed) == batch_bits(&tree) => {
+                let mut named = streamed.containers.keys().copied();
+                let mut spans = streamed.spans.iter().map(|span| span.microservice);
+                named.all(|ms| ms.index() < known) && spans.all(|ms| ms.index() < known)
+            }
             (Err(_), Err(_)) => false,
             (streamed, tree) => {
                 return Err(format!(

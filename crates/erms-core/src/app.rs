@@ -4,7 +4,7 @@
 //! An [`App`] is the unit Erms manages: a set of *microservices* (each
 //! deployed as a fleet of identical containers) plus a set of *online
 //! services*, each with an SLA and a tree-shaped
-//! [`DependencyGraph`](crate::graph::DependencyGraph) over those
+//! [`DependencyGraph`] over those
 //! microservices. A microservice referenced by multiple services is a
 //! *shared microservice* (§2.3).
 

@@ -15,7 +15,7 @@
 //! for every stage, the maximum subtree latency among the stage's children —
 //! equivalently, the longest *critical path* through the graph (§2.1).
 //!
-//! Production graphs behave like trees [26], and the merge algorithm of §4.2
+//! Production graphs behave like trees \[26\], and the merge algorithm of §4.2
 //! operates on two-tier invocations of a tree, so this crate represents
 //! graphs as trees; a microservice shared between several call sites simply
 //! appears as several nodes referencing the same [`MicroserviceId`].

@@ -5,7 +5,7 @@
 //! [`SchedulingMode::Priority`] (the full Erms design) it:
 //!
 //! 1. computes *initial* latency targets per service with each service's
-//!    own workloads ([`plan_service`]);
+//!    own workloads ([`plan_service`](crate::scaling::plan_service));
 //! 2. derives service priorities at every shared microservice from those
 //!    targets ([`assign_priorities`]);
 //! 3. recomputes targets per service with the priority-modified cumulative
@@ -88,9 +88,9 @@ impl<'a> ErmsScaler<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::SlaInfeasible`](crate::Error::SlaInfeasible) when a
+    /// Returns [`Error::SlaInfeasible`] when a
     /// service's SLA cannot be met by any allocation, and
-    /// [`Error::InvalidParameter`](crate::Error::InvalidParameter) when a
+    /// [`Error::InvalidParameter`] when a
     /// microservice's demand is not a finite container count.
     pub fn plan(&self, workloads: &WorkloadVector, itf: Interference) -> Result<ScalingPlan> {
         erms_plan(self.app, workloads, itf, &self.config, self.mode)

@@ -12,7 +12,7 @@
 //! Solving the underlying non-linear integer program exactly is NP-hard;
 //! like the paper, we use a greedy descent and optionally partition the
 //! hosts into fixed groups and solve each group independently (the POP
-//! technique [31]), trading a little quality for a large speed-up.
+//! technique \[31\]), trading a little quality for a large speed-up.
 //!
 //! The [`PlacementPolicy::KubernetesDefault`] baseline reproduces the
 //! stock scheduler the paper compares against (Fig. 15): least-requested
@@ -679,7 +679,7 @@ impl UsageCache {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlacementPolicy {
     /// Erms' interference-aware placement, with hosts statically divided
-    /// into `groups` equal partitions solved independently (POP [31]).
+    /// into `groups` equal partitions solved independently (POP \[31\]).
     /// `groups = 1` solves the whole cluster at once.
     InterferenceAware {
         /// Number of POP partitions (≥ 1).

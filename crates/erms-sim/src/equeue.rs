@@ -41,7 +41,7 @@
 //!
 //! # Adaptive resize and storage reuse
 //!
-//! Every [`ADAPT_WINDOW`] pops the queue inspects its own counters: a
+//! Every `ADAPT_WINDOW` pops the queue inspects its own counters: a
 //! high empty-bucket advance rate means buckets are narrower than the
 //! workload's key density (widen `shift`); a high lazy-sort load relative
 //! to batch size means too many distinct keys share a bucket (narrow

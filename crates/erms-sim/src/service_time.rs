@@ -78,7 +78,7 @@ impl Default for ServiceTimeModel {
 /// Service-time sampling is one of the largest per-event costs of the
 /// simulator's inner loop, and Box–Muller pays a logarithm and a cosine
 /// per draw. The ziggurat covers the density with 128 horizontal strips
-/// whose boundaries are precomputed once ([`ZIG`]): ~98.8% of draws take
+/// whose boundaries are precomputed once (`ZIG`): ~98.8% of draws take
 /// one 64-bit RNG word, a table compare and one multiply, touching no
 /// transcendental at all; the remainder fall through to an exact
 /// edge/tail rejection step, so the sampled distribution is still the

@@ -5,13 +5,14 @@
 //! continuously re-fits the piecewise-linear latency models that
 //! Scheduling and Deployment consume. This module is that loop for the
 //! simulator: sampled [`SpanRecord`]s from a
-//! [`TelemetryCollector`](crate::collector::TelemetryCollector) are
+//! [`TelemetryCollector`] are
 //! windowed into per-microservice `(workload, tail-latency)`
 //! observations ([`window_samples`]), accumulated across observation
 //! rounds by [`OnlineProfiler`], and re-fit via
 //! `erms_profilers::piecewise` into a fresh `App` whose profiles the
 //! planners (`ErmsScaler`, `ResilientManager`) consume directly
-//! ([`OnlineProfiler::refit`]).
+//! ([`OnlineProfiler::refit`]: the fit, [`OnlineProfiler::fit`], then the
+//! rebuild, [`install`]).
 //!
 //! # Window semantics
 //!
@@ -36,7 +37,7 @@ use std::collections::BTreeMap;
 
 use erms_core::app::{App, AppBuilder};
 use erms_core::ids::MicroserviceId;
-use erms_core::latency::Interference;
+use erms_core::latency::{Interference, LatencyProfile};
 use erms_core::stats;
 use erms_profilers::dataset::Sample;
 use erms_profilers::piecewise::PiecewiseFitter;
@@ -255,21 +256,28 @@ impl OnlineProfiler {
     /// profile when it has too few samples or its fit fails validation —
     /// the loop degrades to the stale model instead of poisoning the
     /// planner.
+    ///
+    /// This is [`fit`](Self::fit) then [`install`]; a caller that must not
+    /// hold a lock while fitting runs the two apart.
     #[must_use]
     pub fn refit(&self, app: &App) -> RefitOutcome {
+        install(app, self.fit())
+    }
+
+    /// The fit step of [`refit`](Self::refit): a fresh profile for every
+    /// microservice in the window whose fit is usable, and nothing for the
+    /// others. A pure function of [`samples`](Self::samples).
+    #[must_use]
+    pub fn fit(&self) -> BTreeMap<MicroserviceId, LatencyProfile> {
         // The fitter needs at least two minimum-size segments to
         // consider a knee; below that a fit would be pure noise.
         let fitter = PiecewiseFitter::default();
         let need = (2 * fitter.min_segment_samples).max(4);
-        let mut refitted = Vec::new();
-        let mut kept = Vec::new();
-        let mut b = AppBuilder::new(app.name());
-        for (ms, micro) in app.microservices() {
-            let fresh = self
-                .samples
-                .get(&ms)
-                .filter(|s| s.len() >= need)
-                .and_then(|s| fitter.fit(s).ok())
+        self.samples
+            .iter()
+            .filter(|(_, samples)| samples.len() >= need)
+            .filter_map(|(&ms, samples)| {
+                let mut profile = fitter.fit(samples).ok()?;
                 // Least squares over the convex pre-knee region can tilt
                 // the low segment into a negative zero-load intercept,
                 // which would make the planner treat the microservice as
@@ -277,41 +285,52 @@ impl OnlineProfiler {
                 // segment stays conservative everywhere it is actually
                 // evaluated (the high segment is untouched, so the knee
                 // itself keeps its fitted position).
-                .map(|mut profile| {
-                    profile.low.b = profile.low.b.max(0.0);
-                    profile
-                })
-                .filter(|profile| profile.validate().is_ok());
-            let profile = match fresh {
-                Some(profile) => {
-                    refitted.push(ms);
-                    profile
-                }
-                None => {
-                    kept.push(ms);
-                    micro.profile.clone()
-                }
-            };
-            b.microservice(micro.name.clone(), profile, micro.resources);
-        }
-        for (_, svc) in app.services() {
-            b.raw_service(svc.name.clone(), svc.sla, svc.graph.clone());
-        }
-        match b.build() {
-            Ok(rebuilt) => RefitOutcome {
-                app: rebuilt,
-                refitted,
-                kept,
-            },
-            // The original app built once already, and kept/refitted
-            // profiles are validated — a rebuild failure is unreachable
-            // in practice, but the loop must never panic mid-control.
-            Err(_) => RefitOutcome {
-                app: app.clone(),
-                refitted: Vec::new(),
-                kept: app.microservices().map(|(ms, _)| ms).collect(),
-            },
-        }
+                profile.low.b = profile.low.b.max(0.0);
+                profile.validate().is_ok().then_some((ms, profile))
+            })
+            .collect()
+    }
+}
+
+/// The install step of [`OnlineProfiler::refit`]: rebuilds `app` with the
+/// profiles of `fits` in place of its own. A microservice of `app` without
+/// a fit keeps its profile; a fit for a microservice `app` does not have
+/// is ignored.
+#[must_use]
+pub fn install(app: &App, mut fits: BTreeMap<MicroserviceId, LatencyProfile>) -> RefitOutcome {
+    let mut refitted = Vec::new();
+    let mut kept = Vec::new();
+    let mut b = AppBuilder::new(app.name());
+    for (ms, micro) in app.microservices() {
+        let profile = match fits.remove(&ms) {
+            Some(profile) => {
+                refitted.push(ms);
+                profile
+            }
+            None => {
+                kept.push(ms);
+                micro.profile.clone()
+            }
+        };
+        b.microservice(micro.name.clone(), profile, micro.resources);
+    }
+    for (_, svc) in app.services() {
+        b.raw_service(svc.name.clone(), svc.sla, svc.graph.clone());
+    }
+    match b.build() {
+        Ok(rebuilt) => RefitOutcome {
+            app: rebuilt,
+            refitted,
+            kept,
+        },
+        // The original app built once already, and kept/refitted
+        // profiles are validated — a rebuild failure is unreachable
+        // in practice, but the loop must never panic mid-control.
+        Err(_) => RefitOutcome {
+            app: app.clone(),
+            refitted: Vec::new(),
+            kept: app.microservices().map(|(ms, _)| ms).collect(),
+        },
     }
 }
 

@@ -7,7 +7,7 @@
 //! * microservice *sharing* follows a heavy-tailed (Zipf) popularity, so a
 //!   large fraction of referenced microservices is shared by many services
 //!   (Fig. 2 shows ~40 % of microservices shared by >100 services);
-//! * dependency graphs behave like trees [26], built here as random trees
+//! * dependency graphs behave like trees \[26\], built here as random trees
 //!   with mixed sequential/parallel stages;
 //! * the Taobao application used for the trace-driven simulations has
 //!   500+ services averaging ~50 microservices each with 300+ shared

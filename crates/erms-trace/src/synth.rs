@@ -235,7 +235,7 @@ pub struct RateHints {
 /// Computes [`RateHints`] for an application under a workload vector.
 ///
 /// Expected instance counts come from
-/// [`effective multiplicities`](erms_core::graph::Graph::effective_multiplicities):
+/// [`effective multiplicities`](erms_core::graph::DependencyGraph::effective_multiplicities):
 /// a node of effective multiplicity `m` in service `s` is invoked
 /// `rate(s) × m` times per millisecond in expectation (fractional
 /// multiplicities are Bernoulli extra-copy coins, so the expectation is

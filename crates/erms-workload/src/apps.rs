@@ -1,6 +1,6 @@
 //! DeathStarBench-like benchmark applications (§6.1).
 //!
-//! The paper evaluates on three applications from DeathStarBench [18]:
+//! The paper evaluates on three applications from DeathStarBench \[18\]:
 //!
 //! | Application       | unique microservices | services | shared |
 //! |-------------------|---------------------:|---------:|-------:|

@@ -1,6 +1,6 @@
 //! iBench-like interference injection (§6.2, §6.4.3).
 //!
-//! The paper injects controlled interference with iBench [10] — background
+//! The paper injects controlled interference with iBench \[10\] — background
 //! workloads that saturate a host's CPU or memory to a chosen level. Here
 //! interference is expressed directly as background host utilisation,
 //! which is exactly what the Erms profiling model consumes (§5.2).
