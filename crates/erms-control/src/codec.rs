@@ -401,12 +401,13 @@ pub fn workloads_to_json(w: &WorkloadVector) -> Json {
     )
 }
 
-/// Decodes per-service request rates.
+/// Decodes per-service request rates. A service named twice is refused:
+/// which of its rates was meant cannot be told from the body.
 pub fn workloads_from_json(j: &Json) -> Result<WorkloadVector, DecodeError> {
     let arr = j
         .as_arr()
         .ok_or_else(|| "workloads: expected an array of pairs".to_string())?;
-    let mut entries = Vec::with_capacity(arr.len());
+    let mut entries = BTreeMap::new();
     for item in arr {
         let (svc, rate) = pair(item, "workloads")?;
         let rate = rate
@@ -415,10 +416,16 @@ pub fn workloads_from_json(j: &Json) -> Result<WorkloadVector, DecodeError> {
         if rate < 0.0 {
             return Err("workloads: rate must be non-negative".into());
         }
-        entries.push((
-            ServiceId::new(id_from(svc, "workloads service")?),
-            RequestRate::per_minute(rate),
-        ));
+        let service = ServiceId::new(id_from(svc, "workloads service")?);
+        if entries
+            .insert(service, RequestRate::per_minute(rate))
+            .is_some()
+        {
+            return Err(format!(
+                "workloads: service {} is named twice",
+                service.index()
+            ));
+        }
     }
     Ok(entries.into_iter().collect())
 }
@@ -978,34 +985,6 @@ fn number_or(p: &mut Parser<'_>, shape: &str) -> Result<f64, DecodeError> {
     }
 }
 
-/// Walks `[item, item, …]`, or fails with `shape` when no array is there.
-fn elements(
-    p: &mut Parser<'_>,
-    shape: &str,
-    item: impl FnMut(&mut Parser<'_>) -> Result<(), DecodeError>,
-) -> Result<(), DecodeError> {
-    if !p.eat(b'[') {
-        return Err(shape.into());
-    }
-    p.sequence(b']', item)
-}
-
-/// Reads `[n, n, …]` of exactly `N` numbers, or fails with `shape`.
-fn numbers<const N: usize>(p: &mut Parser<'_>, shape: &str) -> Result<[f64; N], DecodeError> {
-    let mut out = [0.0; N];
-    let mut len = 0;
-    elements(p, shape, |p| {
-        *out.get_mut(len).ok_or(shape)? = number_or(p, shape)?;
-        len += 1;
-        Ok(())
-    })?;
-    if len == N {
-        Ok(out)
-    } else {
-        Err(shape.into())
-    }
-}
-
 /// Decodes a span batch straight from its JSON text, in one pass and with
 /// no [`Json`] tree in between: a span becomes a 40-byte [`SpanRecord`]
 /// instead of seven heap nodes that are read once and freed. This is the
@@ -1045,13 +1024,12 @@ pub fn span_batch_from_text(text: &str) -> Result<SpanBatch, DecodeError> {
                 let ctx = "span batch containers";
                 let shape = "span batch containers: expected an array of pairs";
                 let pairs = containers.insert(BTreeMap::new());
-                elements(p, shape, |p| {
-                    let [ms, count] = numbers(p, shape)?;
+                p.rows(shape, shape, |[ms, count]| {
                     pairs.insert(
                         MicroserviceId::new(u32_from(ms, ctx)?),
                         u32_from(count, ctx)?,
                     );
-                    Ok(())
+                    Ok::<(), DecodeError>(())
                 })?;
             }
             "spans" => {
@@ -1059,10 +1037,14 @@ pub fn span_batch_from_text(text: &str) -> Result<SpanBatch, DecodeError> {
                 // rule the only allocation; growing to 2000 spans by
                 // doubling cost a quarter of the decode in page faults.
                 let list = spans.insert(Vec::with_capacity(text.len() / 32));
-                elements(p, "span batch: non-array field `spans`", |p| {
-                    list.push(span_from_fields(numbers(p, SPAN_SHAPE)?)?);
-                    Ok(())
-                })?;
+                p.rows(
+                    "span batch: non-array field `spans`",
+                    SPAN_SHAPE,
+                    |fields| {
+                        list.push(span_from_fields(fields)?);
+                        Ok::<(), DecodeError>(())
+                    },
+                )?;
             }
             _ => drop(p.value(1)?),
         }

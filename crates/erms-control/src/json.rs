@@ -7,16 +7,26 @@
 //!
 //! * **Exact f64 round-trips.** Planner state is full of f64s whose *bit
 //!   patterns* are contractual (warm re-plans must be bit-identical to
-//!   cold ones). Serialization emits what Rust's shortest-round-trip
-//!   `Display` for `f64` prints, and parsing returns what `f64::from_str`
-//!   returns, which together restore the exact bits of every finite
-//!   double — including `-0.0` (printed as `-0`) and subnormals. Integral
-//!   values below 2^53 are written, and integers of at most 15 digits
-//!   read, through `u64` instead: both are exact there, so the bytes and
-//!   the bits are the ones `Display` and `from_str` give. Non-finite
-//!   values have no JSON representation and are rejected with a typed
-//!   error at serialization time; codecs that need ∞ (e.g. a constant
-//!   cut-off) must encode it structurally (this crate uses `null`).
+//!   cold ones). Serialization emits, byte for byte, what Rust's
+//!   shortest-round-trip `Display` for `f64` prints, and parsing returns
+//!   what `f64::from_str` returns, which together restore the exact bits
+//!   of every finite double — including `-0.0` (printed as `-0`) and
+//!   subnormals. Non-finite values have no JSON representation and are
+//!   rejected with a typed error at serialization time; codecs that need
+//!   ∞ (e.g. a constant cut-off) must encode it structurally (this crate
+//!   uses `null`).
+//!
+//!   Neither side calls `Display` or `from_str` for the common case; both
+//!   are the oracles the tests hold the fast forms to. The writer prints
+//!   an integral value below 2^53 as its `u64`'s digits and every other
+//!   value as the shortest digits Ryū finds (the private `ryu` module,
+//!   which rounds ties the way std does), laid out as `Display` lays them
+//!   out: no exponent, zeros padded on either side. The reader reads the
+//!   digits once into a `u64`; a number without an exponent whose 19 or
+//!   fewer digits make a mantissa of at most 2^53 is one exact division
+//!   (Clinger's fast path), and every other number goes to `from_str`.
+//!   Span bodies are mostly such numbers, and they are where the daemon
+//!   and its clients spend their JSON time.
 //! * **Strict grammar.** The parser accepts exactly RFC 8259: no
 //!   trailing commas, no comments, no leading zeros, no bare NaN/inf
 //!   tokens, full `\uXXXX` escapes with surrogate-pair handling, and a
@@ -31,7 +41,9 @@
 //! map): snapshot files diff cleanly and serialization is deterministic.
 
 use std::collections::HashSet;
-use std::fmt::{self, Write as _};
+use std::fmt;
+
+use crate::ryu;
 
 /// Maximum nesting depth the parser accepts. Snapshot documents nest a
 /// dozen levels; 128 leaves headroom while keeping recursion bounded.
@@ -43,8 +55,17 @@ const MAX_DEPTH: usize = 128;
 /// would pin a worker for hours.
 const SCANNED_KEYS: usize = 16;
 
+/// 2^53: every `u64` up to it is an exact `f64`.
+const EXACT_MANTISSA: u64 = 1 << 53;
+
 /// 2^53: below it every integral `f64` is an exact `u64`.
-const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+const EXACT_INTEGERS: f64 = EXACT_MANTISSA as f64;
+
+/// 10^0 … 10^18, each an exact `f64` (every power up to 10^22 is).
+const EXACT_POWERS_OF_TEN: [f64; 19] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18,
+];
 
 /// A JSON document value.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,9 +190,12 @@ impl Json {
     ///
     /// [`JsonError::NonFinite`] if any number in the tree is NaN or ±∞.
     pub fn to_text(&self) -> Result<String, JsonError> {
-        let mut out = String::new();
-        self.write(&mut out)?;
-        Ok(out)
+        let mut out = Vec::new();
+        self.write(&mut out)
+            .map_err(|NonFinite| JsonError::NonFinite)?;
+        // One validation pass over the document: every byte came from a
+        // `str` or is ASCII, so this cannot fail.
+        Ok(String::from_utf8(out).expect("the writer emits UTF-8"))
     }
 
     /// Serializes to compact JSON text, panicking on non-finite numbers.
@@ -187,34 +211,39 @@ impl Json {
         self.to_text().expect("codec-produced JSON is finite")
     }
 
-    fn write(&self, out: &mut String) -> Result<(), JsonError> {
+    fn write(&self, out: &mut Vec<u8>) -> Result<(), NonFinite> {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
             Json::Num(n) => write_number(*n, out)?,
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    item.write(out)?;
+                    // Arrays of numbers are most of the bytes (span rows,
+                    // samples): those are written without a call per item.
+                    match item {
+                        Json::Num(n) => write_number(*n, out)?,
+                        _ => item.write(out)?,
+                    }
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(pairs) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_escaped(k, out);
-                    out.push(':');
+                    out.push(b':');
                     v.write(out)?;
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
         Ok(())
@@ -237,23 +266,95 @@ impl Json {
     }
 }
 
+/// Two ASCII digits for every number below 100: `00`, `01`, …, `99`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// A number the writer met that JSON cannot carry: one byte of error, so
+/// the writer's `Result`s stay in registers.
+struct NonFinite;
+
+/// Writes two digits, `pair < 100`, just before `at`.
+fn write_pair(pair: u32, buf: &mut [u8; 20], at: usize) {
+    let pair = pair as usize * 2;
+    buf[at - 2..at].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+}
+
+/// Writes the decimal digits of `v` at the end of `buf`, two at a time
+/// and in `u32` arithmetic; returns the index of the first.
+fn decimal_digits(v: u64, buf: &mut [u8; 20]) -> usize {
+    let mut at = buf.len();
+    let mut high = v;
+    while high >= 100_000_000 {
+        let mut low = (high % 100_000_000) as u32;
+        high /= 100_000_000;
+        for _ in 0..4 {
+            write_pair(low % 100, buf, at);
+            low /= 100;
+            at -= 2;
+        }
+    }
+    let mut v = high as u32;
+    while v >= 100 {
+        write_pair(v % 100, buf, at);
+        v /= 100;
+        at -= 2;
+    }
+    if v >= 10 {
+        write_pair(v, buf, at);
+        at - 2
+    } else {
+        buf[at - 1] = b'0' + v as u8;
+        at - 1
+    }
+}
+
 /// Writes a number as `f64`'s `Display` prints it: the shortest decimal
 /// string that parses back to the same bits, "-0" and subnormals included,
-/// integral values without a fraction ("3", not "3.0", still valid JSON).
-/// Both arms write into `out` directly; neither allocates.
-fn write_number(n: f64, out: &mut String) -> Result<(), JsonError> {
+/// never an exponent, integral values without a fraction ("3", not "3.0",
+/// still valid JSON). Integral values below 2^53 are their `u64`'s digits;
+/// every other value is the digits [`ryu::shortest`] finds, with the point
+/// placed and zeros padded as `Display` does.
+fn write_number(n: f64, out: &mut Vec<u8>) -> Result<(), NonFinite> {
     if !n.is_finite() {
-        return Err(JsonError::NonFinite);
+        return Err(NonFinite);
     }
+    if n.is_sign_negative() {
+        out.push(b'-');
+    }
+    let mut buf = [0; 20];
     // The cast truncates, so only an integral value comes back unchanged.
     let whole = n as i64;
     if whole as f64 == n && n.abs() < EXACT_INTEGERS {
-        if n.is_sign_negative() {
-            out.push('-');
-        }
-        write!(out, "{}", whole.unsigned_abs()).expect("writing to a String cannot fail");
+        let first = decimal_digits(whole.unsigned_abs(), &mut buf);
+        out.extend_from_slice(&buf[first..]);
+        return Ok(());
+    }
+    let (digits, exponent) = ryu::shortest(n.abs().to_bits());
+    let first = decimal_digits(digits, &mut buf);
+    let digits = &buf[first..];
+    // The value is 0.<digits> × 10^point.
+    let point = digits.len() as i32 + exponent;
+    if point <= 0 {
+        out.extend_from_slice(b"0.");
+        out.resize(out.len() + point.unsigned_abs() as usize, b'0');
+        out.extend_from_slice(digits);
+    } else if (point as usize) < digits.len() {
+        let (whole, fraction) = digits.split_at(point as usize);
+        out.extend_from_slice(whole);
+        out.push(b'.');
+        out.extend_from_slice(fraction);
     } else {
-        write!(out, "{n}").expect("writing to a String cannot fail");
+        out.extend_from_slice(digits);
+        out.resize(out.len() + point as usize - digits.len(), b'0');
     }
     Ok(())
 }
@@ -261,31 +362,36 @@ fn write_number(n: f64, out: &mut String) -> Result<(), JsonError> {
 /// Writes `s` as a JSON string literal, escaping per RFC 8259: `"` and
 /// `\` always, control characters as `\n`/`\r`/`\t`/`\b`/`\f` or
 /// `\u00XX`. Non-ASCII code points pass through as UTF-8.
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
+fn write_escaped(s: &str, out: &mut Vec<u8>) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.push(b'"');
     // Everything between two escapes is copied as one slice.
     let mut run = 0;
-    for (i, byte) in s.bytes().enumerate() {
-        let short = match byte {
-            b'"' => Some("\\\""),
-            b'\\' => Some("\\\\"),
-            b'\n' => Some("\\n"),
-            b'\r' => Some("\\r"),
-            b'\t' => Some("\\t"),
-            0x08 => Some("\\b"),
-            0x0c => Some("\\f"),
+    for (i, &byte) in bytes.iter().enumerate() {
+        let short: Option<&[u8]> = match byte {
+            b'"' => Some(b"\\\""),
+            b'\\' => Some(b"\\\\"),
+            b'\n' => Some(b"\\n"),
+            b'\r' => Some(b"\\r"),
+            b'\t' => Some(b"\\t"),
+            0x08 => Some(b"\\b"),
+            0x0c => Some(b"\\f"),
             0x00..=0x1f => None,
             _ => continue,
         };
-        out.push_str(&s[run..i]);
+        out.extend_from_slice(&bytes[run..i]);
         match short {
-            Some(escape) => out.push_str(escape),
-            None => write!(out, "\\u{byte:04x}").expect("writing to a String cannot fail"),
+            Some(escape) => out.extend_from_slice(escape),
+            None => {
+                let hex = |nibble: u8| HEX[usize::from(nibble)];
+                out.extend_from_slice(&[b'\\', b'u', b'0', b'0', hex(byte >> 4), hex(byte & 0xf)]);
+            }
         }
         run = i + 1;
     }
-    out.push_str(&s[run..]);
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 /// The one tokenizer of the crate. [`Json::parse`] is its first client; a
@@ -317,9 +423,7 @@ impl<'a> Parser<'a> {
 
     /// Consumes insignificant whitespace.
     pub(crate) fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.pos = skip_ws(self.text.as_bytes(), self.pos);
     }
 
     /// Consumes `byte` if it is next; says whether it did.
@@ -392,6 +496,9 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             item(self)?;
+            if self.eat(b',') {
+                continue;
+            }
             self.skip_ws();
             if self.eat(close) {
                 return Ok(());
@@ -534,58 +641,194 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
-    /// Consumes a run of digits, returning how many there were and their
-    /// value (meaningful only while it fits: the caller checks the count).
-    fn digits(&mut self) -> (usize, u64) {
-        let start = self.pos;
-        let mut value = 0u64;
-        while let Some(c @ b'0'..=b'9') = self.peek() {
-            value = value.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
-            self.pos += 1;
-        }
-        (self.pos - start, value)
-    }
-
     /// Parses a number to the `f64` that `f64::from_str` makes of its text.
     pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
-        let start = self.pos;
-        let negative = self.eat(b'-');
-        // Integer part: "0" alone, or a nonzero digit followed by digits.
-        let (int_digits, int_value) = match self.peek() {
-            Some(b'0') => {
-                self.pos += 1;
-                (1, 0)
-            }
-            Some(b'1'..=b'9') => self.digits(),
-            _ => return Err(self.err("expected a digit")),
-        };
-        if !matches!(self.peek(), Some(b'.' | b'e' | b'E')) && int_digits <= 15 {
-            // An integer below 10^15 < 2^53 is exact in an f64, so the
-            // conversion is the correctly rounded value `from_str` finds
-            // the long way round. "-0" is -0.0 either way.
-            let n = int_value as f64;
-            return Ok(if negative { -n } else { n });
-        }
-        if self.eat(b'.') && self.digits().0 == 0 {
-            return Err(self.err("expected a digit after '.'"));
-        }
-        if self.eat(b'e') || self.eat(b'E') {
-            let _sign = self.eat(b'+') || self.eat(b'-');
-            if self.digits().0 == 0 {
-                return Err(self.err("expected a digit in the exponent"));
-            }
-        }
-        // The grammar above admits only strings f64::from_str accepts, and
-        // overflow saturates to ±∞ per IEEE — reject that explicitly so a
-        // parsed document never contains a non-finite number.
-        let n: f64 = self.text[start..self.pos]
-            .parse()
-            .map_err(|_| self.err("unparseable number"))?;
-        if !n.is_finite() {
-            return Err(self.err("number overflows an f64"));
-        }
+        let (n, end) = number_at(self.text, self.pos)?;
+        self.pos = end;
         Ok(n)
     }
+
+    /// Walks `[[n, …], [n, …], …]`, an array whose elements are arrays of
+    /// exactly `N` numbers, handing each element's numbers to `row`. Fails
+    /// with `array` when no array is here and with `element` when an
+    /// element is anything else. This is the loop a span body spends its
+    /// time in, so the position stays in a local from the first bracket
+    /// to the last, and the whitespace rule is consulted only where the
+    /// expected byte is not next.
+    pub(crate) fn rows<const N: usize, E: From<JsonError> + From<&'static str>>(
+        &mut self,
+        array: &'static str,
+        element: &'static str,
+        mut row: impl FnMut([f64; N]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let bytes = self.text.as_bytes();
+        if bytes.get(self.pos) != Some(&b'[') {
+            return Err(array.into());
+        }
+        let mut at = skip_ws(bytes, self.pos + 1);
+        if bytes.get(at) == Some(&b']') {
+            self.pos = at + 1;
+            return Ok(());
+        }
+        loop {
+            if bytes.get(at) != Some(&b'[') {
+                return Err(element.into());
+            }
+            let mut fields = [0.0; N];
+            for (i, field) in fields.iter_mut().enumerate() {
+                at = skip_ws(bytes, at + 1);
+                if !matches!(bytes.get(at), Some(b'-' | b'0'..=b'9')) {
+                    return Err(element.into());
+                }
+                (*field, at) = number_at(self.text, at)?;
+                let separator = if i + 1 == N { b']' } else { b',' };
+                if bytes.get(at) != Some(&separator) {
+                    at = skip_ws(bytes, at);
+                    if bytes.get(at) != Some(&separator) {
+                        return Err(element.into());
+                    }
+                }
+            }
+            row(fields)?;
+            at += 1;
+            if bytes.get(at) != Some(&b',') {
+                at = skip_ws(bytes, at);
+            }
+            match bytes.get(at) {
+                Some(b',') => at = skip_ws(bytes, at + 1),
+                Some(b']') => {
+                    self.pos = at + 1;
+                    return Ok(());
+                }
+                _ => return Err(syntax(at, "expected ',' or ']'").into()),
+            }
+        }
+    }
+}
+
+/// The index of the first byte at or after `at` that is not whitespace.
+#[inline]
+fn skip_ws(bytes: &[u8], mut at: usize) -> usize {
+    while matches!(bytes.get(at), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        at += 1;
+    }
+    at
+}
+
+/// A syntax error at byte `at`.
+#[cold]
+fn syntax(at: usize, message: &str) -> JsonError {
+    JsonError::Syntax {
+        at,
+        message: message.to_string(),
+    }
+}
+
+/// Whether all eight bytes of a little-endian word are ASCII digits.
+fn eight_digits(word: u64) -> bool {
+    (word.wrapping_add(0x4646_4646_4646_4646) | word.wrapping_sub(0x3030_3030_3030_3030))
+        & 0x8080_8080_8080_8080
+        == 0
+}
+
+/// The value of eight ASCII digits in a little-endian word (the first
+/// digit in the low byte), in three multiplications.
+fn eight_digit_value(word: u64) -> u64 {
+    const MASK: u64 = 0x0000_00FF_0000_00FF;
+    const MUL1: u64 = 0x000F_4240_0000_0064;
+    const MUL2: u64 = 0x0000_2710_0000_0001;
+    let v = word - 0x3030_3030_3030_3030;
+    let v = v * 10 + (v >> 8);
+    let v1 = (v & MASK).wrapping_mul(MUL1);
+    let v2 = ((v >> 16) & MASK).wrapping_mul(MUL2);
+    u64::from((v1.wrapping_add(v2) >> 32) as u32)
+}
+
+/// Reads the run of digits at `at`, eight at a time while eight are there,
+/// appending them to `value` (which is meaningful only while it fits: the
+/// caller checks the count). Returns where the run ends and the value.
+#[inline]
+fn digits(bytes: &[u8], mut at: usize, mut value: u64) -> (usize, u64) {
+    while let Some(chunk) = bytes.get(at..at + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        if !eight_digits(word) {
+            break;
+        }
+        value = value
+            .wrapping_mul(100_000_000)
+            .wrapping_add(eight_digit_value(word));
+        at += 8;
+    }
+    short_digits(bytes, at, value)
+}
+
+/// [`digits`] one at a time: for runs that are seldom eight long.
+#[inline]
+fn short_digits(bytes: &[u8], mut at: usize, mut value: u64) -> (usize, u64) {
+    while let Some(&c) = bytes.get(at) {
+        let digit = c.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        value = value.wrapping_mul(10).wrapping_add(u64::from(digit));
+        at += 1;
+    }
+    (at, value)
+}
+
+/// Parses the number at byte `start` of `text` to the `f64` that
+/// `f64::from_str` makes of it; returns it and the index after it.
+///
+/// The digits are read once, into a `u64`. Without an exponent, and with
+/// at most 19 digits (so the `u64` has not wrapped) making a mantissa of at
+/// most 2^53, the value is Clinger's fast path: the mantissa and the power
+/// of ten (at most 10^18) are exact doubles, so one IEEE division rounds
+/// their quotient correctly, as `from_str` does. Every other number is
+/// handed to `from_str` itself.
+#[inline(always)]
+fn number_at(text: &str, start: usize) -> Result<(f64, usize), JsonError> {
+    let bytes = text.as_bytes();
+    let negative = bytes.get(start) == Some(&b'-');
+    let int_start = start + usize::from(negative);
+    // Integer part: "0" alone, or a nonzero digit followed by digits.
+    let (mut at, mut mantissa) = match bytes.get(int_start) {
+        Some(b'0') => (int_start + 1, 0),
+        Some(b'1'..=b'9') => short_digits(bytes, int_start, 0),
+        _ => return Err(syntax(int_start, "expected a digit")),
+    };
+    let int_digits = at - int_start;
+    let mut fraction_digits = 0;
+    if bytes.get(at) == Some(&b'.') {
+        let fraction_start = at + 1;
+        (at, mantissa) = digits(bytes, fraction_start, mantissa);
+        fraction_digits = at - fraction_start;
+        if fraction_digits == 0 {
+            return Err(syntax(at, "expected a digit after '.'"));
+        }
+    }
+    if matches!(bytes.get(at), Some(b'e' | b'E')) {
+        at += 1;
+        at += usize::from(matches!(bytes.get(at), Some(b'+' | b'-')));
+        let exponent_start = at;
+        (at, _) = short_digits(bytes, at, 0);
+        if at == exponent_start {
+            return Err(syntax(at, "expected a digit in the exponent"));
+        }
+    } else if int_digits + fraction_digits <= 19 && mantissa <= EXACT_MANTISSA {
+        // "-0" and "-0.0" are -0.0 either way.
+        let n = mantissa as f64 / EXACT_POWERS_OF_TEN[fraction_digits];
+        return Ok((if negative { -n } else { n }, at));
+    }
+    // The grammar above admits only strings f64::from_str accepts, and
+    // overflow saturates to ±∞ per IEEE — reject that explicitly so a
+    // parsed document never contains a non-finite number.
+    let n: f64 = text[start..at]
+        .parse()
+        .map_err(|_| syntax(at, "unparseable number"))?;
+    if !n.is_finite() {
+        return Err(syntax(at, "number overflows an f64"));
+    }
+    Ok((n, at))
 }
 
 #[cfg(test)]
@@ -766,13 +1009,21 @@ mod tests {
             0.1,
             -2.5,
             123_456_789.125,
+            1e22,
+            1e23,
+            2.0 / 3.0,
         ] {
             let text = Json::Num(n).render();
             assert_eq!(text, n.to_string());
             assert_eq!(parsed_bits(&text), Some(n.to_bits()), "{text}");
         }
-        // Fifteen digits take the integer path, sixteen and more the long
-        // way round; both must be what `str::parse` says.
+        // 233115890514796.125 lies exactly between the shortest candidates
+        // …796.12 and …796.13; std, and so the writer, rounds it up.
+        let tie = f64::from_bits(0x42ea_8090_bb0f_6d84);
+        assert_eq!(Json::Num(tie).render(), "233115890514796.13");
+        assert_eq!(Json::Num(tie).render(), tie.to_string());
+        // Integers up to 2^53 take the fast path, longer ones `from_str`;
+        // both must be what `str::parse` says.
         for text in [
             "-0",
             "0",

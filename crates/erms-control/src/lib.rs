@@ -39,7 +39,7 @@
 //! | `GET/POST /v1/tenants`                | list / register tenants |
 //! | `GET/DELETE /v1/tenants/{id}`         | inspect / remove one tenant |
 //! | `POST /v1/tenants/{id}/spans`         | ingest telemetry spans; decoded from the bytes in one pass, no tree; a field out of range, or a microservice the tenant does not have, is a 400, never a clamp |
-//! | `POST /v1/tenants/{id}/workloads`     | update request rates |
+//! | `POST /v1/tenants/{id}/workloads`     | update request rates; a service named twice, or one the tenant's app does not have, is a 400 |
 //! | `GET /v1/tenants/{id}/plan`           | current scaling plan, from text rendered once per applied plan |
 //! | `POST /v1/tenants/{id}/replan`        | refit (with no lock held) + run one control round; replies `{"decision":…,"plan":…}` with the same plan text |
 //! | `GET /v1/tenants/{id}/history`        | scaling-decision audit trail |
@@ -53,6 +53,9 @@
 pub mod codec;
 pub mod http;
 pub mod json;
+#[cfg(test)]
+mod number_tests;
+mod ryu;
 pub mod server;
 pub mod snapshot;
 pub mod tenant;

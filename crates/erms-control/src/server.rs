@@ -393,8 +393,20 @@ fn set_workloads(shared: &Arc<Shared>, id: &str, req: &Request) -> Response {
         Err(e) => return err_json(400, &e),
     };
     let count = workloads.iter().count();
-    match locked(shared, id, |t| t.workloads = workloads) {
-        Ok(()) => ok_json(Json::obj(vec![("services", Json::Num(count as f64))])),
+    // Only services of the tenant's app: a foreign id would be kept and
+    // planned for nothing, or for a service the app does not have.
+    let set = |t: &mut Tenant| {
+        for (service, _) in workloads.iter() {
+            t.app
+                .service(service)
+                .map_err(|e| format!("workloads: {e}"))?;
+        }
+        t.workloads = workloads;
+        Ok::<(), String>(())
+    };
+    match locked(shared, id, set) {
+        Ok(Ok(())) => ok_json(Json::obj(vec![("services", Json::Num(count as f64))])),
+        Ok(Err(e)) => err_json(400, &e),
         Err(not_found) => not_found,
     }
 }
@@ -573,6 +585,36 @@ mod tests {
         let (status, _) = client.request("GET", "/v1/tenants/demo", None).unwrap();
         assert_eq!(status, 404);
 
+        plane.stop();
+    }
+
+    /// A body naming a service twice, or a service the tenant's app does
+    /// not have, is a 400 that leaves the tenant's workloads as they were.
+    #[test]
+    fn workloads_naming_a_service_twice_or_a_foreign_one_are_refused() {
+        let plane = ControlPlane::start(ControlPlaneConfig::default(), Registry::paper_pool())
+            .expect("start");
+        let mut client = Client::new(plane.addr()).unwrap();
+        let (status, _) = client
+            .request("POST", "/v1/tenants", Some(app_json().as_bytes()))
+            .unwrap();
+        assert_eq!(status, 201);
+        let path = "/v1/tenants/demo/workloads";
+        let (status, _) = client.request("POST", path, Some(b"[[0, 30000]]")).unwrap();
+        assert_eq!(status, 200);
+        let before = plane.with_tenant("demo", |t| t.workloads.clone()).unwrap();
+        for (body, named) in [
+            ("[[0,30000],[0,1]]", "0"),
+            ("[[0,30000],[77,30000]]", "77"),
+            ("[[0,30000],[4000000000,30000]]", "4000000000"),
+        ] {
+            let (status, reply) = client.request("POST", path, Some(body.as_bytes())).unwrap();
+            let reply = String::from_utf8(reply).unwrap();
+            assert_eq!(status, 400, "{body}: {reply}");
+            assert!(reply.contains(named), "{body}: {reply}");
+            let now = plane.with_tenant("demo", |t| t.workloads.clone()).unwrap();
+            assert_eq!(now, before, "{body} changed the tenant");
+        }
         plane.stop();
     }
 

@@ -8,9 +8,18 @@
 //!
 //! Differences from upstream, by design: cases are generated from a fixed
 //! deterministic seed sequence (fully reproducible runs), there is **no
-//! shrinking** (a failure reports the case number so it can be replayed by
-//! seed), and strategies are simple uniform samplers. That is sufficient for
-//! invariant checking, which is all this workspace needs.
+//! shrinking** (a failure reports the case number and the seed, and how to
+//! replay it), and strategies are simple uniform samplers. That is
+//! sufficient for invariant checking, which is all this workspace needs.
+//!
+//! Two environment variables change a run without touching the code:
+//!
+//! * `PROPTEST_CASES=n` runs `n` cases of every property. (Upstream reads
+//!   the same variable but lets an explicit `with_cases` win; here the
+//!   variable wins, so a whole suite can be run longer or shorter.)
+//! * `PROPTEST_RNG_SEED=s` (decimal or `0x` hex) replaces the base seed
+//!   every case's generator derives from: a second seed is a second set
+//!   of cases, and the seed a failure prints replays it.
 
 pub mod test_runner {
     //! Case execution: config, error type, runner.
@@ -64,13 +73,45 @@ pub mod test_runner {
     /// Runs the configured number of cases of one property.
     #[derive(Debug)]
     pub struct TestRunner {
-        config: ProptestConfig,
+        pub(crate) config: ProptestConfig,
+    }
+
+    /// `config` with the case count and base seed replaced by
+    /// `PROPTEST_CASES` and `PROPTEST_RNG_SEED` where `var` has them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a variable is set to anything but a number (decimal or
+    /// `0x` hex): a typo must not quietly run the default cases.
+    pub fn with_overrides(
+        mut config: ProptestConfig,
+        var: impl Fn(&str) -> Option<String>,
+    ) -> ProptestConfig {
+        let number = |name: &str| {
+            let text = var(name)?;
+            let parsed = match text.strip_prefix("0x") {
+                Some(hex) => u64::from_str_radix(hex, 16),
+                None => text.parse(),
+            };
+            Some(parsed.unwrap_or_else(|_| panic!("{name}={text:?} is not a number")))
+        };
+        if let Some(cases) = number("PROPTEST_CASES") {
+            config.cases = u32::try_from(cases).expect("PROPTEST_CASES fits a u32");
+        }
+        if let Some(seed) = number("PROPTEST_RNG_SEED") {
+            config.seed = seed;
+        }
+        config
     }
 
     impl TestRunner {
-        /// Creates a runner.
+        /// Creates a runner. `PROPTEST_CASES` and `PROPTEST_RNG_SEED`, when
+        /// set in the environment, replace the config's case count and
+        /// base seed.
         pub fn new(config: ProptestConfig) -> Self {
-            Self { config }
+            Self {
+                config: with_overrides(config, |name| std::env::var(name).ok()),
+            }
         }
 
         /// Runs `body` once per case with a per-case seeded generator.
@@ -104,8 +145,11 @@ pub mod test_runner {
                     }
                     Err(TestCaseError::Fail(msg)) => {
                         panic!(
-                            "property `{property}` falsified at case {case} (seed stream {}): {msg}",
-                            stream - 1
+                            "property `{property}` falsified at case {case} (seed {:#x}, \
+                             stream {}; replay with PROPTEST_RNG_SEED={:#x}): {msg}",
+                            self.config.seed,
+                            stream - 1,
+                            self.config.seed,
                         );
                     }
                 }
@@ -448,6 +492,40 @@ mod tests {
                 prop_assert!(x < 5 && (1..=3).contains(&y));
             }
         }
+    }
+
+    #[test]
+    fn overrides_replace_cases_and_seed() {
+        use crate::test_runner::{with_overrides, TestRunner};
+        let runs = |cases: Option<&str>, seed: Option<&str>| {
+            let var = |name: &str| match name {
+                "PROPTEST_CASES" => cases.map(str::to_string),
+                "PROPTEST_RNG_SEED" => seed.map(str::to_string),
+                _ => None,
+            };
+            let config = with_overrides(ProptestConfig::with_cases(4), var);
+            let mut drawn = Vec::new();
+            TestRunner { config }.run_cases("drawn", |rng| {
+                drawn.push(any::<u64>().generate(rng));
+                Ok(())
+            });
+            drawn
+        };
+        let default = runs(None, None);
+        assert_eq!(default.len(), 4);
+        assert_eq!(runs(Some("9"), None).len(), 9);
+        assert_eq!(runs(None, Some("0x9E3779B97F4A7C15")), default);
+        assert_ne!(runs(None, Some("7")), default);
+        assert_eq!(runs(None, Some("7")), runs(None, Some("0x7")));
+    }
+
+    #[test]
+    #[should_panic(expected = "replay with PROPTEST_RNG_SEED=0x")]
+    fn failing_property_prints_its_seed() {
+        let mut runner = crate::test_runner::TestRunner::new(ProptestConfig::with_cases(4));
+        runner.run_cases("always_fails", |_rng| {
+            Err(crate::test_runner::TestCaseError::Fail("nope".into()))
+        });
     }
 
     #[test]
