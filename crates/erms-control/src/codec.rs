@@ -27,7 +27,7 @@ use erms_profilers::dataset::Sample;
 use erms_sim::telemetry::SpanRecord;
 use erms_telemetry::online::WindowConfig;
 
-use crate::json::{Json, JsonError, Parser};
+use crate::json::{Json, JsonError, Parser, Writer};
 
 /// A decode failure: what was wrong, with a rough path for diagnostics.
 pub type DecodeError = String;
@@ -432,11 +432,15 @@ pub fn workloads_from_json(j: &Json) -> Result<WorkloadVector, DecodeError> {
 
 // ---------------------------------------------------------------- plans
 
-fn interval_to_json(i: Interval) -> Json {
-    Json::str(match i {
+fn interval_name(i: Interval) -> &'static str {
+    match i {
         Interval::Low => "low",
         Interval::High => "high",
-    })
+    }
+}
+
+fn interval_to_json(i: Interval) -> Json {
+    Json::str(interval_name(i))
 }
 
 fn interval_from_json(j: &Json) -> Result<Interval, DecodeError> {
@@ -550,6 +554,82 @@ pub fn plan_to_json(plan: &ScalingPlan) -> Json {
         ("priorities", Json::Arr(priorities)),
         ("service_plans", Json::Arr(service_plans)),
     ])
+}
+
+/// The text of `plan_to_json(plan).render()`, written straight from the
+/// plan: the same members in the same order through the same number and
+/// string writers, with no tree built and dropped on the way. The daemon
+/// serves a plan from this text; `plan_to_json` is the oracle it is held to.
+///
+/// # Panics
+///
+/// Panics on a non-finite number in the plan, as `render` does.
+pub(crate) fn plan_text(plan: &ScalingPlan) -> String {
+    let mut w = Writer::new();
+    w.byte(b'{');
+    w.key("scheme");
+    w.string(&plan.scheme);
+    w.byte(b',');
+    w.key("containers");
+    w.array(plan.iter(), |w, (ms, count)| {
+        w.byte(b'[');
+        w.number(ms.index() as f64);
+        w.byte(b',');
+        w.number(f64::from(count));
+        w.byte(b']');
+    });
+    w.byte(b',');
+    w.key("priorities");
+    let priorities = plan
+        .microservices()
+        .filter_map(|ms| plan.priority_order(ms).map(|order| (ms, order)));
+    w.array(priorities, |w, (ms, order)| {
+        w.byte(b'[');
+        w.number(ms.index() as f64);
+        w.byte(b',');
+        w.array(order, |w, s| w.number(s.index() as f64));
+        w.byte(b']');
+    });
+    w.byte(b',');
+    w.key("service_plans");
+    w.array(plan.service_plans(), write_service_plan);
+    w.byte(b'}');
+    w.finish()
+}
+
+/// `service_plan_to_json(p)`'s bytes, for [`plan_text`].
+fn write_service_plan(w: &mut Writer, p: &ServicePlan) {
+    let ms_f64_map = |w: &mut Writer, map: &BTreeMap<MicroserviceId, f64>| {
+        w.array(map, |w, (ms, &v)| {
+            w.byte(b'[');
+            w.number(ms.index() as f64);
+            w.byte(b',');
+            w.number(v);
+            w.byte(b']');
+        });
+    };
+    w.byte(b'{');
+    w.key("service");
+    w.number(p.service.index() as f64);
+    w.byte(b',');
+    w.key("node_targets_ms");
+    w.array(&p.node_targets_ms, |w, &v| w.number(v));
+    w.byte(b',');
+    w.key("ms_targets_ms");
+    ms_f64_map(w, &p.ms_targets_ms);
+    w.byte(b',');
+    w.key("ms_containers");
+    ms_f64_map(w, &p.ms_containers);
+    w.byte(b',');
+    w.key("ms_intervals");
+    w.array(&p.ms_intervals, |w, (ms, &interval)| {
+        w.byte(b'[');
+        w.number(ms.index() as f64);
+        w.byte(b',');
+        w.string(interval_name(interval));
+        w.byte(b']');
+    });
+    w.byte(b'}');
 }
 
 /// Decodes a scaling plan.
@@ -1063,6 +1143,9 @@ mod tests {
     use super::*;
     use erms_core::app::AppBuilder;
     use erms_core::latency::Interference;
+    use proptest::prelude::*;
+
+    use crate::wire_tests::Dice;
 
     fn fixture_app() -> App {
         let mut b = AppBuilder::new("social");
@@ -1153,6 +1236,117 @@ mod tests {
         let back = plan_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, plan);
         assert_eq!(back.get(ms1), Some(0), "explicit zero must survive");
+    }
+
+    /// A target from signed zeros, subnormals, a huge value, 17-digit
+    /// values and random bits.
+    fn arbitrary_target(dice: &mut Dice) -> f64 {
+        const TARGETS: [f64; 9] = [
+            -0.0,
+            0.0,
+            5e-324,
+            2.225_073_858_507_201e-308,
+            1e300,
+            0.300_000_000_000_000_04,
+            123_456_789.123_456_78,
+            -1.0 / 3.0,
+            4.5,
+        ];
+        match dice.roll(3) {
+            0 => Some(f64::from_bits(dice.roll(u64::MAX)))
+                .filter(|v| v.is_finite())
+                .unwrap_or(-7.25),
+            _ => TARGETS[dice.roll(TARGETS.len() as u64) as usize],
+        }
+    }
+
+    /// A plan drawn from `seed`: a scheme with escapes, sparse ids, counts
+    /// up to `u32::MAX`, priorities at microservices with and without
+    /// containers, both intervals, and each part empty in some draws.
+    fn arbitrary_plan(seed: u64) -> ScalingPlan {
+        const SCHEMES: [&str; 4] = ["erms", "", "a \"quoted\"\\ line\n\u{1}", "ünï"];
+        let mut dice = Dice(seed);
+        let id = |dice: &mut Dice| MicroserviceId::new(dice.roll(40) as u32 * 3);
+        let ms_map = |dice: &mut Dice| -> BTreeMap<MicroserviceId, f64> {
+            (0..dice.roll(5))
+                .map(|_| (id(dice), arbitrary_target(dice)))
+                .collect()
+        };
+        let mut plan = ScalingPlan::new(SCHEMES[dice.roll(4) as usize]);
+        for _ in 0..dice.roll(12) {
+            let count = match dice.roll(4) {
+                0 => u32::MAX,
+                1 => 0,
+                _ => dice.roll(5_000) as u32,
+            };
+            plan.set_containers(id(&mut dice), count);
+        }
+        for _ in 0..dice.roll(4) {
+            let order = (0..dice.roll(4))
+                .map(|_| ServiceId::new(dice.roll(9) as u32))
+                .collect();
+            plan.set_priority_order(id(&mut dice), order);
+        }
+        for service in 0..dice.roll(4) {
+            plan.set_service_plan(ServicePlan {
+                service: ServiceId::new(service as u32 * 2),
+                node_targets_ms: (0..dice.roll(6))
+                    .map(|_| arbitrary_target(&mut dice))
+                    .collect(),
+                ms_targets_ms: ms_map(&mut dice),
+                ms_containers: ms_map(&mut dice),
+                ms_intervals: (0..dice.roll(5))
+                    .map(|_| {
+                        let interval = [Interval::Low, Interval::High][dice.roll(2) as usize];
+                        (id(&mut dice), interval)
+                    })
+                    .collect(),
+            });
+        }
+        plan
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The daemon's plan writer emits the tree's bytes.
+        #[test]
+        fn plan_text_is_the_rendered_tree(seed in any::<u64>()) {
+            let plan = arbitrary_plan(seed);
+            prop_assert_eq!(plan_text(&plan), plan_to_json(&plan).render());
+        }
+    }
+
+    #[test]
+    fn plan_text_of_plans_with_parts_missing_is_the_rendered_tree() {
+        let mut plan = ScalingPlan::new("erms");
+        assert_eq!(plan_text(&plan), plan_to_json(&plan).render());
+        plan.set_containers(MicroserviceId::new(3), 2);
+        assert_eq!(plan_text(&plan), plan_to_json(&plan).render());
+        plan.set_service_plan(ServicePlan {
+            service: ServiceId::new(0),
+            node_targets_ms: vec![-0.0, 1e300],
+            ms_targets_ms: BTreeMap::new(),
+            ms_containers: [(MicroserviceId::new(3), 5e-324)].into(),
+            ms_intervals: [(MicroserviceId::new(3), Interval::High)].into(),
+        });
+        assert_eq!(plan_text(&plan), plan_to_json(&plan).render());
+        plan.set_priority_order(MicroserviceId::new(3), vec![]);
+        assert_eq!(plan_text(&plan), plan_to_json(&plan).render());
+    }
+
+    #[test]
+    #[should_panic(expected = "codec-produced JSON is finite")]
+    fn plan_text_refuses_a_non_finite_target_as_render_does() {
+        let mut plan = ScalingPlan::new("erms");
+        plan.set_service_plan(ServicePlan {
+            service: ServiceId::new(0),
+            node_targets_ms: vec![f64::NAN],
+            ms_targets_ms: BTreeMap::new(),
+            ms_containers: BTreeMap::new(),
+            ms_intervals: BTreeMap::new(),
+        });
+        let _ = plan_text(&plan);
     }
 
     #[test]

@@ -394,6 +394,65 @@ fn write_escaped(s: &str, out: &mut Vec<u8>) {
     out.push(b'"');
 }
 
+/// The writer twin of [`Parser`]: a codec that wants text without a tree
+/// pushes tokens into one buffer, through the number and string writers
+/// [`Json::render`] uses, so what it writes is the bytes the tree it
+/// skipped would have rendered.
+pub(crate) struct Writer {
+    out: Vec<u8>,
+}
+
+impl Writer {
+    pub(crate) fn new() -> Self {
+        Self { out: Vec::new() }
+    }
+
+    /// One byte of punctuation: `{`, `}`, `[`, `]` or `,`.
+    pub(crate) fn byte(&mut self, byte: u8) {
+        self.out.push(byte);
+    }
+
+    /// An object member's key and its `:`.
+    pub(crate) fn key(&mut self, key: &str) {
+        write_escaped(key, &mut self.out);
+        self.out.push(b':');
+    }
+
+    pub(crate) fn string(&mut self, s: &str) {
+        write_escaped(s, &mut self.out);
+    }
+
+    /// # Panics
+    ///
+    /// Panics on a NaN or infinite number, as [`Json::render`] does.
+    pub(crate) fn number(&mut self, n: f64) {
+        write_number(n, &mut self.out)
+            .map_err(|NonFinite| JsonError::NonFinite)
+            .expect("codec-produced JSON is finite");
+    }
+
+    /// An array: `[`, each item written by `item`, `,` between, `]`.
+    pub(crate) fn array<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut item: impl FnMut(&mut Self, T),
+    ) {
+        self.out.push(b'[');
+        for (i, value) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(b',');
+            }
+            item(self, value);
+        }
+        self.out.push(b']');
+    }
+
+    pub(crate) fn finish(self) -> String {
+        // Every byte came from a `str` or is ASCII, as in `Json::to_text`.
+        String::from_utf8(self.out).expect("the writer emits UTF-8")
+    }
+}
+
 /// The one tokenizer of the crate. [`Json::parse`] is its first client; a
 /// codec that wants domain values without a tree pulls from the same
 /// entry points.

@@ -17,9 +17,9 @@
 //! ## Layering
 //!
 //! ```text
-//! json      strings ↔ Json values; the one tokenizer   (no domain knowledge)
+//! json      strings ↔ Json values; the one tokenizer and its writer twin (no domain knowledge)
 //! http      TCP ↔ Request/Response                     (no JSON knowledge)
-//! codec     Json ↔ App/Plan/Cluster/...; text → spans  (no HTTP knowledge)
+//! codec     Json ↔ App/Plan/Cluster/...; text → spans; plan → text (no HTTP knowledge)
 //! tenant    Registry of per-tenant loops; the applied plan's text
 //! snapshot  Registry ↔ versioned disk format
 //! server    routes + drain/reload + metrics            (ties it together)
@@ -40,9 +40,9 @@
 //! | `GET/DELETE /v1/tenants/{id}`         | inspect / remove one tenant |
 //! | `POST /v1/tenants/{id}/spans`         | ingest telemetry spans; decoded from the bytes in one pass, no tree; a field out of range, or a microservice the tenant does not have, is a 400, never a clamp |
 //! | `POST /v1/tenants/{id}/workloads`     | update request rates; a service named twice, or one the tenant's app does not have, is a 400 |
-//! | `GET /v1/tenants/{id}/plan`           | current scaling plan, from text rendered once per applied plan |
+//! | `GET /v1/tenants/{id}/plan`           | current scaling plan, from text written once per applied plan, straight from the plan |
 //! | `POST /v1/tenants/{id}/replan`        | refit (with no lock held) + run one control round; replies `{"decision":…,"plan":…}` with the same plan text |
-//! | `GET /v1/tenants/{id}/history`        | scaling-decision audit trail |
+//! | `GET /v1/tenants/{id}/history`        | scaling-decision audit trail, bounded: the most recent 1 024 rounds (`HISTORY_LIMIT`), oldest first |
 //! | `POST /v1/snapshot`                   | write the versioned snapshot |
 //! | `POST /v1/reload`                     | drain, restore from snapshot |
 //! | `POST /v1/shutdown`                   | graceful stop |

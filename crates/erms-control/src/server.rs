@@ -302,7 +302,12 @@ fn tenant_summary(t: &Tenant) -> Json {
             Json::Num(t.app.microservice_count() as f64),
         ),
         ("services", Json::Num(t.app.service_count() as f64)),
-        ("rounds", Json::Num(t.history.len() as f64)),
+        // The round of the newest record: the history keeps only the most
+        // recent rounds, so its length stops counting them.
+        (
+            "rounds",
+            Json::Num(t.history.back().map_or(0, |r| r.round) as f64),
+        ),
         ("spans_ingested", Json::Num(t.spans_ingested as f64)),
         ("samples_ingested", Json::Num(t.samples_ingested as f64)),
         ("has_plan", Json::Bool(t.plan().is_some())),
@@ -557,7 +562,7 @@ mod tests {
             .with_tenant("demo", |t| {
                 let plan = plan_to_json(t.plan().expect("applied"));
                 (
-                    snapshot::record_to_json(t.history.last().expect("one round")),
+                    snapshot::record_to_json(t.history.back().expect("one round")),
                     plan,
                 )
             })

@@ -3,7 +3,9 @@
 //! A snapshot carries, per tenant, exactly the state that feeds future
 //! decisions: the current application model (post-refit), the profiler's
 //! retained observation window, the manager's hysteresis state, the
-//! tenant's cluster view, its workloads, and the audit history. Restoring
+//! tenant's cluster view, its workloads, and the audit history (its most
+//! recent `HISTORY_LIMIT` records; a longer one, from a file written
+//! before the bound, is cut to that on load). Restoring
 //! yields a registry whose next `replan()` is **bit-identical** to the one
 //! the uninterrupted process would have run:
 //!
@@ -19,10 +21,11 @@
 //! snapshot. The format carries an explicit version; loading rejects
 //! unknown versions instead of guessing.
 
+use std::collections::VecDeque;
 use std::path::Path;
 
 use erms_core::provisioning::ClusterState;
-use erms_core::resilience::{ResilienceConfig, ResilientManager};
+use erms_core::resilience::{ResilienceConfig, ResilientManager, HISTORY_LIMIT};
 use erms_telemetry::online::OnlineProfiler;
 
 use crate::codec::{
@@ -156,14 +159,18 @@ fn tenant_from_json(j: &Json) -> Result<Tenant, String> {
             .ok_or_else(|| format!("{ctx} `{id}`: missing `workloads`"))?,
     )
     .map_err(|e| format!("tenant `{id}`: {e}"))?;
-    let history = j
+    let mut history = j
         .get("history")
         .and_then(Json::as_arr)
         .ok_or_else(|| format!("{ctx} `{id}`: missing array `history`"))?
         .iter()
         .map(record_from_json)
-        .collect::<Result<Vec<_>, String>>()
+        .collect::<Result<VecDeque<_>, String>>()
         .map_err(|e| format!("tenant `{id}`: {e}"))?;
+    // A file written before the history was bounded may hold more records
+    // than a tenant keeps: every one is checked, the newest are kept.
+    let excess = history.len().saturating_sub(HISTORY_LIMIT);
+    history.drain(..excess);
     let uint = |key: &str| -> Result<u64, String> {
         j.get(key)
             .and_then(Json::as_f64)
@@ -320,6 +327,41 @@ mod tests {
             restored.with_tenant("a", |t| t.plan().cloned()).unwrap()
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A file written before the history was bounded loads with its newest
+    /// `HISTORY_LIMIT` records.
+    #[test]
+    fn a_longer_history_on_file_loads_its_newest_records() {
+        let mut registry = Registry::paper_pool();
+        registry.create("a", app()).unwrap();
+        let record = |round| DecisionRecord {
+            round,
+            scheme: "erms".into(),
+            total_containers: 3,
+            refitted: 0,
+            actions: vec![],
+            errors: vec![],
+            degraded: false,
+            skipped: false,
+        };
+        let written = HISTORY_LIMIT as u64 + 9;
+        let long: Vec<Json> = (1..=written).map(|r| record_to_json(&record(r))).collect();
+        let Json::Obj(mut members) = registry_to_json(&registry) else {
+            panic!("a snapshot is an object");
+        };
+        let (_, Json::Arr(tenants)) = &mut members[2] else {
+            panic!("the third member holds the tenants");
+        };
+        let Json::Obj(tenant) = &mut tenants[0] else {
+            panic!("a tenant is an object");
+        };
+        let history = tenant.iter_mut().find(|(key, _)| key == "history").unwrap();
+        history.1 = Json::Arr(long);
+        let loaded = registry_from_json(&Json::Obj(members)).unwrap();
+        let held = loaded.with_tenant("a", |t| t.history.clone()).unwrap();
+        let first = written - HISTORY_LIMIT as u64 + 1;
+        assert_eq!(held, (first..=written).map(record).collect::<VecDeque<_>>());
     }
 
     #[test]

@@ -21,10 +21,10 @@ use crate::tenant::{Registry, Tenant};
 
 /// A splitmix64 stream: the style and mutation choices of one case, drawn
 /// from one generated seed.
-struct Dice(u64);
+pub(crate) struct Dice(pub(crate) u64);
 
 impl Dice {
-    fn roll(&mut self, sides: u64) -> u64 {
+    pub(crate) fn roll(&mut self, sides: u64) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -145,10 +145,12 @@ pub struct Service {
 
 /// A validated application: microservices plus services.
 ///
-/// Construct with [`AppBuilder`]. `App` is immutable after construction —
-/// scaling decisions are pure functions of an `App`, a
-/// [`WorkloadVector`] and an interference level, which keeps the controller
-/// logic easy to reason about and test.
+/// Construct with [`AppBuilder`]. Names, ids, resources and graphs are
+/// fixed at construction; only a microservice's latency profile can be
+/// replaced afterwards ([`App::set_profile`], under the check `build` runs),
+/// which is how an online refit updates the model. Scaling decisions are
+/// pure functions of an `App`, a [`WorkloadVector`] and an interference
+/// level, which keeps the controller logic easy to reason about and test.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct App {
     name: String,
@@ -192,6 +194,27 @@ impl App {
         self.services
             .get(id.index())
             .ok_or(Error::UnknownService(id))
+    }
+
+    /// Replaces the latency profile of microservice `ms`, after the check
+    /// [`AppBuilder::build`] makes of every profile. A rejected profile
+    /// leaves the app unchanged.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::UnknownMicroservice`] for a foreign id;
+    /// * [`Error::InvalidProfile`] if the profile fails validation.
+    pub fn set_profile(&mut self, ms: MicroserviceId, profile: LatencyProfile) -> Result<()> {
+        let micro = self
+            .microservices
+            .get_mut(ms.index())
+            .ok_or(Error::UnknownMicroservice(ms))?;
+        profile.validate().map_err(|reason| Error::InvalidProfile {
+            microservice: ms,
+            reason,
+        })?;
+        micro.profile = profile;
+        Ok(())
     }
 
     /// Iterates over `(MicroserviceId, &Microservice)`.
@@ -441,6 +464,26 @@ mod tests {
         let (app, _, _) = two_service_app();
         assert!(app.microservice(MicroserviceId::new(99)).is_err());
         assert!(app.service(ServiceId::new(99)).is_err());
+    }
+
+    #[test]
+    fn set_profile_checks_what_build_checks() {
+        let (mut app, [u, _, p], _) = two_service_app();
+        let kneed = LatencyProfile::kneed(0.01, 2.0, 0.08, 500.0);
+        app.set_profile(p, kneed.clone()).unwrap();
+        assert_eq!(app.microservice(p).unwrap().profile, kneed);
+        let before = app.clone();
+        let foreign = MicroserviceId::new(3);
+        assert!(matches!(
+            app.set_profile(foreign, kneed),
+            Err(Error::UnknownMicroservice(id)) if id == foreign
+        ));
+        let not_finite = LatencyProfile::linear(f64::NAN, 1.0);
+        assert!(matches!(
+            app.set_profile(u, not_finite),
+            Err(Error::InvalidProfile { microservice, .. }) if microservice == u
+        ));
+        assert_eq!(app, before);
     }
 
     #[test]

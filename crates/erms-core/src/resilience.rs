@@ -62,6 +62,12 @@ use crate::manager::SchedulingMode;
 use crate::provisioning::{provision_with_resize, ClusterState, PlacementPolicy, ProvisionReport};
 use crate::scaling::ScalerConfig;
 
+/// How many rounds of history a manager keeps, newest last
+/// ([`ResilientManager::history`]). The daemon bounds a tenant's decision
+/// records by the same number. A constant, not an option: it is memory
+/// kept, and no decision reads it.
+pub const HISTORY_LIMIT: usize = 1_024;
+
 /// Tunables of the degradation ladder and the hysteresis filter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceConfig {
@@ -352,10 +358,12 @@ impl ResilientManager {
         self.planner.invalidate();
     }
 
-    /// Reports of every round run so far, in order — the audit trail of
-    /// degraded rounds.
+    /// Reports of the most recent rounds, at most [`HISTORY_LIMIT`], oldest
+    /// first — the audit trail of degraded rounds. Older reports are
+    /// dropped, so a manager that runs for ever holds a bounded trail.
     pub fn history(&self) -> &[ResilienceReport] {
-        &self.history
+        let held = self.history.len();
+        &self.history[held.saturating_sub(HISTORY_LIMIT)..]
     }
 
     /// The last plan that was successfully applied, if any.
@@ -500,7 +508,7 @@ impl ResilientManager {
                 Ok(prov) => {
                     *state = working;
                     self.commit(round, &plan, fresh);
-                    self.history.push(report.clone());
+                    self.record(&report);
                     return ResilientOutcome {
                         plan: Some(plan),
                         observed_interference: itf,
@@ -672,6 +680,18 @@ impl ResilientManager {
         }
     }
 
+    /// Appends a round's report to the history. The oldest reports go in
+    /// chunks of a quarter of [`HISTORY_LIMIT`], so a round moves no
+    /// reports on most calls; [`history`](Self::history) shows the newest
+    /// `HISTORY_LIMIT` of what is held.
+    fn record(&mut self, report: &ResilienceReport) {
+        self.history.push(report.clone());
+        if self.history.len() > HISTORY_LIMIT + HISTORY_LIMIT / 4 {
+            let excess = self.history.len() - HISTORY_LIMIT;
+            self.history.drain(..excess);
+        }
+    }
+
     /// Finishes a round without touching the cluster.
     fn skip(
         &mut self,
@@ -680,7 +700,7 @@ impl ResilientManager {
         reason: String,
     ) -> ResilientOutcome {
         report.actions.push(FallbackAction::RoundSkipped { reason });
-        self.history.push(report.clone());
+        self.record(&report);
         ResilientOutcome {
             plan: None,
             observed_interference: itf,
@@ -750,6 +770,25 @@ mod tests {
         assert!(outcome.applied());
         assert!(!outcome.report.degraded());
         assert_eq!(mgr.history().len(), 1);
+    }
+
+    /// The history shows the newest `HISTORY_LIMIT` rounds, before, at and
+    /// after the rounds where the oldest reports are dropped.
+    #[test]
+    fn history_keeps_the_most_recent_rounds() {
+        let app = two_service_app(300.0, 300.0);
+        let mut state = ClusterState::paper_cluster();
+        let mut mgr = ResilientManager::new(ResilienceConfig::default());
+        let w = workloads(&app, 20_000.0);
+        let last = 2 * HISTORY_LIMIT as u64 + 3;
+        for round in 1..=last {
+            mgr.run_round(&app, &mut state, &w);
+            let shown: Vec<u64> = mgr.history().iter().map(|r| r.round).collect();
+            let first = round.saturating_sub(HISTORY_LIMIT as u64) + 1;
+            assert_eq!(shown.first(), Some(&first), "round {round}");
+            assert_eq!(shown.len() as u64, round - first + 1, "round {round}");
+            assert!(mgr.history.len() <= HISTORY_LIMIT + HISTORY_LIMIT / 4);
+        }
     }
 
     #[test]

@@ -50,7 +50,9 @@ pub fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
 }
 
 /// Fits `y ≈ X·β` by least squares on arbitrary design rows (no intercept
-/// is added; include a constant-1 column yourself if needed).
+/// is added; include a constant-1 column yourself if needed). A row is
+/// anything that reads as a slice — a `Vec<f64>`, or a fixed `[f64; N]`
+/// when every row has the same width, which saves a heap row per sample.
 ///
 /// # Errors
 ///
@@ -58,10 +60,10 @@ pub fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
 /// * [`FitError::Singular`] when the normal equations cannot be solved.
 // Index loops: symmetrisation reads `xtx[j][i]` while writing `xtx[i][j]`.
 #[allow(clippy::needless_range_loop)]
-pub fn least_squares(x: &[Vec<f64>], y: &[f64]) -> Result<Vec<f64>, FitError> {
+pub fn least_squares(x: &[impl AsRef<[f64]>], y: &[f64]) -> Result<Vec<f64>, FitError> {
     assert_eq!(x.len(), y.len(), "row/target count mismatch");
     let n = x.len();
-    let d = x.first().map_or(0, Vec::len);
+    let d = x.first().map_or(0, |row| row.as_ref().len());
     if n < d || d == 0 {
         return Err(FitError::TooFewSamples {
             got: n,
@@ -73,6 +75,7 @@ pub fn least_squares(x: &[Vec<f64>], y: &[f64]) -> Result<Vec<f64>, FitError> {
     // the constant column) or are collinear.
     let mut scale = vec![0.0f64; d];
     for row in x {
+        let row = row.as_ref();
         debug_assert_eq!(row.len(), d, "inconsistent row width");
         for (j, v) in row.iter().enumerate() {
             scale[j] = scale[j].max(v.abs());
@@ -89,6 +92,7 @@ pub fn least_squares(x: &[Vec<f64>], y: &[f64]) -> Result<Vec<f64>, FitError> {
     let mut xtx = vec![vec![0.0; d]; d];
     let mut xty = vec![0.0; d];
     for (row, &target) in x.iter().zip(y) {
+        let row = row.as_ref();
         for i in 0..d {
             let xi = row[i] / scale[i];
             xty[i] += xi * target;

@@ -52,12 +52,12 @@ impl Default for PiecewiseFitter {
 }
 
 /// Design row for one sample: `[C·γ, M·γ, γ, 1]`.
-fn design_row(s: &Sample) -> Vec<f64> {
-    vec![s.cpu * s.gamma, s.mem * s.gamma, s.gamma, 1.0]
+fn design_row(s: &Sample) -> [f64; 4] {
+    [s.cpu * s.gamma, s.mem * s.gamma, s.gamma, 1.0]
 }
 
 fn fit_segment(samples: &[&Sample]) -> Result<(Segment, f64), FitError> {
-    let x: Vec<Vec<f64>> = samples.iter().map(|s| design_row(s)).collect();
+    let x: Vec<[f64; 4]> = samples.iter().map(|s| design_row(s)).collect();
     let y: Vec<f64> = samples.iter().map(|s| s.latency_ms).collect();
     let beta = match least_squares(&x, &y) {
         Ok(beta) => beta,
@@ -283,7 +283,7 @@ fn knee_scan(group: &[&Sample], min_side: usize) -> Option<f64> {
     });
     // Returns (sse, slope) of a 1-D line fit.
     let line_fit = |part: &[&Sample]| -> (f64, f64) {
-        let x: Vec<Vec<f64>> = part.iter().map(|s| vec![s.gamma, 1.0]).collect();
+        let x: Vec<[f64; 2]> = part.iter().map(|s| [s.gamma, 1.0]).collect();
         let y: Vec<f64> = part.iter().map(|s| s.latency_ms).collect();
         match least_squares(&x, &y) {
             Ok(beta) => (

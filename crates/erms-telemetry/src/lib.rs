@@ -19,8 +19,9 @@
 //!   cold export surface for counters, gauges and sketches;
 //! * [`online`] — [`OnlineProfiler`], which windows sampled spans into
 //!   `(workload, tail-latency)` observations, re-fits per-microservice
-//!   profiles via `erms_profilers`, and hands the planners a rebuilt
-//!   `App` ([`RefitOutcome`]).
+//!   profiles via `erms_profilers`, and writes them into the planners'
+//!   `App` in place ([`online::install`]), or into a copy of it
+//!   ([`RefitOutcome`]).
 //!
 //! # Example: observe a run, then re-fit
 //!

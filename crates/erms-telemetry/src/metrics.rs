@@ -167,7 +167,10 @@ pub fn record_planner_metrics(
 ///
 /// Like [`record_planner_metrics`] this snapshots via
 /// [`MetricsRegistry::set_counter`]: pass the full report history each
-/// time and the registry always reflects its latest totals.
+/// time and the registry always reflects its latest totals. A
+/// `ResilientManager` holds the reports of its most recent
+/// [`HISTORY_LIMIT`](erms_core::resilience::HISTORY_LIMIT) rounds, so past
+/// that many rounds the totals are those of the rounds it still holds.
 pub fn record_resilience(
     registry: &mut MetricsRegistry,
     reports: &[erms_core::resilience::ResilienceReport],

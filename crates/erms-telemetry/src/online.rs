@@ -9,10 +9,10 @@
 //! windowed into per-microservice `(workload, tail-latency)`
 //! observations ([`window_samples`]), accumulated across observation
 //! rounds by [`OnlineProfiler`], and re-fit via
-//! `erms_profilers::piecewise` into a fresh `App` whose profiles the
+//! `erms_profilers::piecewise` into the `App` whose profiles the
 //! planners (`ErmsScaler`, `ResilientManager`) consume directly
 //! ([`OnlineProfiler::refit`]: the fit, [`OnlineProfiler::fit`], then the
-//! rebuild, [`install`]).
+//! in-place [`install`] of what was fitted).
 //!
 //! # Window semantics
 //!
@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use erms_core::app::{App, AppBuilder};
+use erms_core::app::App;
 use erms_core::ids::MicroserviceId;
 use erms_core::latency::{Interference, LatencyProfile};
 use erms_core::stats;
@@ -251,17 +251,24 @@ impl OnlineProfiler {
     }
 
     /// Re-fits every microservice with enough retained observations and
-    /// returns a rebuilt `App` (same names, ids and dependency graphs)
+    /// returns a copy of `app` (same names, ids and dependency graphs)
     /// carrying the updated profiles. A microservice keeps its old
     /// profile when it has too few samples or its fit fails validation —
     /// the loop degrades to the stale model instead of poisoning the
     /// planner.
     ///
-    /// This is [`fit`](Self::fit) then [`install`]; a caller that must not
-    /// hold a lock while fitting runs the two apart.
+    /// This is [`fit`](Self::fit) then [`install`] into a clone of `app`; a
+    /// caller that owns its app installs into it in place instead, and one
+    /// that must not hold a lock while fitting runs the two apart.
     #[must_use]
     pub fn refit(&self, app: &App) -> RefitOutcome {
-        install(app, self.fit())
+        let mut app = app.clone();
+        let Installed { refitted, kept } = install(&mut app, self.fit());
+        RefitOutcome {
+            app,
+            refitted,
+            kept,
+        }
     }
 
     /// The fit step of [`refit`](Self::refit): a fresh profile for every
@@ -292,52 +299,51 @@ impl OnlineProfiler {
     }
 }
 
-/// The install step of [`OnlineProfiler::refit`]: rebuilds `app` with the
-/// profiles of `fits` in place of its own. A microservice of `app` without
-/// a fit keeps its profile; a fit for a microservice `app` does not have
-/// is ignored.
-#[must_use]
-pub fn install(app: &App, mut fits: BTreeMap<MicroserviceId, LatencyProfile>) -> RefitOutcome {
-    let mut refitted = Vec::new();
-    let mut kept = Vec::new();
-    let mut b = AppBuilder::new(app.name());
-    for (ms, micro) in app.microservices() {
-        let profile = match fits.remove(&ms) {
-            Some(profile) => {
-                refitted.push(ms);
-                profile
-            }
-            None => {
-                kept.push(ms);
-                micro.profile.clone()
-            }
-        };
-        b.microservice(micro.name.clone(), profile, micro.resources);
+/// What [`install`] did to an app: the microservices that took a fit and
+/// those that kept their profile, each in id order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Installed {
+    /// Microservices whose profile was replaced by its fit.
+    pub refitted: Vec<MicroserviceId>,
+    /// Microservices whose profile was left as it was.
+    pub kept: Vec<MicroserviceId>,
+}
+
+/// The install step of [`OnlineProfiler::refit`]: writes the profiles of
+/// `fits` into `app` in place ([`App::set_profile`]) and touches nothing
+/// else. A microservice of `app` without a fit keeps its profile; a fit for
+/// a microservice `app` does not have is ignored; with no fits the app is
+/// left as it was, bit for bit.
+///
+/// It is all or nothing: if one fit fails the profile check
+/// `AppBuilder::build` makes, no profile is written, so an app is never
+/// left with half of a round's fits. ([`OnlineProfiler::fit`] hands out
+/// validated profiles only, so from it every fit lands.)
+pub fn install(app: &mut App, mut fits: BTreeMap<MicroserviceId, LatencyProfile>) -> Installed {
+    fits.retain(|&ms, _| app.microservice(ms).is_ok());
+    if fits.values().any(|profile| profile.validate().is_err()) {
+        fits.clear();
     }
-    for (_, svc) in app.services() {
-        b.raw_service(svc.name.clone(), svc.sla, svc.graph.clone());
+    let kept = app
+        .microservices()
+        .map(|(ms, _)| ms)
+        .filter(|ms| !fits.contains_key(ms))
+        .collect();
+    let refitted = fits.keys().copied().collect();
+    for (ms, profile) in fits {
+        let set = app.set_profile(ms, profile);
+        debug_assert!(set.is_ok(), "ids and profiles were checked: {set:?}");
     }
-    match b.build() {
-        Ok(rebuilt) => RefitOutcome {
-            app: rebuilt,
-            refitted,
-            kept,
-        },
-        // The original app built once already, and kept/refitted
-        // profiles are validated — a rebuild failure is unreachable
-        // in practice, but the loop must never panic mid-control.
-        Err(_) => RefitOutcome {
-            app: app.clone(),
-            refitted: Vec::new(),
-            kept: app.microservices().map(|(ms, _)| ms).collect(),
-        },
-    }
+    Installed { refitted, kept }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use erms_core::app::{AppBuilder, Sla};
     use erms_core::ids::ServiceId;
+    use erms_core::latency::{CutoffModel, Segment};
+    use erms_core::resources::Resources;
     use proptest::prelude::*;
 
     /// The windowing as it was written first, one map probe per span: the
@@ -429,6 +435,149 @@ mod tests {
             let probed = window_samples_by_map(spans.iter(), &containers, itf, sampling, &config);
             prop_assert_eq!(bits(&sorted), bits(&probed));
         }
+    }
+
+    /// The install as it was first written, a rebuild of the whole app
+    /// through `AppBuilder`: the oracle [`install`] is held to, bit for bit.
+    fn install_by_rebuild(
+        app: &App,
+        mut fits: BTreeMap<MicroserviceId, LatencyProfile>,
+    ) -> RefitOutcome {
+        let mut refitted = Vec::new();
+        let mut kept = Vec::new();
+        let mut b = AppBuilder::new(app.name());
+        for (ms, micro) in app.microservices() {
+            let profile = match fits.remove(&ms) {
+                Some(profile) => {
+                    refitted.push(ms);
+                    profile
+                }
+                None => {
+                    kept.push(ms);
+                    micro.profile.clone()
+                }
+            };
+            b.microservice(micro.name.clone(), profile, micro.resources);
+        }
+        for (_, svc) in app.services() {
+            b.raw_service(svc.name.clone(), svc.sla, svc.graph.clone());
+        }
+        match b.build() {
+            Ok(rebuilt) => RefitOutcome {
+                app: rebuilt,
+                refitted,
+                kept,
+            },
+            Err(_) => RefitOutcome {
+                app: app.clone(),
+                refitted: Vec::new(),
+                kept: app.microservices().map(|(ms, _)| ms).collect(),
+            },
+        }
+    }
+
+    /// A profile drawn from `seed`: parameters from a table of signed
+    /// zeros, a subnormal, huge and ordinary values, a constant or an
+    /// infinite knee, and one profile in eight made invalid by a NaN.
+    fn profile_from(seed: u64) -> LatencyProfile {
+        const VALUES: [f64; 10] = [
+            0.0,
+            -0.0,
+            5e-324,
+            1e300,
+            0.1,
+            0.30000000000000004,
+            2.5,
+            -3.75,
+            9000.0,
+            1.0,
+        ];
+        let mut state = seed;
+        let mut roll = |sides: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % sides
+        };
+        let mut value = || VALUES[roll(VALUES.len() as u64) as usize];
+        let mut segment = || Segment::new(value(), value(), value(), value());
+        let (mut low, high) = (segment(), segment());
+        let cutoff = match roll(3) {
+            0 => f64::INFINITY,
+            1 => 0.0,
+            _ => 750.5,
+        };
+        if roll(8) == 0 {
+            low.alpha = f64::NAN;
+        }
+        LatencyProfile::new(low, high, CutoffModel::Constant(cutoff))
+    }
+
+    /// `count` microservices in one chain, profiles drawn from `seed`.
+    fn chain_app(count: u32, seed: u64) -> App {
+        let mut b = AppBuilder::new("chain");
+        let ids: Vec<MicroserviceId> = (0..count)
+            .map(|i| {
+                let mut profile = profile_from(seed ^ u64::from(i));
+                profile.low.alpha = profile.low.alpha.max(0.0);
+                b.microservice(format!("m{i}"), profile, Resources::new(0.1, 200.0))
+            })
+            .collect();
+        b.service("s", Sla::p95_ms(100.0), |g| {
+            let mut at = g.entry(ids[0]);
+            for &ms in &ids[1..] {
+                at = g.call_seq(at, ms);
+            }
+        });
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Writing the fits in place leaves the app the rebuild made, every
+        /// profile bit included (`Debug` prints each `f64` exactly), and
+        /// reports the same microservices: fits for ids the app lacks, an
+        /// empty map, and maps holding a profile that fails validation.
+        #[test]
+        fn in_place_install_equals_the_rebuild(
+            (count, seed) in (1u32..7, any::<u64>()),
+            fits in prop::collection::vec((0u32..10, any::<u64>()), 0..6),
+        ) {
+            let app = chain_app(count, seed);
+            let fits: BTreeMap<MicroserviceId, LatencyProfile> = fits
+                .into_iter()
+                .map(|(ms, seed)| (MicroserviceId::new(ms), profile_from(seed)))
+                .collect();
+            let oracle = install_by_rebuild(&app, fits.clone());
+            let mut patched = app.clone();
+            let installed = install(&mut patched, fits.clone());
+            prop_assert_eq!(format!("{patched:?}"), format!("{:?}", oracle.app));
+            prop_assert_eq!(&installed.refitted, &oracle.refitted);
+            prop_assert_eq!(&installed.kept, &oracle.kept);
+            if installed.refitted.is_empty() {
+                prop_assert_eq!(format!("{patched:?}"), format!("{app:?}"));
+            }
+            if fits.keys().all(|ms| ms.index() >= count as usize) {
+                prop_assert!(installed.refitted.is_empty());
+            }
+        }
+    }
+
+    /// A profiler whose window fits nothing hands back its input app, and
+    /// `install` with no fits leaves the app it is given as it was.
+    #[test]
+    fn nothing_fitted_changes_nothing() {
+        let app = chain_app(3, 7);
+        let refit = OnlineProfiler::new().refit(&app);
+        assert!(!refit.changed());
+        assert_eq!(format!("{:?}", refit.app), format!("{app:?}"));
+        assert_eq!(refit.kept.len(), 3);
+        let mut patched = app.clone();
+        let installed = install(&mut patched, BTreeMap::new());
+        assert_eq!(installed.kept, refit.kept);
+        assert_eq!(format!("{patched:?}"), format!("{app:?}"));
     }
 
     fn span(ms: u32, start: f64, latency: f64) -> SpanRecord {
