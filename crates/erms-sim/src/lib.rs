@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+mod deployment;
 pub mod equeue;
 pub mod faults;
 pub mod partition;

@@ -8,15 +8,15 @@
 //! §5.3.2. The simulator emits Jaeger-style spans (sampled) and raw
 //! per-microservice latency observations for the profiling pipeline.
 //!
-//! The engine keeps *dense* state: every per-event lookup — deployment,
-//! arrival rate, priority class, result row — is a `Vec` index on the
-//! dense `u32` ids (the internal `SimTables`), built once per run;
-//! the public [`SimResult`] map API is produced by one conversion at the
-//! end of `run()`. The pre-refactor map-based engine is kept verbatim in
-//! [`crate::reference`] and the golden-seed suite asserts both produce
-//! bit-identical results.
+//! The engine keeps *dense* state: every per-event lookup is a `Vec` index
+//! on the dense `u32` ids (the internal `SimTables`), built once per run.
+//! Deployment decisions come from `crate::deployment`, shared with
+//! [`crate::shard`]; this engine owns the event order, its one global RNG
+//! stream, span ids and the request state machine. The pre-refactor
+//! map-based engine is kept verbatim in [`crate::reference`] and the
+//! golden-seed suite asserts both produce bit-identical results.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use erms_core::app::{App, WorkloadVector};
 use erms_core::error::{Error, Result};
@@ -27,12 +27,13 @@ use erms_trace::store::TraceStore;
 use rand::Rng;
 use rand::SeedableRng;
 
+use crate::deployment::{Admission, Deployments, Ledger, Occupant, Release, Seat};
 use crate::equeue::{CalendarQueue, Popped};
 use crate::faults::FaultPlan;
 use crate::service_time::ServiceTimeModel;
 use crate::stats;
 use crate::tables::SimTables;
-use crate::telemetry::{NullSink, RequestRecord, SpanRecord, TelemetrySink};
+use crate::telemetry::{NullSink, TelemetrySink};
 use crate::timekey::{key_time, time_key};
 
 /// Request scheduling policy at each container (§5.3.2).
@@ -161,7 +162,8 @@ impl<'a> Simulation<'a> {
     ///   error; *losing* all containers mid-run is not — that surfaces as
     ///   [`SimResult::dropped`]);
     /// * [`Error::InvalidParameter`] — non-finite or negative rates,
-    ///   service-time parameters or fault-plan probabilities.
+    ///   service-time parameters, network delay or fault-plan
+    ///   probabilities, or a priority δ outside `[0, 1)`.
     pub fn run(
         &self,
         workloads: &WorkloadVector,
@@ -251,48 +253,44 @@ impl<'a> Simulation<'a> {
         }
         for crash in &p.container_crashes {
             self.app.microservice(crash.ms)?;
-            if !crash.at_ms.is_finite() || crash.at_ms < 0.0 {
-                return Err(Error::InvalidParameter(format!(
-                    "crash time must be finite and non-negative, got {} ms",
-                    crash.at_ms
-                )));
-            }
+            non_negative("crash time", crash.at_ms)?;
         }
         for failure in &p.host_failures {
-            if !failure.at_ms.is_finite() || failure.at_ms < 0.0 {
-                return Err(Error::InvalidParameter(format!(
-                    "host-failure time must be finite and non-negative, got {} ms",
-                    failure.at_ms
-                )));
-            }
+            non_negative("host-failure time", failure.at_ms)?;
             for &ms in failure.losses.keys() {
                 self.app.microservice(ms)?;
             }
         }
         for cold in &p.cold_starts {
             self.app.microservice(cold.ms)?;
-            if !cold.delay_ms.is_finite() || cold.delay_ms < 0.0 {
-                return Err(Error::InvalidParameter(format!(
-                    "cold-start delay must be finite and non-negative, got {} ms",
-                    cold.delay_ms
-                )));
-            }
+            non_negative("cold-start delay", cold.delay_ms)?;
         }
         for sr in &p.spot_reclamations {
             self.app.microservice(sr.ms)?;
-            let ok = sr.at_ms.is_finite()
-                && sr.at_ms >= 0.0
-                && sr.grace_ms.is_finite()
-                && sr.grace_ms >= 0.0;
-            if !ok {
+            non_negative("spot-reclamation notice", sr.at_ms)?;
+            non_negative("spot-reclamation grace", sr.grace_ms)?;
+        }
+        // A δ outside [0, 1) (NaN included) would run as strict priority,
+        // and a negative delay would schedule children in the past.
+        if let Scheduling::Priority { delta } = self.config.scheduling {
+            if !(0.0..1.0).contains(&delta) {
                 return Err(Error::InvalidParameter(format!(
-                    "spot-reclamation times must be finite and non-negative, got \
-                     notice {} ms with grace {} ms",
-                    sr.at_ms, sr.grace_ms
+                    "priority δ must lie in [0, 1), got {delta}"
                 )));
             }
         }
+        non_negative("network delay", self.config.network_delay_ms)
+    }
+}
+
+/// Refuses a time or a delay that is negative or not finite.
+fn non_negative(what: &str, ms: f64) -> Result<()> {
+    if ms.is_finite() && ms >= 0.0 {
         Ok(())
+    } else {
+        Err(Error::InvalidParameter(format!(
+            "{what} must be finite and non-negative, got {ms} ms"
+        )))
     }
 }
 
@@ -455,50 +453,22 @@ struct Call {
     node: NodeId,
     ms: MicroserviceId,
     parent: Option<u32>,
-    container: u32,
-    arrive: f64,
+    seat: Seat,
     client_start: f64,
     stage: u32,
     pending: u32,
     root_start: f64,
     trace: Option<(TraceId, SpanId)>,
     in_use: bool,
-    /// Currently holding a container thread (a `Done` event is in flight).
-    in_service: bool,
-    /// While `in_service`: this call's slot in its container's
-    /// `in_service` vector, so leaving service is O(1) instead of a scan.
-    /// Stale once the call leaves service or its container crashes
-    /// (crashes void the whole vector), and never read in those states.
-    svc_pos: u32,
-    /// The serving container crashed; the pending `Done` is void.
-    killed: bool,
 }
 
-#[derive(Debug)]
-pub(crate) struct Container {
-    pub(crate) busy: usize,
-    pub(crate) queues: Vec<VecDeque<u32>>,
-    /// Calls currently holding one of this container's threads (their
-    /// `Done` event is in flight). At most `threads` entries, so a crash
-    /// voids in-service victims in O(threads) instead of scanning the
-    /// whole call arena.
-    pub(crate) in_service: Vec<u32>,
-    /// Crashed mid-run: receives no further calls. Kept in place so
-    /// container indices held by in-flight calls stay stable.
-    pub(crate) failed: bool,
-    /// Under a spot-reclamation notice: receives no *new* calls but keeps
-    /// serving its queues until the grace window closes.
-    pub(crate) draining: bool,
-    /// Cold-start gate: processing cannot begin before this time.
-    pub(crate) available_from: f64,
-}
-
-/// Mutable per-deployment state, indexed by `MicroserviceId::index()`
-/// alongside the immutable [`SimTables`] entry of the same index.
-#[derive(Debug)]
-pub(crate) struct DeploymentState {
-    pub(crate) containers: Vec<Container>,
-    pub(crate) rr: usize,
+impl Occupant for Call {
+    fn at(&self) -> (MicroserviceId, ServiceId) {
+        (self.ms, self.service)
+    }
+    fn seat(&mut self) -> &mut Seat {
+        &mut self.seat
+    }
 }
 
 /// One service's pending Poisson arrival (see `Engine::arrivals`).
@@ -539,37 +509,18 @@ struct Engine<'e, S: TelemetrySink> {
     /// `&Simulation` reference per event.
     max_events: u64,
     duration_ms: f64,
-    warmup_ms: f64,
     net_ms: f64,
-    drop_p: f64,
-    span_loss: f64,
-    deadline_ms: Option<f64>,
-    /// δ of priority scheduling; 0 under FCFS (where `pick_next` reduces
-    /// to strict front-of-queue order without consulting the RNG).
-    delta: f64,
     calls: Vec<Call>,
     free: Vec<u32>,
     /// Immutable dense lookup tables (rates, threads, classes, samplers,
     /// flattened graphs). Borrowed so handlers can copy the `&` out and
     /// iterate table spans while mutating the rest of the engine.
     tables: &'e SimTables,
-    /// Mutable deployment state by `MicroserviceId::index()`.
-    state: Vec<DeploymentState>,
+    deps: Deployments,
     rng: rand::rngs::StdRng,
-    store: TraceStore,
     next_trace: u64,
     next_span: u64,
-    /// Latency samples by `ServiceId::index()`; converted to the public
-    /// map form (skipping untouched services) at the end of the run.
-    result_latencies: Vec<Vec<f64>>,
-    generated: u64,
-    completed: u64,
-    dropped: u64,
-    timed_out: u64,
-    crash_violations: u64,
-    crashed_containers: u64,
-    reclaimed_containers: u64,
-    lost_spans: u64,
+    ledger: Ledger,
     fault_schedule: Vec<EngineFault>,
     /// Telemetry observer; [`NullSink`] (the `run` path) compiles every
     /// hook out via `S::ENABLED`.
@@ -583,39 +534,6 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
         containers: &BTreeMap<MicroserviceId, u32>,
         sink: S,
     ) -> Self {
-        let state: Vec<DeploymentState> = sim
-            .app
-            .microservices()
-            .map(|(ms, _)| {
-                let n = containers.get(&ms).copied().unwrap_or(0) as usize;
-                let n_classes = tables.cold.n_classes[ms.index()] as usize;
-                DeploymentState {
-                    containers: (0..n)
-                        .map(|_| Container {
-                            busy: 0,
-                            queues: (0..n_classes).map(|_| VecDeque::new()).collect(),
-                            in_service: Vec::new(),
-                            failed: false,
-                            draining: false,
-                            available_from: 0.0,
-                        })
-                        .collect(),
-                    rr: 0,
-                }
-            })
-            .collect();
-        let mut state = state;
-        // Cold starts gate the *newest* containers of a deployment — the
-        // ones a scale-up just added.
-        for cold in &sim.faults.cold_starts {
-            if let Some(dep) = state.get_mut(cold.ms.index()) {
-                let n = dep.containers.len();
-                let first = n.saturating_sub(cold.count as usize);
-                for container in &mut dep.containers[first..] {
-                    container.available_from = container.available_from.max(cold.delay_ms);
-                }
-            }
-        }
         let fault_schedule = lower_fault_schedule(sim);
         let service_count = sim.app.service_count();
         // Reserve the result tables near their Poisson-expected sizes so
@@ -645,32 +563,15 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
             seq: 0,
             max_events: sim.config.max_events,
             duration_ms: sim.config.duration_ms,
-            warmup_ms: sim.config.warmup_ms,
             net_ms: sim.config.network_delay_ms,
-            drop_p: sim.faults.drop_probability,
-            span_loss: sim.faults.span_loss,
-            deadline_ms: sim.faults.deadline_ms,
-            delta: match sim.config.scheduling {
-                Scheduling::Priority { delta } => delta,
-                Scheduling::Fcfs => 0.0,
-            },
             calls: Vec::new(),
             free: Vec::new(),
             tables,
-            state,
+            deps: Deployments::new(sim, tables, containers, |_| true),
             rng: rand::rngs::StdRng::seed_from_u64(sim.config.seed),
-            store: TraceStore::with_sampling(sim.config.trace_sampling, sim.config.seed ^ 0xA5A5),
             next_trace: 1,
             next_span: 1,
-            result_latencies,
-            generated: 0,
-            completed: 0,
-            dropped: 0,
-            timed_out: 0,
-            crash_violations: 0,
-            crashed_containers: 0,
-            reclaimed_containers: 0,
-            lost_spans: 0,
+            ledger: Ledger::new(sim, result_latencies),
             fault_schedule,
             sink,
         }
@@ -747,15 +648,20 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
             if *events > self.max_events {
                 return false;
             }
-            match event {
-                Event::Arrival(sid) => self.on_arrival(sid, time),
-                Event::Ready(call) => self.on_ready(call, time),
-                Event::Done(call) => self.on_done(call, time),
-                Event::Fault(i) => self.on_fault(i as usize),
-            }
+            self.dispatch(event, time);
         }
         self.batch_key = u64::MAX;
         true
+    }
+
+    #[inline(always)]
+    fn dispatch(&mut self, event: Event, time: f64) {
+        match event {
+            Event::Arrival(sid) => self.on_arrival(sid, time),
+            Event::Ready(call) => self.on_ready(call, time),
+            Event::Done(call) => self.on_done(call, time),
+            Event::Fault(i) => self.on_fault(i as usize),
+        }
     }
 
     fn run(mut self) -> SimResult {
@@ -820,12 +726,7 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
                     if events > self.max_events {
                         break 'run;
                     }
-                    match event {
-                        Event::Arrival(sid) => self.on_arrival(sid, time),
-                        Event::Ready(call) => self.on_ready(call, time),
-                        Event::Done(call) => self.on_done(call, time),
-                        Event::Fault(i) => self.on_fault(i as usize),
-                    }
+                    self.dispatch(event, time);
                     if !self.drain_batch(time, &mut events) {
                         break 'run;
                     }
@@ -869,112 +770,20 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
                 Popped::None => break 'run,
             }
         }
-        // Densely-indexed result tables fold back into the public map API.
-        // Only touched indices become entries — the map-based engine
-        // created entries through `entry().or_default().push(..)`, so an
-        // entry existed exactly when at least one sample was recorded.
-        let service_latencies: BTreeMap<ServiceId, Vec<f64>> = self
-            .result_latencies
-            .into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(i, v)| (ServiceId::new(i as u32), v))
-            .collect();
-        SimResult {
-            service_latencies,
-            trace_store: self.store,
-            generated: self.generated,
-            completed: self.completed,
-            dropped: self.dropped,
-            timed_out: self.timed_out,
-            crash_violations: self.crash_violations,
-            crashed_containers: self.crashed_containers,
-            reclaimed_containers: self.reclaimed_containers,
-            lost_spans: self.lost_spans,
-            events,
-        }
+        self.ledger.into_result(events)
     }
 
-    /// Fires one scheduled fault. Crash-style kinds mark containers
-    /// failed, drain their queues and void their in-service calls;
-    /// `Drain` only flags containers, and `Reclaim` is a crash restricted
-    /// to draining containers. Killing more containers than a deployment
-    /// has degrades to losing them all.
-    ///
-    /// Victims are found through the per-container in-service lists, so a
-    /// fault costs O(victims) — independent of the size of the call arena.
-    /// The marking order (per container, in service-entry order) differs
-    /// from the old whole-arena scan's call-index order, but marking
-    /// consumes no randomness and only sets flags and counters, so results
-    /// are unchanged.
+    /// Fires one scheduled fault (see [`Deployments::fire`]) and unwinds
+    /// the calls that were queued on the containers it failed. Victims are
+    /// found through the per-container lists, so a fault costs O(victims),
+    /// independent of the size of the call arena.
     fn on_fault(&mut self, index: usize) {
-        // Each schedule entry fires exactly once (one `Fault` event pushed
-        // in `run`), so taking the losses out avoids cloning the vector.
-        let kind = self.fault_schedule[index].kind;
-        let losses = std::mem::take(&mut self.fault_schedule[index].losses);
-        if kind == EngineFaultKind::Drain {
-            // A reclamation notice marks the *newest* containers draining
-            // — spot capacity is the capacity a scale-up added last. No
-            // calls are harmed and no randomness is consumed.
-            for (ms, count) in losses {
-                let Some(dep) = self.state.get_mut(ms.index()) else {
-                    continue;
-                };
-                let mut marked = 0u32;
-                for container in dep.containers.iter_mut().rev() {
-                    if marked == count {
-                        break;
-                    }
-                    if container.failed || container.draining {
-                        continue;
-                    }
-                    container.draining = true;
-                    marked += 1;
-                }
-            }
-            return;
-        }
-        // `Crash` kills any live container; `Reclaim` only takes back
-        // containers still under a notice (draining).
-        let reclaim = kind == EngineFaultKind::Reclaim;
-        for (ms, count) in losses {
-            let Some(dep) = self.state.get_mut(ms.index()) else {
-                continue;
-            };
-            let mut failed = 0u32;
-            let mut victims: Vec<u32> = Vec::new();
-            let mut in_service_victims: Vec<u32> = Vec::new();
-            for container in &mut dep.containers {
-                if failed == count {
-                    break;
-                }
-                if container.failed || (reclaim && !container.draining) {
-                    continue;
-                }
-                container.failed = true;
-                failed += 1;
-                container.busy = 0;
-                for queue in &mut container.queues {
-                    victims.extend(queue.drain(..));
-                }
-                in_service_victims.append(&mut container.in_service);
-            }
-            if reclaim {
-                self.reclaimed_containers += u64::from(failed);
-            } else {
-                self.crashed_containers += u64::from(failed);
-            }
-            // Queued victims unwind immediately; in-service victims keep
-            // their pending `Done` event, which `on_done` voids via the
-            // `killed` flag.
-            for idx in in_service_victims {
-                self.calls[idx as usize].killed = true;
-                self.crash_violations += 1;
-            }
-            for idx in victims {
-                self.crash_violations += 1;
-                self.abandon(idx);
-            }
+        let fault = &self.fault_schedule[index];
+        let queued = self
+            .deps
+            .fire(fault, |_| true, &mut self.calls, &mut self.ledger);
+        for idx in queued {
+            self.abandon(idx);
         }
     }
 
@@ -987,12 +796,7 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
                 self.push_arrival(sid, next);
             }
         }
-        self.generated += 1;
-        // Front-door drop (load-balancer error). The RNG is only consulted
-        // when the fault is armed, so an empty plan stays bit-identical.
-        let drop_p = self.drop_p;
-        if drop_p > 0.0 && self.rng.gen_bool(drop_p) {
-            self.dropped += 1;
+        if !self.ledger.admit_request(&mut self.rng) {
             return;
         }
         // `validate` established the service exists.
@@ -1001,7 +805,7 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
         let trace = {
             let trace_id = TraceId(self.next_trace);
             self.next_trace += 1;
-            if self.store.is_sampled(trace_id) {
+            if self.ledger.sampled(trace_id) {
                 let span = self.next_span_id();
                 Some((trace_id, span))
             } else {
@@ -1013,159 +817,41 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
             node: root_node,
             ms,
             parent: None,
-            container: 0,
-            arrive: time,
+            seat: Seat::default(),
             client_start: time,
             stage: 0,
             pending: 0,
             root_start: time,
             trace,
             in_use: true,
-            in_service: false,
-            svc_pos: 0,
-            killed: false,
         });
         self.push(time, Event::Ready(call));
     }
 
     fn on_ready(&mut self, idx: u32, time: f64) {
-        let (ms, service) = {
-            let call = &self.calls[idx as usize];
-            (call.ms, call.service)
-        };
-        let mi = ms.index();
-        // Round-robin container choice over live containers; crashed ones
-        // stay in the vec (indices held by in-flight calls must remain
-        // stable) but receive nothing.
-        let dep = &mut self.state[mi];
-        let n = dep.containers.len();
-        let mut c_idx = None;
-        // Conditional wrap instead of `%`: `rr < n` always holds, so each
-        // candidate stays in range — same visiting order, no division on
-        // the hot path.
-        let mut cand = dep.rr;
-        for _ in 0..n {
-            cand += 1;
-            if cand >= n {
-                cand = 0;
+        let (hot, rng) = (&self.tables.hot, &mut self.rng);
+        match self.deps.admit(hot, &mut self.calls, idx, time, rng) {
+            Admission::Started { done_at } => self.push(done_at, Event::Done(idx)),
+            Admission::Queued => {}
+            Admission::Refused => {
+                // Zero configured containers (caught by `validate` for
+                // loaded services) or every container lost mid-run: the
+                // request is lost, not an error.
+                self.ledger.result.dropped += 1;
+                self.abandon(idx);
             }
-            let c = &dep.containers[cand];
-            if !c.failed && !c.draining {
-                c_idx = Some(cand);
-                break;
-            }
-        }
-        let Some(c_idx) = c_idx else {
-            // Zero configured containers (caught by `validate` for loaded
-            // services) or every container crashed mid-run: the request is
-            // lost, not an error.
-            self.dropped += 1;
-            self.abandon(idx);
-            return;
-        };
-        dep.rr = c_idx;
-        {
-            let call = &mut self.calls[idx as usize];
-            call.container = c_idx as u32;
-            call.arrive = time;
-        }
-        let hot = &self.tables.hot;
-        let threads = hot.threads(mi);
-        let sampler = hot.samplers[mi];
-        let container = &mut self.state[mi].containers[c_idx];
-        if container.busy < threads {
-            container.busy += 1;
-            let pos = container.in_service.len() as u32;
-            container.in_service.push(idx);
-            // A cold container accepts work but cannot process it before
-            // its start-up completes.
-            let start = time.max(container.available_from);
-            let dt = sampler.sample(&mut self.rng);
-            let call = &mut self.calls[idx as usize];
-            call.in_service = true;
-            call.svc_pos = pos;
-            self.push(start + dt, Event::Done(idx));
-        } else {
-            // The class column is only consulted on the enqueue path; a
-            // free thread serves regardless of priority.
-            let class = self.tables.hot.class(mi, service);
-            self.state[mi].containers[c_idx].queues[class].push_back(idx);
         }
     }
 
     fn on_done(&mut self, idx: u32, time: f64) {
-        // One borrow covers the killed check, the in-service reset and the
-        // routing reads — three separate index operations otherwise.
-        let (ms, container_idx, arrive, service, svc_pos) = {
-            let call = &mut self.calls[idx as usize];
-            // The serving container crashed while this call held a thread:
-            // the crash already counted the violation and reset the
-            // container's bookkeeping, so the finished work is simply void.
-            if call.killed {
-                self.abandon(idx);
-                return;
-            }
-            call.in_service = false;
-            (
-                call.ms,
-                call.container as usize,
-                call.arrive,
-                call.service,
-                call.svc_pos as usize,
-            )
-        };
-        let mi = ms.index();
-        let next_start = {
-            let delta = self.delta;
-            let container = &mut self.state[mi].containers[container_idx];
-            if container.failed {
-                // Defensive: a crash voids in-service calls via `killed`
-                // above, so a live call on a failed container cannot reach
-                // here; never touch a dead container's bookkeeping.
-                None
-            } else {
-                // This call leaves service: drop it from the container's
-                // in-service index in O(1) via its tracked slot, patching
-                // the slot of the entry `swap_remove` moved into its place.
-                debug_assert_eq!(container.in_service.get(svc_pos).copied(), Some(idx));
-                container.in_service.swap_remove(svc_pos);
-                if let Some(&moved) = container.in_service.get(svc_pos) {
-                    self.calls[moved as usize].svc_pos = svc_pos as u32;
-                }
-                let picked = pick_next(&mut container.queues, delta, &mut self.rng);
-                match picked {
-                    Some(next) => {
-                        let pos = container.in_service.len() as u32;
-                        container.in_service.push(next);
-                        let dt = self.tables.hot.samplers[mi].sample(&mut self.rng);
-                        Some((next, dt, pos))
-                    }
-                    None => {
-                        container.busy -= 1;
-                        None
-                    }
-                }
-            }
-        };
-        if let Some((next, dt, pos)) = next_start {
-            let call = &mut self.calls[next as usize];
-            call.in_service = true;
-            call.svc_pos = pos;
-            self.push(time + dt, Event::Done(next));
+        let hot = &self.tables.hot;
+        match self.deps.release(hot, &mut self.calls, idx, &mut self.rng) {
+            Release::Void => return self.abandon(idx),
+            Release::Next { call, service_ms } => self.push(time + service_ms, Event::Done(call)),
+            Release::Idle => {}
         }
-
-        // Own latency (queueing + processing) is the sink's to record.
-        if S::ENABLED && arrive >= self.warmup_ms {
-            self.sink.on_span(&SpanRecord {
-                service,
-                microservice: ms,
-                container: container_idx as u32,
-                priority_class: self.tables.hot.class(mi, service) as u32,
-                start_ms: arrive,
-                end_ms: time,
-            });
-        }
-
+        let call = &mut self.calls[idx as usize];
+        self.ledger.own_span(&mut self.sink, hot, call, time);
         // Fan out the first stage, or complete immediately.
         self.advance_stages(idx, time, 0);
     }
@@ -1207,17 +893,13 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
                     node: child_node,
                     ms: child_ms,
                     parent: Some(idx),
-                    container: 0,
-                    arrive: time + net,
+                    seat: Seat::default(),
                     client_start: time,
                     stage: 0,
                     pending: 0,
                     root_start,
                     trace,
                     in_use: true,
-                    in_service: false,
-                    svc_pos: 0,
-                    killed: false,
                 });
                 self.push(time + net, Event::Ready(child));
                 spawned += 1;
@@ -1257,33 +939,16 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
                 microservice: call.ms,
                 service: call.service,
                 kind: SpanKind::Server,
-                start_ms: call.arrive,
+                start_ms: call.seat.arrive,
                 end_ms: time,
             };
-            self.record_span(span);
+            self.ledger.record_span(span, &mut self.rng);
         }
         let net = self.net_ms;
         match parent {
             None => {
-                // End-to-end completion — unless the client already gave
-                // up (deadline exceeded): then it is a timeout, invisible
-                // to the latency percentiles.
-                let e2e = time - root_start;
-                if self.deadline_ms.is_some_and(|deadline| e2e > deadline) {
-                    self.timed_out += 1;
-                } else {
-                    self.completed += 1;
-                    if root_start >= self.warmup_ms {
-                        self.result_latencies[service.index()].push(e2e);
-                        if S::ENABLED {
-                            self.sink.on_request(&RequestRecord {
-                                service,
-                                start_ms: root_start,
-                                end_ms: time,
-                            });
-                        }
-                    }
-                }
+                self.ledger
+                    .finish(&mut self.sink, service, root_start, time);
                 self.release_call(idx);
             }
             Some(parent) => {
@@ -1303,7 +968,7 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
                         start_ms: call.client_start,
                         end_ms: time + net,
                     };
-                    self.record_span(span);
+                    self.ledger.record_span(span, &mut self.rng);
                 }
                 self.release_call(idx);
                 let parent_call = &mut self.calls[parent as usize];
@@ -1317,51 +982,21 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
         }
     }
 
-    /// Records a span unless the fault plan loses it on the way to the
-    /// collector. The RNG is only consulted when span loss is armed.
-    fn record_span(&mut self, span: Span) {
-        let loss = self.span_loss;
-        if loss > 0.0 && self.rng.gen_bool(loss) {
-            self.lost_spans += 1;
-        } else {
-            self.store.record(span);
-        }
-    }
-
-    /// A call that cannot be served (no containers): unwind the request.
+    /// A call that cannot be served (no container, or its container
+    /// failed under it): release it and take it off its parent's count of
+    /// outstanding children without advancing the parent. This stops the
+    /// request only when this call is the last child of its stage to land,
+    /// and then the parent is never advanced or released. When a sibling
+    /// lands after it, that sibling advances the stage and the request
+    /// completes, counted beside this drop (DESIGN §6.1).
     fn abandon(&mut self, idx: u32) {
         let parent = self.calls[idx as usize].parent;
         self.release_call(idx);
         if let Some(p) = parent {
             let parent_call = &mut self.calls[p as usize];
             parent_call.pending = parent_call.pending.saturating_sub(1);
-            // The request is effectively failed; do not advance stages, so
-            // no latency is recorded for it.
         }
     }
-}
-
-/// Picks the next queued call according to the δ-probabilistic priority
-/// rule (§5.3.2): walk classes from highest priority; pick a non-empty
-/// class with probability `1−δ`, otherwise move on; wrap to the first
-/// non-empty class if all were skipped.
-pub(crate) fn pick_next(
-    queues: &mut [VecDeque<u32>],
-    delta: f64,
-    rng: &mut impl Rng,
-) -> Option<u32> {
-    let first_non_empty = queues.iter().position(|q| !q.is_empty())?;
-    if delta > 0.0 {
-        for queue in queues.iter_mut().skip(first_non_empty) {
-            if queue.is_empty() {
-                continue;
-            }
-            if rng.gen_bool(1.0 - delta) {
-                return queue.pop_front();
-            }
-        }
-    }
-    queues[first_non_empty].pop_front()
 }
 
 /// Exponential inter-arrival sample with rate `lambda` (per ms).
@@ -1373,7 +1008,7 @@ pub(crate) fn exp_sample(lambda: f64, rng: &mut impl Rng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::FnSink;
+    use crate::telemetry::{FnSink, SpanRecord};
     use erms_core::app::{AppBuilder, RequestRate, Sla};
     use erms_core::latency::LatencyProfile;
     use erms_core::resources::Resources;
@@ -1577,6 +1212,41 @@ mod tests {
             sim.run(&bad, &containers(&[(a, 1), (c, 1)]), &BTreeMap::new()),
             Err(Error::InvalidParameter(_))
         ));
+        // A δ outside [0, 1) and a negative or non-finite network delay are
+        // refused too; δ = 0 and a zero delay stay valid.
+        let cs = containers(&[(a, 1), (c, 1)]);
+        let with = |scheduling, network_delay_ms| SimConfig {
+            scheduling,
+            network_delay_ms,
+            duration_ms: 1_000.0,
+            warmup_ms: 0.0,
+            ..quick_config()
+        };
+        for (scheduling, net) in [
+            (Scheduling::Priority { delta: f64::NAN }, 0.1),
+            (Scheduling::Priority { delta: 1.0 }, 0.1),
+            (Scheduling::Priority { delta: 2.0 }, 0.1),
+            (Scheduling::Priority { delta: -0.05 }, 0.1),
+            (Scheduling::Fcfs, f64::NAN),
+            (Scheduling::Fcfs, -1.0),
+            (Scheduling::Fcfs, f64::INFINITY),
+        ] {
+            let sim = Simulation::new(&app, with(scheduling, net));
+            assert!(
+                matches!(
+                    sim.run(&w, &cs, &BTreeMap::new()),
+                    Err(Error::InvalidParameter(_))
+                ),
+                "{scheduling:?} with a {net} ms delay must be refused"
+            );
+        }
+        for (scheduling, net) in [
+            (Scheduling::Priority { delta: 0.0 }, 0.0),
+            (Scheduling::Priority { delta: 0.99 }, 0.1),
+        ] {
+            let sim = Simulation::new(&app, with(scheduling, net));
+            assert!(sim.run(&w, &cs, &BTreeMap::new()).is_ok());
+        }
     }
 
     #[test]
