@@ -20,7 +20,7 @@
 //! json      strings ↔ Json values; the one tokenizer and its writer twin (no domain knowledge)
 //! http      TCP ↔ Request/Response                     (no JSON knowledge)
 //! codec     Json ↔ App/Plan/Cluster/...; text → spans; plan → text (no HTTP knowledge)
-//! tenant    Registry of per-tenant loops; the applied plan's text
+//! tenant    Registry of per-tenant loops; each one's published plan
 //! snapshot  Registry ↔ versioned disk format
 //! server    routes + drain/reload + metrics            (ties it together)
 //! ```
@@ -28,7 +28,8 @@
 //! A tenant lock is never held while rendering, parsing, writing a socket
 //! or fitting: bodies are decoded before it is taken, replies rendered
 //! after it is released, and a replan fits a copy of the profiler's window
-//! with no lock held.
+//! with no lock held. A plan read takes no tenant lock at all: it is served
+//! from the entry the last section on the tenant published.
 //!
 //! ## Endpoints
 //!
@@ -40,7 +41,7 @@
 //! | `GET/DELETE /v1/tenants/{id}`         | inspect / remove one tenant |
 //! | `POST /v1/tenants/{id}/spans`         | ingest telemetry spans; decoded from the bytes in one pass, no tree; a field out of range, or a microservice the tenant does not have, is a 400, never a clamp |
 //! | `POST /v1/tenants/{id}/workloads`     | update request rates; a service named twice, or one the tenant's app does not have, is a 400 |
-//! | `GET /v1/tenants/{id}/plan`           | current scaling plan, from text written once per applied plan, straight from the plan |
+//! | `GET /v1/tenants/{id}/plan`           | current scaling plan, from the published entry with no tenant lock; text written once per applied plan, straight from the plan |
 //! | `POST /v1/tenants/{id}/replan`        | refit (with no lock held) + run one control round; replies `{"decision":…,"plan":…}` with the same plan text |
 //! | `GET /v1/tenants/{id}/history`        | scaling-decision audit trail, bounded: the most recent 1 024 rounds (`HISTORY_LIMIT`), oldest first |
 //! | `POST /v1/snapshot`                   | write the versioned snapshot |

@@ -4,9 +4,9 @@
 //! Locking is two-level (see the `tenant` module docs): a short-held
 //! outer mutex guards the [`Registry`] map itself, and each tenant sits
 //! behind its own `Arc<Mutex<Tenant>>`. Per-tenant endpoints (ingest,
-//! replan, plan, history, …) resolve the handle under the outer lock,
-//! *drop it*, and then lock only their tenant — so a slow replan for one
-//! tenant no longer serializes every other tenant's traffic behind it.
+//! workloads, replan, history, status) resolve the handle under the outer
+//! lock, *drop it*, and then lock only their tenant — so a slow replan for
+//! one tenant no longer serializes every other tenant's traffic behind it.
 //! Registry-shaped endpoints (create/delete/list/metrics/snapshot/reload)
 //! still run under the outer lock; list/metrics/snapshot additionally take
 //! every tenant lock in id order for a consistent cut. Per-tenant request
@@ -14,13 +14,21 @@
 //!
 //! A tenant lock covers work on the tenant's state only. Bodies are decoded
 //! before it is taken (`POST …/spans` straight from the bytes, with no tree),
-//! replies are rendered after it is released, and the applied plan is served
-//! from text rendered once per plan (`tenant::with_plan_text`). `POST
-//! …/replan` fits the profiles outside the lock too: it copies the window
-//! under the lock, fits the copy with no lock held, and locks again to
-//! install the fits and plan (`tenant::replan_with_plan_text`), so a `GET
-//! …/plan` that arrives meanwhile is answered from the kept text instead of
-//! waiting for the profiler.
+//! and replies are rendered after it is released. `POST …/replan` fits the
+//! profiles outside the lock too: it copies the window under the lock, fits
+//! the copy with no lock held, and locks again to install the fits and plan
+//! (`tenant::replan_published`).
+//!
+//! `GET …/plan` takes no tenant lock. Every critical section this module
+//! opens on a tenant (`locked`, both locked phases of a replan) publishes
+//! the plan it leaves applied into the tenant's plan slot before the lock
+//! drops, and [`ControlPlane::start`] publishes the tenants it is handed.
+//! The read resolves the slot under the outer lock, clones the slot's entry,
+//! and copies its text, written once per plan, into the reply. So a plan
+//! read waits for no round, ingest or poisoned tenant (only for the brief
+//! outer lock, which a list, `/metrics` or snapshot holds while it takes the
+//! tenant locks), and never returns a plan older than one an earlier reply
+//! reflected. The replan reply carries the entry its own round published.
 //!
 //! Graceful reload: `POST /v1/reload` flips the draining flag (new
 //! requests get 503), waits until it is the only request in flight, swaps
@@ -39,7 +47,7 @@ use crate::codec::{app_from_json, span_batch_from_text, workloads_from_json, Dec
 use crate::http::{Handler, Request, Response, Server};
 use crate::json::Json;
 use crate::snapshot;
-use crate::tenant::{replan_with_plan_text, with_plan_text, Registry, Tenant};
+use crate::tenant::{replan_published, with_published, PlanSlot, Registry, Tenant};
 
 /// Configuration of a control-plane instance.
 #[derive(Debug, Clone)]
@@ -86,6 +94,7 @@ impl ControlPlane {
     ///
     /// Propagates the bind failure.
     pub fn start(config: ControlPlaneConfig, registry: Registry) -> std::io::Result<Self> {
+        registry.publish_all();
         let shared = Arc::new(Shared {
             registry: Mutex::new(registry),
             draining: AtomicBool::new(false),
@@ -145,7 +154,8 @@ impl ControlPlane {
 
     /// Direct access to one tenant, bypassing HTTP. Resolves the handle
     /// under the outer lock, releases it, then runs `f` under the tenant's
-    /// own lock — the same discipline the per-tenant handlers follow.
+    /// own lock, publishing the plan it leaves applied — the same discipline
+    /// the per-tenant handlers follow.
     /// Returns `None` if the tenant does not exist.
     ///
     /// # Panics
@@ -156,23 +166,19 @@ impl ControlPlane {
     }
 }
 
-/// Resolves a tenant's lock handle under a brief outer-lock hold.
-fn tenant_handle(shared: &Shared, id: &str) -> Option<Arc<Mutex<Tenant>>> {
-    shared
-        .registry
-        .lock()
-        .expect("registry poisoned")
-        .tenant(id)
+/// Resolves a tenant's lock handle and plan slot under a brief outer-lock
+/// hold.
+fn tenant_entry(shared: &Shared, id: &str) -> Option<(Arc<Mutex<Tenant>>, Arc<PlanSlot>)> {
+    shared.registry.lock().expect("registry poisoned").entry(id)
 }
 
-/// Runs `f` under one tenant's lock and hands back what it returns, or the
-/// 404 reply when there is no such tenant. The closure is the whole critical
-/// section: handlers take out of it what their reply needs and render once
-/// the lock is released.
+/// Runs `f` under one tenant's lock, publishing the plan it leaves applied,
+/// and hands back what it returns, or the 404 reply when there is no such
+/// tenant. The closure is the whole critical section: handlers take out of
+/// it what their reply needs and render once the lock is released.
 fn locked<R>(shared: &Shared, id: &str, f: impl FnOnce(&mut Tenant) -> R) -> Result<R, Response> {
-    let handle = tenant_handle(shared, id).ok_or_else(|| no_tenant(id))?;
-    let mut tenant = handle.lock().expect("tenant poisoned");
-    Ok(f(&mut tenant))
+    let (handle, slot) = tenant_entry(shared, id).ok_or_else(|| no_tenant(id))?;
+    Ok(with_published(&handle, &slot, f).0)
 }
 
 fn no_tenant(id: &str) -> Response {
@@ -417,23 +423,25 @@ fn set_workloads(shared: &Arc<Shared>, id: &str, req: &Request) -> Response {
 }
 
 fn get_plan(shared: &Arc<Shared>, id: &str) -> Response {
-    let Some(handle) = tenant_handle(shared, id) else {
+    let Some((_, slot)) = tenant_entry(shared, id) else {
         return no_tenant(id);
     };
-    match with_plan_text(&handle, |_| ()).1 {
-        Some(text) => Response::json(200, &*text),
+    match slot.current() {
+        Some(published) => Response::json(200, published.text()),
         None => err_json(404, "no plan applied yet: run a replan first"),
     }
 }
 
 fn replan(shared: &Arc<Shared>, id: &str) -> Response {
-    let Some(handle) = tenant_handle(shared, id) else {
+    let Some((handle, slot)) = tenant_entry(shared, id) else {
         return no_tenant(id);
     };
-    let (record, plan) = replan_with_plan_text(&handle);
+    let (record, published) = replan_published(&handle, &slot);
     // The plan's text is spliced in as it stands; only the record is new.
     let decision = snapshot::record_to_json(&record).render();
-    let plan = plan.as_deref().unwrap_or("null");
+    let plan = published
+        .as_ref()
+        .map_or("null", |published| published.text());
     Response::json(200, format!("{{\"decision\":{decision},\"plan\":{plan}}}"))
 }
 
@@ -502,15 +510,18 @@ fn reload(shared: &Arc<Shared>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{app_to_json, plan_to_json};
+    use crate::codec::{app_to_json, plan_from_json, plan_to_json};
     use crate::http::Client;
-    use erms_core::app::{AppBuilder, RequestRate, Sla, WorkloadVector};
+    use erms_core::app::{App, AppBuilder, RequestRate, Sla, WorkloadVector};
     use erms_core::latency::LatencyProfile;
     use erms_core::resources::Resources;
     use erms_profilers::dataset::Sample;
+    use std::collections::BTreeMap;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
     use std::time::Instant;
 
-    fn app_json() -> String {
+    fn demo_app() -> App {
         let mut b = AppBuilder::new("demo");
         let m = b.microservice(
             "m",
@@ -520,8 +531,12 @@ mod tests {
         b.service("s", Sla::p95_ms(100.0), |g| {
             g.entry(m);
         });
-        let app = b.build().unwrap();
-        Json::obj(vec![("id", Json::str("demo")), ("app", app_to_json(&app))]).render()
+        b.build().unwrap()
+    }
+
+    fn app_json(id: &str) -> String {
+        let app = app_to_json(&demo_app());
+        Json::obj(vec![("id", Json::str(id)), ("app", app)]).render()
     }
 
     #[test]
@@ -534,7 +549,7 @@ mod tests {
         assert_eq!(status, 200);
 
         let (status, _) = client
-            .request("POST", "/v1/tenants", Some(app_json().as_bytes()))
+            .request("POST", "/v1/tenants", Some(app_json("demo").as_bytes()))
             .unwrap();
         assert_eq!(status, 201);
 
@@ -601,7 +616,7 @@ mod tests {
             .expect("start");
         let mut client = Client::new(plane.addr()).unwrap();
         let (status, _) = client
-            .request("POST", "/v1/tenants", Some(app_json().as_bytes()))
+            .request("POST", "/v1/tenants", Some(app_json("demo").as_bytes()))
             .unwrap();
         assert_eq!(status, 201);
         let path = "/v1/tenants/demo/workloads";
@@ -718,6 +733,245 @@ mod tests {
         });
         let waited = answered.iter().filter(|&&at| at > replanned).count();
         assert_eq!(waited, 0, "{waited} of 5 plan reads waited for the replan");
+        plane.stop();
+    }
+
+    /// Creates tenant `id` over HTTP, sets its workloads and replans it;
+    /// returns the bytes `GET …/plan` then serves.
+    fn planned(client: &mut Client, id: &str) -> Vec<u8> {
+        let created = client.request("POST", "/v1/tenants", Some(app_json(id).as_bytes()));
+        assert_eq!(created.unwrap().0, 201);
+        let path = |tail: &str| format!("/v1/tenants/{id}/{tail}");
+        let rates = client.request("POST", &path("workloads"), Some(b"[[0, 30000]]"));
+        assert_eq!(rates.unwrap().0, 200);
+        assert_eq!(
+            client.request("POST", &path("replan"), None).unwrap().0,
+            200
+        );
+        let (status, plan) = client.request("GET", &path("plan"), None).unwrap();
+        assert_eq!(status, 200);
+        plan
+    }
+
+    /// `GET …/plan` sent while another thread holds the tenant's lock is
+    /// answered, with the applied plan's bytes, before the lock is released.
+    #[test]
+    fn plan_reads_are_answered_while_the_tenant_lock_is_held() {
+        let plane = ControlPlane::start(ControlPlaneConfig::default(), Registry::paper_pool())
+            .expect("start");
+        let addr = plane.addr();
+        let plan = planned(&mut Client::new(addr).unwrap(), "demo");
+        let (held, holding) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let plane = &plane;
+            s.spawn(move || {
+                plane.with_tenant("demo", |_| {
+                    held.send(()).unwrap();
+                    released.recv().unwrap();
+                })
+            });
+            holding.recv().unwrap();
+            let (replied, reply) = mpsc::channel();
+            s.spawn(move || {
+                let mut reader = Client::new(addr).unwrap();
+                replied.send(reader.request("GET", "/v1/tenants/demo/plan", None))
+            });
+            let answered = reply.recv_timeout(Duration::from_secs(5));
+            release.send(()).unwrap();
+            let (status, body) = answered
+                .expect("the plan read waited for the tenant lock")
+                .unwrap();
+            assert_eq!((status, body), (200, plan));
+        });
+        plane.stop();
+    }
+
+    /// A round that panics poisons its tenant's lock. The tenant's plan is
+    /// still served, by every worker, and the other tenants are untouched.
+    #[test]
+    fn a_poisoned_tenant_still_serves_its_plan() {
+        let config = ControlPlaneConfig {
+            workers: 2,
+            ..ControlPlaneConfig::default()
+        };
+        let plane = ControlPlane::start(config, Registry::paper_pool()).expect("start");
+        let addr = plane.addr();
+        let mut client = Client::new(addr).unwrap();
+        let plan = planned(&mut client, "demo");
+        let other = planned(&mut client, "other");
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            plane.with_tenant("demo", |_| panic!("a round panics under the lock"))
+        }));
+        assert!(panicked.is_err());
+        for read in 0..5 {
+            let reply = Client::new(addr)
+                .unwrap()
+                .request("GET", "/v1/tenants/demo/plan", None);
+            let (status, body) = reply.unwrap_or_else(|e| panic!("read {read}: {e}"));
+            assert_eq!((status, &body), (200, &plan), "read {read}");
+        }
+        let mut client = Client::new(addr).unwrap();
+        let replanned = client.request("POST", "/v1/tenants/other/replan", None);
+        assert_eq!(replanned.unwrap().0, 200);
+        let read = client.request("GET", "/v1/tenants/other/plan", None);
+        assert_eq!(read.unwrap(), (200, other));
+        plane.stop();
+    }
+
+    /// The epoch tenant `id`'s slot holds and the manager's, `None` without
+    /// a plan. Reads the tenant through its raw handle, which publishes
+    /// nothing.
+    fn published_and_applied(plane: &ControlPlane, id: &str) -> (Option<u64>, Option<u64>) {
+        let (handle, slot) = plane.with_registry(|r| r.entry(id)).expect("registered");
+        let tenant = handle.lock().unwrap();
+        let applied = tenant.plan().map(|_| tenant.manager.plan_epoch());
+        (slot.current().map(|entry| entry.epoch()), applied)
+    }
+
+    /// The slot holds the manager's plan epoch after every kind of section
+    /// the daemon opens on a tenant: a handler's (`locked`), a replan, a
+    /// round run on the manager through `with_tenant`, a restored manager
+    /// state, a reload, and for a tenant planned before the server started.
+    #[test]
+    fn the_slot_follows_every_section_the_daemon_opens() {
+        let snapshot = std::env::temp_dir().join(format!(
+            "erms-slot-{}-{:?}.json",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let mut registry = Registry::paper_pool();
+        let early = registry.create("early", demo_app()).unwrap();
+        {
+            let mut t = early.lock().unwrap();
+            t.workloads = WorkloadVector::uniform(&t.app, RequestRate::per_minute(30_000.0));
+            assert!(!t.replan().skipped);
+        }
+        let config = ControlPlaneConfig {
+            snapshot_path: Some(snapshot.clone()),
+            ..ControlPlaneConfig::default()
+        };
+        let plane = ControlPlane::start(config, registry).expect("start");
+        let follows = |step: &str| {
+            let (published, applied) = published_and_applied(&plane, "demo");
+            assert!(applied.is_some(), "{step}: no plan applied");
+            assert_eq!(published, applied, "{step}");
+        };
+        let (published, applied) = published_and_applied(&plane, "early");
+        assert!(applied.is_some());
+        assert_eq!(published, applied, "planned before the server started");
+        let mut client = Client::new(plane.addr()).unwrap();
+        planned(&mut client, "demo");
+        follows("replan");
+        let rates = client.request("POST", "/v1/tenants/demo/workloads", Some(b"[[0, 90000]]"));
+        assert_eq!(rates.unwrap().0, 200);
+        follows("locked");
+        let state = plane
+            .with_tenant("demo", |t| {
+                let state = t.manager.export_state();
+                t.manager.run_round(&t.app, &mut t.cluster, &t.workloads);
+                state
+            })
+            .unwrap();
+        follows("run_round through with_tenant");
+        plane.with_tenant("demo", |t| t.manager.restore_state(state));
+        follows("restore_state");
+        assert_eq!(client.request("POST", "/v1/snapshot", None).unwrap().0, 200);
+        plane.with_tenant("demo", |t| {
+            t.manager.run_round(&t.app, &mut t.cluster, &t.workloads);
+        });
+        assert_eq!(client.request("POST", "/v1/reload", None).unwrap().0, 200);
+        follows("reload");
+        plane.stop();
+        std::fs::remove_file(&snapshot).unwrap();
+    }
+
+    /// Two readers loop on `GET …/plan` while a writer runs rounds of
+    /// ingest, workloads and replan. Every plan read is one a replan reply
+    /// carried, and no reader sees a plan older than one it saw before.
+    #[test]
+    #[ignore = "release stress test: cargo test --release -- --ignored plan_reads_under_churn"]
+    fn plan_reads_under_churn() {
+        const ROUNDS: usize = 500;
+        const READERS: usize = 2;
+        let plane = ControlPlane::start(ControlPlaneConfig::default(), Registry::paper_pool())
+            .expect("start");
+        let addr = plane.addr();
+        let mut writer = Client::new(addr).unwrap();
+        let created = writer.request("POST", "/v1/tenants", Some(app_json("churn").as_bytes()));
+        assert_eq!(created.unwrap().0, 201);
+        let stop = AtomicBool::new(false);
+        let (replies, reads) = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut reader = Client::new(addr).unwrap();
+                        let mut seen: Vec<String> = Vec::new();
+                        while !stop.load(Ordering::SeqCst) {
+                            let reply = reader.request("GET", "/v1/tenants/churn/plan", None);
+                            match reply.unwrap() {
+                                (200, body) => seen.push(String::from_utf8(body).unwrap()),
+                                (404, _) if seen.is_empty() => {}
+                                (status, body) => panic!("{status}: {body:?}"),
+                            }
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            let mut replies = Vec::with_capacity(ROUNDS);
+            for round in 0..ROUNDS {
+                let spans: Vec<String> = (0..8)
+                    .map(|i| {
+                        let start = round as f64 * 1_000.0 + f64::from(i) * 97.0;
+                        let latency = 3.0 + (round % 5) as f64 + f64::from(i) / 8.0;
+                        format!("[0,0,0,0,{start},{}]", start + latency)
+                    })
+                    .collect();
+                let batch = format!(
+                    r#"{{"sampling":1,"containers":[[0,1]],"spans":[{}]}}"#,
+                    spans.join(",")
+                );
+                let ingest =
+                    writer.request("POST", "/v1/tenants/churn/spans", Some(batch.as_bytes()));
+                assert_eq!(ingest.unwrap().0, 200);
+                let rate = format!("[[0, {}]]", 5_000 + 20_000 * (round % 5));
+                let set =
+                    writer.request("POST", "/v1/tenants/churn/workloads", Some(rate.as_bytes()));
+                assert_eq!(set.unwrap().0, 200);
+                let (status, body) = writer
+                    .request("POST", "/v1/tenants/churn/replan", None)
+                    .unwrap();
+                assert_eq!(status, 200);
+                let reply = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+                replies.push(reply.get("plan").expect("a plan member").render());
+            }
+            stop.store(true, Ordering::SeqCst);
+            let reads: Vec<Vec<String>> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+            (replies, reads)
+        });
+        // Where each plan stands in the writer's order (equal plans share
+        // their text, so one text may stand at several places).
+        let mut at: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (place, text) in replies.iter().enumerate() {
+            at.entry(text.as_str()).or_default().push(place);
+        }
+        assert!(at.len() > 1, "every round applied one plan");
+        for (reader, seen) in reads.iter().enumerate() {
+            assert!(!seen.is_empty(), "reader {reader} read no plan");
+            let mut floor = 0;
+            for text in seen {
+                let json = Json::parse(text).expect("the plan parses");
+                plan_from_json(&json).expect("the plan decodes");
+                let places = at
+                    .get(text.as_str())
+                    .unwrap_or_else(|| panic!("reader {reader}: a plan no replan reply carried"));
+                floor = *places
+                    .iter()
+                    .find(|&&place| place >= floor)
+                    .unwrap_or_else(|| panic!("reader {reader}: a plan older than one seen"));
+            }
+        }
         plane.stop();
     }
 

@@ -188,9 +188,6 @@ fn tenant_from_json(j: &Json) -> Result<Tenant, String> {
         cluster,
         workloads,
         history,
-        // Rendered on first use: a restore does not pay for a plan nobody
-        // asks for.
-        plan_text: None,
     })
 }
 

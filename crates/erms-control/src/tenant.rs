@@ -16,10 +16,23 @@
 //!
 //! A tenant lock is held for work on the tenant's state and for nothing
 //! else: never while rendering, parsing, writing a socket or fitting.
-//! Request bodies are decoded before the lock is taken, the one large
-//! reply, the applied plan, is text kept beside the plan
-//! (`with_plan_text`), and a replan over HTTP fits a copy of the profiler's
-//! window with no lock held (`replan_with_plan_text`).
+//! Request bodies are decoded before the lock is taken, and a replan over
+//! HTTP fits a copy of the profiler's window with no lock held
+//! (`replan_published`).
+//!
+//! The applied plan, the one large reply and the most read one, is served
+//! with no tenant lock at all. Beside each tenant handle the registry keeps
+//! a `PlanSlot`: a cell holding the `Published` entry of the plan applied
+//! last (its plan epoch, the plan as an `Arc`, and its text, written once).
+//! The slot is current whenever this crate releases a tenant lock: every
+//! critical section it opens on a tenant ends in `PlanSlot::publish`, which
+//! swaps in a new entry if the manager's plan epoch moved, before the guard
+//! drops. A plan reader clones the entry under the cell's own lock, held
+//! for a pointer copy, and takes the text outside it. The lock order is
+//! *outer → tenant → cell*; nothing waits for another lock while holding a
+//! cell. A section opened on a handle from [`Registry::tenant`] or
+//! [`Registry::create`] is its caller's, and is published at the next
+//! section this crate opens on the tenant.
 //!
 //! # Tenant isolation
 //!
@@ -37,7 +50,7 @@
 //! properties.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use erms_core::app::{App, WorkloadVector};
 use erms_core::autoscaler::ScalingPlan;
@@ -96,10 +109,6 @@ pub struct Tenant {
     pub spans_ingested: u64,
     /// Windowed samples actually added to the profiler.
     pub samples_ingested: u64,
-    /// Compact JSON of the applied plan and the manager's plan epoch it was
-    /// rendered for; stale, and rendered again on next use, once the epoch
-    /// has moved on. Filled by [`with_plan_text`] only.
-    pub(crate) plan_text: Option<(u64, Arc<str>)>,
 }
 
 impl Tenant {
@@ -115,7 +124,6 @@ impl Tenant {
             history: VecDeque::new(),
             spans_ingested: 0,
             samples_ingested: 0,
-            plan_text: None,
         }
     }
 
@@ -177,14 +185,14 @@ impl Tenant {
     ///
     /// Everything here runs under whatever lock the caller holds on the
     /// tenant, the fit included. The daemon's `POST …/replan` fits a copy of
-    /// the window with no lock held instead (`replan_with_plan_text`) and
-    /// ends where this method would have.
+    /// the window with no lock held instead (`replan_published`) and ends
+    /// where this method would have.
     pub fn replan(&mut self) -> &DecisionRecord {
         let fits = self.profiler.fit();
         self.finish_round(fits)
     }
 
-    /// Phase 3 of `replan_with_plan_text`: installs `fits`, made from
+    /// Phase 3 of `replan_published`: installs `fits`, made from
     /// `window`, when this tenant's window is still bit for bit what was
     /// fitted, and runs the rest of the round; otherwise the window moved
     /// since the copy and the round is [`Tenant::replan`].
@@ -260,50 +268,94 @@ impl Tenant {
     }
 }
 
-/// Runs `f` under the tenant's lock and returns its result beside the
-/// compact JSON of the plan that is applied when `f` returns: the bytes of
-/// `plan_to_json(plan).render()`, written straight from the plan by
-/// [`plan_text`] with no `Json` tree in between, or `None` while no plan is
-/// applied.
-///
-/// A plan is written once, by the first request to want its text, and the
-/// text is kept until the manager's plan epoch moves — which it does
-/// wherever the applied plan is assigned, so a round run on `manager`
-/// directly or a restored state invalidates the text like
-/// [`Tenant::replan`] does. Writing happens outside the lock, from a copy
-/// of the plan taken under it: for the 92 KB plan of a 1000-microservice
-/// tenant, 50–100 µs to copy against 0.44 ms to write (the tree took
-/// 0.89 ms to build and render), on one core of a 2-vCPU VM. With the text
-/// in place a reader holds the lock for one `Arc` clone. Two requests that
-/// find the text stale at once both write it; the bytes are equal.
+/// The applied plan as readers that take no tenant lock see it: the plan
+/// epoch it was applied at, the plan itself, and its compact JSON, the
+/// bytes of `plan_to_json(plan).render()`.
+#[derive(Debug)]
+pub(crate) struct Published {
+    epoch: u64,
+    plan: Arc<ScalingPlan>,
+    text: OnceLock<String>,
+}
+
+impl Published {
+    /// The plan epoch this entry was published at.
+    #[cfg(test)]
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The plan's compact JSON. The first caller writes it with [`plan_text`]
+    /// (0.44 ms for the 92 KB plan of a 1000-microservice tenant, on one
+    /// core of a 2-vCPU VM) with no lock held; a caller that arrives
+    /// meanwhile waits for those bytes, and every later one gets them.
+    pub(crate) fn text(&self) -> &str {
+        self.text.get_or_init(|| plan_text(&self.plan))
+    }
+}
+
+/// A tenant's publication cell: the entry of the plan applied last, or
+/// `None` while no plan is applied. Kept beside the tenant's handle in the
+/// [`Registry`]; see the module docs for when it is current.
+#[derive(Debug, Default)]
+pub(crate) struct PlanSlot(Mutex<Option<Arc<Published>>>);
+
+impl PlanSlot {
+    /// The entry published last. Takes no tenant lock, and serves through a
+    /// poisoned one: the cell only ever holds a whole `Arc`, so a panic
+    /// elsewhere cannot leave it half written.
+    pub(crate) fn current(&self) -> Option<Arc<Published>> {
+        self.cell().clone()
+    }
+
+    fn cell(&self) -> MutexGuard<'_, Option<Arc<Published>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Makes the slot current with `tenant`, whose lock the caller holds
+    /// (or which it owns): a new entry when the manager's plan epoch is not
+    /// the published one, a reference count otherwise. Returns the entry
+    /// that is current now. The text is left for [`Published::text`] to
+    /// write outside the lock.
+    pub(crate) fn publish(&self, tenant: &Tenant) -> Option<Arc<Published>> {
+        let epoch = tenant.manager.plan_epoch();
+        let applied = tenant.manager.last_applied_shared();
+        let mut cell = self.cell();
+        if cell.as_ref().map(|entry| entry.epoch) != applied.map(|_| epoch) {
+            *cell = applied.map(|plan| {
+                Arc::new(Published {
+                    epoch,
+                    plan: Arc::clone(plan),
+                    text: OnceLock::new(),
+                })
+            });
+        }
+        cell.clone()
+    }
+}
+
+/// Runs `f` under the tenant's lock, publishes the applied plan into `slot`
+/// before the lock drops, and returns what `f` returned beside the entry
+/// current at that instant — the plan `f` left applied, whatever later
+/// sections publish.
 ///
 /// # Panics
 ///
 /// Panics if the tenant's lock is poisoned.
-pub(crate) fn with_plan_text<R>(
+pub(crate) fn with_published<R>(
     handle: &Mutex<Tenant>,
+    slot: &PlanSlot,
     f: impl FnOnce(&mut Tenant) -> R,
-) -> (R, Option<Arc<str>>) {
-    let (result, epoch, plan) = {
-        let mut tenant = handle.lock().expect("tenant poisoned");
-        let result = f(&mut tenant);
-        let epoch = tenant.manager.plan_epoch();
-        match (&tenant.plan_text, tenant.plan()) {
-            (_, None) => return (result, None),
-            (Some((at, text)), _) if *at == epoch => return (result, Some(Arc::clone(text))),
-            (_, Some(plan)) => (result, epoch, plan.clone()),
-        }
-    };
-    let text: Arc<str> = plan_text(&plan).into();
+) -> (R, Option<Arc<Published>>) {
     let mut tenant = handle.lock().expect("tenant poisoned");
-    if tenant.manager.plan_epoch() == epoch {
-        tenant.plan_text = Some((epoch, Arc::clone(&text)));
-    }
-    (result, Some(text))
+    let result = f(&mut tenant);
+    let published = slot.publish(&tenant);
+    (result, published)
 }
 
 /// Runs one [`Tenant::replan`] with the fit outside the tenant's lock, and
-/// returns its record beside the plan text as [`with_plan_text`] does.
+/// returns its record beside the entry its own round published, as
+/// [`with_published`] does.
 ///
 /// 1. Under the lock: copy the profiler.
 /// 2. With no lock held: fit the copy.
@@ -321,10 +373,13 @@ pub(crate) fn with_plan_text<R>(
 /// # Panics
 ///
 /// Panics if the tenant's lock is poisoned.
-pub(crate) fn replan_with_plan_text(handle: &Mutex<Tenant>) -> (DecisionRecord, Option<Arc<str>>) {
-    let window = handle.lock().expect("tenant poisoned").profiler.clone();
+pub(crate) fn replan_published(
+    handle: &Mutex<Tenant>,
+    slot: &PlanSlot,
+) -> (DecisionRecord, Option<Arc<Published>>) {
+    let (window, _) = with_published(handle, slot, |tenant| tenant.profiler.clone());
     let fits = window.fit();
-    with_plan_text(handle, |tenant| {
+    with_published(handle, slot, |tenant| {
         tenant.replan_with_fits(&window, fits).clone()
     })
 }
@@ -365,14 +420,22 @@ impl PoolUsage {
 
 /// The tenant registry: an id → tenant-handle map plus the shared pool
 /// template. The map is guarded by the server's short-held outer lock;
-/// each [`Tenant`] is guarded by its own `Mutex` (see the module docs
-/// for the lock hierarchy).
+/// each [`Tenant`] is guarded by its own `Mutex`, and its applied plan is
+/// published in a cell beside it (see the module docs for the lock
+/// hierarchy and the publication rule).
 #[derive(Debug)]
 pub struct Registry {
     pool: Vec<Host>,
-    tenants: BTreeMap<String, Arc<Mutex<Tenant>>>,
+    tenants: BTreeMap<String, Entry>,
     /// Control-plane-level counters (request totals, pool gauges).
     pub metrics: MetricsRegistry,
+}
+
+/// One registered tenant: its handle and its plan's publication cell.
+#[derive(Debug)]
+struct Entry {
+    tenant: Arc<Mutex<Tenant>>,
+    slot: Arc<PlanSlot>,
 }
 
 impl Registry {
@@ -413,15 +476,25 @@ impl Registry {
             return Err(format!("tenant `{id}` already exists"));
         }
         let tenant = Arc::new(Mutex::new(Tenant::new(id, app, &self.pool)));
-        self.tenants.insert(id.to_string(), Arc::clone(&tenant));
+        let entry = Entry {
+            tenant: Arc::clone(&tenant),
+            slot: Arc::default(),
+        };
+        self.tenants.insert(id.to_string(), entry);
         Ok(tenant)
     }
 
-    /// Inserts an already-built tenant (snapshot restore path). Replaces
-    /// any existing tenant with the same id.
+    /// Inserts an already-built tenant (snapshot restore path), publishing
+    /// the plan it carries. Replaces any existing tenant with the same id.
     pub fn insert(&mut self, tenant: Tenant) {
-        self.tenants
-            .insert(tenant.id.clone(), Arc::new(Mutex::new(tenant)));
+        let slot = Arc::new(PlanSlot::default());
+        slot.publish(&tenant);
+        let id = tenant.id.clone();
+        let entry = Entry {
+            tenant: Arc::new(Mutex::new(tenant)),
+            slot,
+        };
+        self.tenants.insert(id, entry);
     }
 
     /// Removes a tenant, returning whether it existed. A handler still
@@ -434,20 +507,38 @@ impl Registry {
     /// The handle of a tenant: clone it out under the brief outer lock,
     /// drop the registry guard, then lock the tenant itself.
     pub fn tenant(&self, id: &str) -> Option<Arc<Mutex<Tenant>>> {
-        self.tenants.get(id).map(Arc::clone)
+        self.tenants.get(id).map(|entry| Arc::clone(&entry.tenant))
+    }
+
+    /// A tenant's handle and plan slot, cloned out under the brief outer
+    /// lock.
+    pub(crate) fn entry(&self, id: &str) -> Option<(Arc<Mutex<Tenant>>, Arc<PlanSlot>)> {
+        let entry = self.tenants.get(id)?;
+        Some((Arc::clone(&entry.tenant), Arc::clone(&entry.slot)))
     }
 
     /// Runs `f` against one locked tenant (convenience over
     /// [`Registry::tenant`] for callers already holding the outer lock —
-    /// the hierarchy *outer → tenant* makes this safe).
+    /// the hierarchy *outer → tenant* makes this safe), and publishes the
+    /// plan `f` leaves applied before the lock drops.
     ///
     /// # Panics
     ///
     /// Panics if the tenant's lock is poisoned.
     pub fn with_tenant<R>(&self, id: &str, f: impl FnOnce(&mut Tenant) -> R) -> Option<R> {
-        let handle = self.tenant(id)?;
-        let mut tenant = handle.lock().expect("tenant poisoned");
-        Some(f(&mut tenant))
+        let entry = self.tenants.get(id)?;
+        Some(with_published(&entry.tenant, &entry.slot, f).0)
+    }
+
+    /// Publishes every tenant's applied plan: for tenants worked on through
+    /// their handles before a server took the registry over. A poisoned
+    /// tenant keeps what its slot holds.
+    pub(crate) fn publish_all(&self) {
+        for entry in self.tenants.values() {
+            if let Ok(tenant) = entry.tenant.lock() {
+                entry.slot.publish(&tenant);
+            }
+        }
     }
 
     /// Locks every tenant in id order and returns the guards — a
@@ -461,7 +552,7 @@ impl Registry {
     pub fn lock_tenants(&self) -> Vec<MutexGuard<'_, Tenant>> {
         self.tenants
             .values()
-            .map(|t| t.lock().expect("tenant poisoned"))
+            .map(|entry| entry.tenant.lock().expect("tenant poisoned"))
             .collect()
     }
 
@@ -484,8 +575,8 @@ impl Registry {
         let capacity_mem: f64 = self.pool.iter().map(|h| h.mem_capacity).sum();
         let mut requested_cpu = 0.0;
         let mut requested_mem = 0.0;
-        for handle in self.tenants.values() {
-            let tenant = handle.lock().expect("tenant poisoned");
+        for entry in self.tenants.values() {
+            let tenant = entry.tenant.lock().expect("tenant poisoned");
             if let Some(plan) = tenant.plan() {
                 for (ms, count) in plan.iter() {
                     if let Ok(micro) = tenant.app.microservice(ms) {
@@ -695,20 +786,57 @@ mod tests {
         assert_eq!(cramped.metrics.gauge("pool.oversubscribed"), Some(1.0));
     }
 
-    /// The text `with_plan_text` hands out against a fresh render of the
-    /// plan that is applied right now.
-    fn text_is_current(handle: &Mutex<Tenant>) -> Result<(), String> {
-        let ((), text) = with_plan_text(handle, |_| ());
-        let fresh = handle
-            .lock()
-            .unwrap()
-            .plan()
-            .map(|plan| plan_to_json(plan).render());
-        if text.as_deref() == fresh.as_deref() {
-            Ok(())
-        } else {
-            Err(format!("kept {text:?}, the plan renders as {fresh:?}"))
+    /// What a plan read gets through the tenant's slot, against a fresh
+    /// render of the plan that is applied right now, and the slot's epoch
+    /// against the manager's. Reads the tenant through its raw handle, which
+    /// publishes nothing.
+    fn slot_is_current(registry: &Registry, id: &str) -> Result<(), String> {
+        let published = registry.entry(id).expect("registered").1.current();
+        let handle = registry.tenant(id).expect("registered");
+        let tenant = handle.lock().unwrap();
+        let fresh = tenant.plan().map(|plan| plan_to_json(plan).render());
+        let applied = tenant.plan().map(|_| tenant.manager.plan_epoch());
+        let text = published.as_ref().map(|entry| entry.text());
+        if text != fresh.as_deref() {
+            return Err(format!("served {text:?}, the plan renders as {fresh:?}"));
         }
+        match published.map(|entry| entry.epoch) {
+            epoch if epoch == applied => Ok(()),
+            epoch => Err(format!("slot at epoch {epoch:?}, manager at {applied:?}")),
+        }
+    }
+
+    /// The first reply's text is written after a second round has
+    /// published its own plan: each reply still carries its own round's
+    /// plan, and the slot the newer one.
+    #[test]
+    fn overlapping_replans_reply_with_their_own_rounds_plans() {
+        let pool = Registry::paper_pool();
+        let handle = Mutex::new(Tenant::new("a", tiny_app("a"), pool.pool()));
+        let slot = PlanSlot::default();
+        let replan_at = |rate: f64| {
+            with_published(&handle, &slot, |t| {
+                t.workloads = WorkloadVector::uniform(&t.app, RequestRate::per_minute(rate));
+            });
+            let (record, published) = replan_published(&handle, &slot);
+            let applied = plan_to_json(handle.lock().unwrap().plan().expect("applied")).render();
+            (record, published.expect("published"), applied)
+        };
+        let (first, first_entry, first_plan) = replan_at(10_000.0);
+        let (second, second_entry, second_plan) = replan_at(90_000.0);
+        assert_ne!(first_plan, second_plan, "the two rounds applied one plan");
+        assert!(first_entry.text.get().is_none(), "written before the reply");
+        assert_eq!(first_entry.text(), first_plan);
+        assert_eq!(second_entry.text(), second_plan);
+        assert_eq!(
+            (first.total_containers, second.total_containers),
+            (
+                first_entry.plan.total_containers(),
+                second_entry.plan.total_containers()
+            )
+        );
+        let current = slot.current().expect("published");
+        assert!(Arc::ptr_eq(&current, &second_entry));
     }
 
     /// Two microservices in a chain, so that a round plans both.
@@ -828,16 +956,19 @@ mod tests {
             let pool = Registry::paper_pool();
             let daemon = Mutex::new(chain_tenant(pool.pool()));
             let twin = Mutex::new(chain_tenant(pool.pool()));
+            let (daemon_slot, twin_slot) = (PlanSlot::default(), PlanSlot::default());
             let mut first = 0;
             for (round, &(windows, containers)) in rounds.iter().enumerate() {
                 let batch = window_batch(first, windows, two_levels, containers, round as u64);
                 first += windows;
                 let ingested = daemon.lock().unwrap().ingest(&batch);
                 prop_assert_eq!(ingested, twin.lock().unwrap().ingest(&batch));
-                let (record, text) = replan_with_plan_text(&daemon);
-                let (serial, serial_text) = with_plan_text(&twin, |t| t.replan().clone());
+                let (record, published) = replan_published(&daemon, &daemon_slot);
+                let (serial, serial_published) =
+                    with_published(&twin, &twin_slot, |t| t.replan().clone());
                 prop_assert_eq!(record, serial);
-                prop_assert_eq!(text, serial_text);
+                let text = |entry: Option<Arc<Published>>| entry.map(|e| e.text().to_owned());
+                prop_assert_eq!(text(published), text(serial_published));
                 let (a, b) = (daemon.lock().unwrap(), twin.lock().unwrap());
                 prop_assert_eq!(&a.app, &b.app);
                 prop_assert_eq!(&a.cluster, &b.cluster);
@@ -845,17 +976,20 @@ mod tests {
             }
         }
 
-        /// (iv) The kept text is the applied plan's rendering after every
-        /// way the applied plan can change: `Tenant::replan`, a round run
-        /// on the public `manager` field behind the tenant's back, a state
-        /// restored into the manager in place, and a snapshot restore.
+        /// (iv) A plan read through the slot gets the applied plan's
+        /// rendering, and the slot holds the manager's plan epoch, after
+        /// every way the applied plan can change: `Tenant::replan`, a round
+        /// run on the public `manager` field behind the tenant's back and a
+        /// state restored into the manager in place, each in a section
+        /// `with_published` or `Registry::with_tenant` opens, and a
+        /// snapshot restore.
         #[test]
         fn plan_text_follows_the_applied_plan(
             steps in prop::collection::vec((0u8..4, 2_000.0f64..90_000.0), 1..10),
         ) {
             let mut registry = Registry::paper_pool();
-            let mut handle = registry.create("a", tiny_app("a")).unwrap();
-            let unplanned = with_plan_text(&handle, |_| ()).1;
+            registry.create("a", tiny_app("a")).unwrap();
+            let unplanned = registry.entry("a").unwrap().1.current();
             prop_assert!(unplanned.is_none(), "text without a plan: {unplanned:?}");
             // A second tenant's manager state, to restore over the first's.
             let donor = {
@@ -868,32 +1002,38 @@ mod tests {
                 let rate = RequestRate::per_minute(rate);
                 match kind {
                     0 => {
-                        let (skipped, text) = with_plan_text(&handle, |t| {
+                        let (handle, slot) = registry.entry("a").unwrap();
+                        let (skipped, published) = with_published(&handle, &slot, |t| {
                             t.workloads = WorkloadVector::uniform(&t.app, rate);
                             t.replan().skipped
                         });
-                        prop_assert!(!skipped && text.is_some());
+                        prop_assert!(!skipped && published.is_some());
                     }
-                    1 => {
-                        let t = &mut *handle.lock().unwrap();
-                        let workloads = WorkloadVector::uniform(&t.app, rate);
-                        t.manager.run_round(&t.app, &mut t.cluster, &workloads);
-                    }
-                    2 => handle.lock().unwrap().manager.restore_state(donor.clone()),
+                    1 => registry
+                        .with_tenant("a", |t| {
+                            let workloads = WorkloadVector::uniform(&t.app, rate);
+                            t.manager.run_round(&t.app, &mut t.cluster, &workloads);
+                        })
+                        .unwrap(),
+                    2 => registry
+                        .with_tenant("a", |t| t.manager.restore_state(donor.clone()))
+                        .unwrap(),
                     _ => {
                         let json = registry_to_json(&registry);
                         registry = registry_from_json(&json).map_err(TestCaseError::Fail)?;
-                        handle = registry.tenant("a").unwrap();
-                        let kept = handle.lock().unwrap().plan_text.clone();
-                        prop_assert!(kept.is_none(), "a restore rendered eagerly: {kept:?}");
+                        let kept = registry.entry("a").unwrap().1.current();
+                        let written = kept.as_ref().and_then(|entry| entry.text.get());
+                        prop_assert!(written.is_none(), "a restore rendered eagerly: {written:?}");
                     }
                 }
-                text_is_current(&handle).map_err(TestCaseError::Fail)?;
-                // And once more from the kept text: the same allocation.
-                let first = with_plan_text(&handle, |_| ()).1;
-                let second = with_plan_text(&handle, |_| ()).1;
-                match (first, second) {
-                    (Some(a), Some(b)) => prop_assert!(Arc::ptr_eq(&a, &b), "rendered twice"),
+                slot_is_current(&registry, "a").map_err(TestCaseError::Fail)?;
+                // And once more: the same entry, its text written once.
+                let (_, slot) = registry.entry("a").unwrap();
+                match (slot.current(), slot.current()) {
+                    (Some(a), Some(b)) => prop_assert!(
+                        Arc::ptr_eq(&a, &b) && std::ptr::eq(a.text(), b.text()),
+                        "rendered twice"
+                    ),
                     (None, None) => {}
                     other => prop_assert!(false, "{other:?}"),
                 }

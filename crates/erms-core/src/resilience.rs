@@ -297,10 +297,13 @@ pub struct ManagerState {
 pub struct ResilientManager {
     config: ResilienceConfig,
     round: u64,
-    last_applied: Option<ScalingPlan>,
+    /// The applied plan. A fresh commit shares this allocation with
+    /// `last_good`, and a reader of [`Self::last_applied_shared`] keeps it
+    /// for the price of a reference count.
+    last_applied: Option<Arc<ScalingPlan>>,
     /// Which assignment set `last_applied` (see [`Self::plan_epoch`]).
     plan_epoch: u64,
-    last_good: Option<(ScalingPlan, u64)>,
+    last_good: Option<(Arc<ScalingPlan>, u64)>,
     /// Per-microservice last rescaling: (+1 up / −1 down, round it happened).
     directions: BTreeMap<MicroserviceId, (i8, u64)>,
     history: Vec<ResilienceReport>,
@@ -368,6 +371,12 @@ impl ResilientManager {
 
     /// The last plan that was successfully applied, if any.
     pub fn last_applied(&self) -> Option<&ScalingPlan> {
+        self.last_applied.as_deref()
+    }
+
+    /// The allocation behind [`last_applied`](Self::last_applied): a
+    /// holder keeps the plan as it stands after the manager has moved on.
+    pub fn last_applied_shared(&self) -> Option<&Arc<ScalingPlan>> {
         self.last_applied.as_ref()
     }
 
@@ -394,8 +403,11 @@ impl ResilientManager {
     pub fn export_state(&self) -> ManagerState {
         ManagerState {
             round: self.round,
-            last_applied: self.last_applied.clone(),
-            last_good: self.last_good.clone(),
+            last_applied: self.last_applied.as_deref().cloned(),
+            last_good: self
+                .last_good
+                .as_ref()
+                .map(|(plan, round)| (ScalingPlan::clone(plan), *round)),
             directions: self.directions.clone(),
         }
     }
@@ -404,9 +416,13 @@ impl ResilientManager {
     /// dropping any carried planner state so the next round plans cold.
     pub fn restore_state(&mut self, state: ManagerState) {
         self.round = state.round;
-        self.last_applied = state.last_applied;
+        let applied = state.last_applied.map(Arc::new);
+        self.last_good = state.last_good.map(|(plan, round)| match &applied {
+            Some(shared) if **shared == plan => (Arc::clone(shared), round),
+            _ => (Arc::new(plan), round),
+        });
+        self.last_applied = applied;
         self.plan_epoch = next_plan_epoch();
-        self.last_good = state.last_good;
         self.directions = state.directions;
         self.planner.invalidate();
     }
@@ -449,7 +465,7 @@ impl ResilientManager {
                             age_rounds: round - good_round,
                         });
                         fresh = false;
-                        plan.clone()
+                        ScalingPlan::clone(plan)
                     }
                     Some((_, good_round)) => {
                         return self.skip(
@@ -660,7 +676,8 @@ impl ResilientManager {
 
     /// Records a successful application: the last-applied plan, the
     /// rescaling-direction map used by the cooldown and — only for freshly
-    /// planned (not stale-substituted) plans — the last-known-good plan.
+    /// planned (not stale-substituted) plans — the last-known-good plan,
+    /// which then shares the applied plan's allocation.
     fn commit(&mut self, round: u64, plan: &ScalingPlan, fresh: bool) {
         if let Some(prev) = &self.last_applied {
             for (ms, count) in plan.iter() {
@@ -673,11 +690,12 @@ impl ResilientManager {
                 }
             }
         }
-        self.last_applied = Some(plan.clone());
-        self.plan_epoch = next_plan_epoch();
+        let applied = Arc::new(plan.clone());
         if fresh {
-            self.last_good = Some((plan.clone(), round));
+            self.last_good = Some((Arc::clone(&applied), round));
         }
+        self.last_applied = Some(applied);
+        self.plan_epoch = next_plan_epoch();
     }
 
     /// Appends a round's report to the history. The oldest reports go in
@@ -1174,6 +1192,28 @@ mod tests {
         let mut restored = ResilientManager::new(ResilienceConfig::default());
         restored.restore_state(mgr.export_state());
         assert!(![0, first, second].contains(&restored.plan_epoch()));
+    }
+
+    /// A fresh commit keeps one copy of the plan for the applied and the
+    /// last-known-good plan, and so does a restore of a state where the
+    /// two are equal.
+    #[test]
+    fn applied_and_last_good_plans_share_one_allocation() {
+        let app = two_service_app(300.0, 300.0);
+        let mut state = ClusterState::paper_cluster();
+        let mut mgr = ResilientManager::new(ResilienceConfig::default());
+        assert!(mgr
+            .run_round(&app, &mut state, &workloads(&app, 20_000.0))
+            .applied());
+        let shared = |m: &ResilientManager| {
+            let (good, _) = m.last_good.as_ref().expect("a fresh plan");
+            Arc::ptr_eq(m.last_applied_shared().expect("applied"), good)
+        };
+        assert!(shared(&mgr));
+        let mut restored = ResilientManager::new(ResilienceConfig::default());
+        restored.restore_state(mgr.export_state());
+        assert!(shared(&restored));
+        assert_eq!(restored.export_state(), mgr.export_state());
     }
 
     #[test]
