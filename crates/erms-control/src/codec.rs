@@ -1,16 +1,28 @@
 //! Domain ↔ JSON codecs.
 //!
-//! Every numeric field goes through [`Json::Num`], whose serializer emits
-//! the shortest decimal that round-trips the exact `f64` bits — so a
-//! snapshot written and read back restores *bit-identical* state (the
-//! foundation of the warm-restart equivalence test). The one value JSON
-//! cannot carry is the infinite constant cut-off of
+//! Every number is written by the one number writer behind both
+//! [`Json::render`] and the streamed writer, which emits the shortest
+//! decimal that round-trips the exact `f64` bits, and read back by the one
+//! parser — so a snapshot written and read back restores *bit-identical*
+//! state (the foundation of the warm-restart equivalence test). The one
+//! value JSON cannot carry is the infinite constant cut-off of
 //! [`LatencyProfile::linear`]; it is encoded *structurally* as `null` and
 //! decoded back to `f64::INFINITY`.
 //!
 //! Maps keyed by ids are encoded as arrays of pairs (ids are numbers and
 //! JSON object keys must be strings); order follows the `BTreeMap`
 //! iteration order, so encodings are canonical.
+//!
+//! Three kinds of codec live here. Tree codecs (`*_to_json`,
+//! `*_from_json`) go through a [`Json`] value: request bodies, small
+//! replies, the forms clients call, and a snapshot member's subtree on
+//! load. Writers (`plan_text`, `write_*`) push the bytes the tree would
+//! have rendered straight into the crate's JSON writer: the plan the daemon
+//! serves and every member of a snapshot. Streamed readers
+//! ([`span_batch_from_text`], `samples_from_text`) build domain values
+//! straight from the text: span bodies and a snapshot's sample window. Where
+//! a writer or reader replaced a tree codec, the tree form is kept only as
+//! its test oracle.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -390,9 +402,75 @@ pub fn app_from_json(j: &Json) -> Result<App, DecodeError> {
     b.build().map_err(|e| format!("app: {e}"))
 }
 
+/// Writes `app_to_json(app)`'s bytes with no app-sized tree in between —
+/// each microservice's profile and each service's graph is a small tree,
+/// rendered and dropped before the next spill: the snapshot's app writer,
+/// held to `app_to_json` by a property test as [`plan_text`] is held to
+/// `plan_to_json`.
+pub(crate) fn write_app(w: &mut Writer<'_>, app: &App) {
+    w.byte(b'{');
+    w.key("name");
+    w.string(app.name());
+    w.byte(b',');
+    w.key("microservices");
+    w.array(app.microservices(), |w, (_, m)| {
+        w.byte(b'{');
+        w.key("name");
+        w.string(&m.name);
+        w.byte(b',');
+        w.key("profile");
+        w.json(&profile_to_json(&m.profile));
+        w.byte(b',');
+        w.key("resources");
+        w.byte(b'{');
+        w.key("cpu");
+        w.number(m.resources.cpu);
+        w.byte(b',');
+        w.key("memory_mb");
+        w.number(m.resources.memory_mb);
+        w.byte(b'}');
+        w.byte(b'}');
+        w.spill();
+    });
+    w.byte(b',');
+    w.key("services");
+    w.array(app.services(), |w, (_, s)| {
+        w.byte(b'{');
+        w.key("name");
+        w.string(&s.name);
+        w.byte(b',');
+        w.key("sla");
+        w.byte(b'{');
+        w.key("percentile");
+        w.number(s.sla.percentile);
+        w.byte(b',');
+        w.key("threshold_ms");
+        w.number(s.sla.threshold_ms);
+        w.byte(b'}');
+        w.byte(b',');
+        w.key("graph");
+        w.json(&graph_to_json(&s.graph));
+        w.byte(b'}');
+        w.spill();
+    });
+    w.byte(b'}');
+}
+
 // ---------------------------------------------------------------- workloads
 
-/// Encodes per-service request rates as `[[service, per_minute], ...]`.
+/// Writes per-service request rates as `[[service, per_minute], ...]`.
+pub(crate) fn write_workloads(w: &mut Writer<'_>, workloads: &WorkloadVector) {
+    w.array(workloads.iter(), |w, (svc, rate)| {
+        w.byte(b'[');
+        w.number(svc.index() as f64);
+        w.byte(b',');
+        w.number(rate.as_per_minute());
+        w.byte(b']');
+    });
+}
+
+/// The tree form of [`write_workloads`], its oracle.
+#[cfg(test)]
 pub fn workloads_to_json(w: &WorkloadVector) -> Json {
     Json::Arr(
         w.iter()
@@ -566,6 +644,13 @@ pub fn plan_to_json(plan: &ScalingPlan) -> Json {
 /// Panics on a non-finite number in the plan, as `render` does.
 pub(crate) fn plan_text(plan: &ScalingPlan) -> String {
     let mut w = Writer::new();
+    write_plan(&mut w, plan);
+    w.finish()
+}
+
+/// Writes `plan_to_json(plan)`'s bytes: [`plan_text`] into a writer of the
+/// caller's.
+pub(crate) fn write_plan(w: &mut Writer<'_>, plan: &ScalingPlan) {
     w.byte(b'{');
     w.key("scheme");
     w.string(&plan.scheme);
@@ -594,7 +679,6 @@ pub(crate) fn plan_text(plan: &ScalingPlan) -> String {
     w.key("service_plans");
     w.array(plan.service_plans(), write_service_plan);
     w.byte(b'}');
-    w.finish()
 }
 
 /// `service_plan_to_json(p)`'s bytes, for [`plan_text`].
@@ -664,7 +748,52 @@ pub fn plan_from_json(j: &Json) -> Result<ScalingPlan, DecodeError> {
 
 // ---------------------------------------------------------------- manager
 
-/// Encodes the resilient manager's exported hysteresis state.
+/// Writes the resilient manager's exported hysteresis state, its plans
+/// through [`write_plan`], each into a drained buffer.
+pub(crate) fn write_manager_state(w: &mut Writer<'_>, state: &ManagerState) {
+    w.byte(b'{');
+    w.key("round");
+    w.number(state.round as f64);
+    w.byte(b',');
+    w.key("last_applied");
+    match &state.last_applied {
+        Some(plan) => {
+            w.drain();
+            write_plan(w, plan);
+        }
+        None => w.json(&Json::Null),
+    }
+    w.byte(b',');
+    w.key("last_good");
+    match &state.last_good {
+        Some((plan, round)) => {
+            w.byte(b'{');
+            w.key("plan");
+            w.drain();
+            write_plan(w, plan);
+            w.byte(b',');
+            w.key("round");
+            w.number(*round as f64);
+            w.byte(b'}');
+        }
+        None => w.json(&Json::Null),
+    }
+    w.byte(b',');
+    w.key("directions");
+    w.array(&state.directions, |w, (ms, &(dir, round))| {
+        w.byte(b'[');
+        w.number(ms.index() as f64);
+        w.byte(b',');
+        w.number(f64::from(dir));
+        w.byte(b',');
+        w.number(round as f64);
+        w.byte(b']');
+    });
+    w.byte(b'}');
+}
+
+/// The tree form of [`write_manager_state`], its oracle.
+#[cfg(test)]
 pub fn manager_state_to_json(state: &ManagerState) -> Json {
     let last_applied = state.last_applied.as_ref().map_or(Json::Null, plan_to_json);
     let last_good = state
@@ -692,7 +821,8 @@ pub fn manager_state_to_json(state: &ManagerState) -> Json {
     ])
 }
 
-/// Decodes the resilient manager's hysteresis state.
+/// Decodes the resilient manager's hysteresis state. The snapshot loader
+/// hands it the `manager` member's subtree alone.
 pub fn manager_state_from_json(j: &Json) -> Result<ManagerState, DecodeError> {
     let last_applied = match j.get("last_applied") {
         Some(Json::Null) | None => None,
@@ -738,6 +868,20 @@ pub fn manager_state_from_json(j: &Json) -> Result<ManagerState, DecodeError> {
 
 // ---------------------------------------------------------------- cluster
 
+/// Writes `[[ms, value], ...]`.
+fn write_ms_pairs<T>(w: &mut Writer<'_>, pairs: impl Iterator<Item = (MicroserviceId, T)>)
+where
+    f64: From<T>,
+{
+    w.array(pairs, |w, (ms, v)| {
+        w.byte(b'[');
+        w.number(ms.index() as f64);
+        w.byte(b',');
+        w.number(f64::from(v));
+        w.byte(b']');
+    });
+}
+
 fn ms_pairs_to_json<I: Iterator<Item = (MicroserviceId, u32)>>(iter: I) -> Json {
     Json::Arr(
         iter.map(|(ms, c)| Json::Arr(vec![uint(ms.index() as u64), uint(u64::from(c))]))
@@ -760,6 +904,7 @@ fn ms_pairs_from_json(j: &Json, ctx: &str) -> Result<Vec<(MicroserviceId, u32)>,
         .collect()
 }
 
+#[cfg(test)]
 fn resize_pairs_to_json<I: Iterator<Item = (MicroserviceId, f64)>>(iter: I) -> Json {
     Json::Arr(
         iter.map(|(ms, f)| Json::Arr(vec![uint(ms.index() as u64), num(f)]))
@@ -781,7 +926,53 @@ fn resize_pairs_from_json(j: &Json, ctx: &str) -> Result<Vec<(MicroserviceId, f6
         .collect()
 }
 
-/// Encodes one host, including its placements and vertical-scaling bits.
+/// Writes one host, including its placements and vertical-scaling bits.
+pub(crate) fn write_host(w: &mut Writer<'_>, h: &Host) {
+    w.byte(b'{');
+    for (key, v) in [
+        ("cpu_capacity", h.cpu_capacity),
+        ("mem_capacity", h.mem_capacity),
+        ("background_cpu", h.background_cpu),
+        ("background_mem", h.background_mem),
+    ] {
+        w.key(key);
+        w.number(v);
+        w.byte(b',');
+    }
+    w.key("lifecycle");
+    w.string(match h.lifecycle {
+        HostLifecycle::OnDemand => "on_demand",
+        HostLifecycle::Spot => "spot",
+    });
+    w.byte(b',');
+    w.key("domain");
+    w.byte(b'{');
+    w.key("zone");
+    w.number(f64::from(h.domain.zone));
+    w.byte(b',');
+    w.key("rack");
+    w.number(f64::from(h.domain.rack));
+    w.byte(b'}');
+    w.byte(b',');
+    w.key("interference_scale");
+    w.number(h.interference_scale);
+    w.byte(b',');
+    w.key("reclaim_at_round");
+    match h.reclaim_at_round {
+        Some(round) => w.number(round as f64),
+        None => w.json(&Json::Null),
+    }
+    w.byte(b',');
+    w.key("placements");
+    write_ms_pairs(w, h.placements());
+    w.byte(b',');
+    w.key("resize_factors");
+    write_ms_pairs(w, h.resize_factors());
+    w.byte(b'}');
+}
+
+/// The tree form of [`write_host`], its oracle.
+#[cfg(test)]
 pub fn host_to_json(h: &Host) -> Json {
     Json::obj(vec![
         ("cpu_capacity", num(h.cpu_capacity)),
@@ -854,8 +1045,23 @@ pub fn host_from_json(j: &Json) -> Result<Host, DecodeError> {
     Ok(host)
 }
 
-/// Encodes the full cluster state: every host with its placements and
+/// Writes the full cluster state: every host with its placements and
 /// vertical-scaling factors, plus the cluster-level resize map.
+pub(crate) fn write_cluster(w: &mut Writer<'_>, state: &ClusterState) {
+    w.byte(b'{');
+    w.key("hosts");
+    w.array(state.hosts(), |w, host| {
+        write_host(w, host);
+        w.spill();
+    });
+    w.byte(b',');
+    w.key("resize_factors");
+    write_ms_pairs(w, state.resize_factors());
+    w.byte(b'}');
+}
+
+/// The tree form of [`write_cluster`], its oracle.
+#[cfg(test)]
 pub fn cluster_to_json(state: &ClusterState) -> Json {
     Json::obj(vec![
         (
@@ -869,9 +1075,10 @@ pub fn cluster_to_json(state: &ClusterState) -> Json {
     ])
 }
 
-/// Decodes cluster state. `decode ∘ encode` is the identity on every field
+/// Decodes cluster state. `decode ∘ write` is the identity on every field
 /// that feeds planning (capacities, placements, resize bits), which the
-/// snapshot equivalence test relies on.
+/// snapshot equivalence test relies on. The snapshot loader hands it the
+/// `cluster` member's subtree alone.
 pub fn cluster_from_json(j: &Json) -> Result<ClusterState, DecodeError> {
     let hosts = get_arr(j, "hosts", "cluster")?
         .iter()
@@ -889,7 +1096,74 @@ pub fn cluster_from_json(j: &Json) -> Result<ClusterState, DecodeError> {
 
 // ---------------------------------------------------------------- telemetry
 
-/// Encodes the profiler's retained observation window.
+/// Writes the profiler's retained observation window as
+/// `[[ms, [[latency, gamma, cpu, mem], ...]], ...]`, a chance to spill
+/// after every sample.
+pub(crate) fn write_samples(w: &mut Writer<'_>, samples: &BTreeMap<MicroserviceId, Vec<Sample>>) {
+    w.array(samples, |w, (ms, bucket)| {
+        w.byte(b'[');
+        w.number(ms.index() as f64);
+        w.byte(b',');
+        w.array(bucket, |w, s| {
+            w.byte(b'[');
+            w.number(s.latency_ms);
+            w.byte(b',');
+            w.number(s.gamma);
+            w.byte(b',');
+            w.number(s.cpu);
+            w.byte(b',');
+            w.number(s.mem);
+            w.byte(b']');
+            w.spill();
+        });
+        w.byte(b']');
+    });
+}
+
+/// Decodes the profiler's retained observation window straight from the
+/// text at the parser, every bucket's rows through [`Parser::rows`], with
+/// no tree. It accepts what `samples_from_json`, its oracle, accepts of the
+/// parsed value, and refuses the rest.
+pub(crate) fn samples_from_text(
+    p: &mut Parser<'_>,
+) -> Result<BTreeMap<MicroserviceId, Vec<Sample>>, DecodeError> {
+    const PAIR: &str = "samples: expected a two-element pair";
+    if !p.eat(b'[') {
+        return Err("samples: expected an array".into());
+    }
+    let mut out = BTreeMap::new();
+    p.sequence(b']', |p| {
+        if !p.eat(b'[') {
+            return Err(PAIR.into());
+        }
+        p.skip_ws();
+        let ms = number_or(p, PAIR)?;
+        p.skip_ws();
+        if !p.eat(b',') {
+            return Err(PAIR.into());
+        }
+        p.skip_ws();
+        let mut bucket = Vec::new();
+        p.rows(
+            "samples: bucket must be an array",
+            "samples: expected [latency, gamma, cpu, mem]",
+            |[latency, gamma, cpu, mem]| {
+                bucket.push(Sample::new(latency, gamma, cpu, mem));
+                Ok::<(), DecodeError>(())
+            },
+        )?;
+        p.skip_ws();
+        if !p.eat(b']') {
+            return Err(PAIR.into());
+        }
+        out.insert(MicroserviceId::new(u32_from(ms, "samples")?), bucket);
+        Ok::<(), DecodeError>(())
+    })?;
+    Ok(out)
+}
+
+/// The tree form of [`write_samples`], its oracle.
+#[cfg(test)]
 pub fn samples_to_json(samples: &BTreeMap<MicroserviceId, Vec<Sample>>) -> Json {
     Json::Arr(
         samples
@@ -916,7 +1190,8 @@ pub fn samples_to_json(samples: &BTreeMap<MicroserviceId, Vec<Sample>>) -> Json 
     )
 }
 
-/// Decodes the profiler's retained observation window.
+/// The tree form of [`samples_from_text`], its oracle.
+#[cfg(test)]
 pub fn samples_from_json(j: &Json) -> Result<BTreeMap<MicroserviceId, Vec<Sample>>, DecodeError> {
     let mut out = BTreeMap::new();
     for item in j
@@ -1065,6 +1340,34 @@ fn number_or(p: &mut Parser<'_>, shape: &str) -> Result<f64, DecodeError> {
     }
 }
 
+/// Walks the object at the parser, whose value sits at nesting `depth`;
+/// fails with `shape` when there is none. Each member goes to `take`, at
+/// the first byte of its value: it decodes the members it wants from the
+/// text, saying so, and answers `false` for the others, which are parsed
+/// and dropped. A key that comes twice is refused, so no object passes here
+/// that [`Json::parse`] refuses.
+pub(crate) fn members(
+    p: &mut Parser<'_>,
+    depth: usize,
+    shape: &str,
+    mut take: impl FnMut(&mut Parser<'_>, &str) -> Result<bool, DecodeError>,
+) -> Result<(), DecodeError> {
+    if !p.eat(b'{') {
+        return Err(shape.into());
+    }
+    let mut seen = HashSet::new();
+    p.sequence(b'}', |p| {
+        let key = p.key()?;
+        if !seen.insert(key.clone()) {
+            return Err(JsonError::DuplicateKey(key).into());
+        }
+        if !take(p, &key)? {
+            p.value(depth + 1)?;
+        }
+        Ok::<(), DecodeError>(())
+    })
+}
+
 /// Decodes a span batch straight from its JSON text, in one pass and with
 /// no [`Json`] tree in between: a span becomes a 40-byte [`SpanRecord`]
 /// instead of seven heap nodes that are read once and freed. This is the
@@ -1139,7 +1442,7 @@ pub fn span_batch_from_text(text: &str) -> Result<SpanBatch, DecodeError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use erms_core::app::AppBuilder;
     use erms_core::latency::Interference;
@@ -1185,10 +1488,18 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// What a writer function writes, as text.
+    fn written(write: impl FnOnce(&mut Writer<'_>)) -> String {
+        let mut w = Writer::new();
+        write(&mut w);
+        w.finish()
+    }
+
     #[test]
     fn app_round_trips_bit_identically() {
         let app = fixture_app();
-        let encoded = app_to_json(&app).render();
+        let encoded = written(|w| write_app(w, &app));
+        assert_eq!(encoded, app_to_json(&app).render());
         let decoded = app_from_json(&Json::parse(&encoded).unwrap()).unwrap();
         assert_eq!(decoded.name(), app.name());
         assert_eq!(decoded.microservice_count(), app.microservice_count());
@@ -1240,7 +1551,7 @@ mod tests {
 
     /// A target from signed zeros, subnormals, a huge value, 17-digit
     /// values and random bits.
-    fn arbitrary_target(dice: &mut Dice) -> f64 {
+    pub(crate) fn arbitrary_target(dice: &mut Dice) -> f64 {
         const TARGETS: [f64; 9] = [
             -0.0,
             0.0,
@@ -1263,7 +1574,7 @@ mod tests {
     /// A plan drawn from `seed`: a scheme with escapes, sparse ids, counts
     /// up to `u32::MAX`, priorities at microservices with and without
     /// containers, both intervals, and each part empty in some draws.
-    fn arbitrary_plan(seed: u64) -> ScalingPlan {
+    pub(crate) fn arbitrary_plan(seed: u64) -> ScalingPlan {
         const SCHEMES: [&str; 4] = ["erms", "", "a \"quoted\"\\ line\n\u{1}", "ünï"];
         let mut dice = Dice(seed);
         let id = |dice: &mut Dice| MicroserviceId::new(dice.roll(40) as u32 * 3);
@@ -1361,7 +1672,8 @@ mod tests {
                 .into_iter()
                 .collect(),
         };
-        let text = manager_state_to_json(&state).render();
+        let text = written(|w| write_manager_state(w, &state));
+        assert_eq!(text, manager_state_to_json(&state).render());
         let back = manager_state_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, state);
     }
@@ -1381,7 +1693,8 @@ mod tests {
         state.hosts_mut()[1].reclaim_at_round = Some(9);
         state.hosts_mut()[1].background_cpu = 3.5;
         state.restore_resize_factors(vec![(MicroserviceId::new(0), 0.85)]);
-        let text = cluster_to_json(&state).render();
+        let text = written(|w| write_cluster(w, &state));
+        assert_eq!(text, cluster_to_json(&state).render());
         let back = cluster_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, state);
         // The resize factor must survive with exact bits: it feeds
@@ -1398,7 +1711,8 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let text = workloads_to_json(&w).render();
+        let text = written(|writer| write_workloads(writer, &w));
+        assert_eq!(text, workloads_to_json(&w).render());
         let back = workloads_from_json(&Json::parse(&text).unwrap()).unwrap();
         for (svc, rate) in w.iter() {
             assert_eq!(
@@ -1413,9 +1727,14 @@ mod tests {
         )]
         .into_iter()
         .collect();
-        let text = samples_to_json(&samples).render();
-        let back = samples_from_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = written(|w| write_samples(w, &samples));
+        assert_eq!(text, samples_to_json(&samples).render());
+        let back = samples_from_text(&mut Parser::new(&text)).unwrap();
         assert_eq!(back, samples);
+        assert_eq!(
+            samples_from_json(&Json::parse(&text).unwrap()).unwrap(),
+            back
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! threads. Accepted connections are handed to workers over an mpsc
 //! channel; each worker runs a keep-alive loop (Content-Length framing
 //! only — no chunked encoding, which none of our clients produce) and
-//! dispatches complete requests to a shared handler. Shutdown is
+//! dispatches complete requests to a shared handler. A handler that
+//! panics costs its request a 500 and its connection, not the worker.
+//! Shutdown is
 //! cooperative: a flag is set, the acceptor is unblocked with a
 //! self-connect, the channel is dropped, the read half of every live
 //! connection is shut so idle workers see EOF, and workers drain.
@@ -17,6 +19,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -259,7 +262,13 @@ fn serve_connection(stream: TcpStream, handler: &Handler, stop: &AtomicBool, req
             }
         };
         requests.fetch_add(1, Ordering::SeqCst);
-        let response = handler(&request);
+        // A handler that panics answers its own request with a 500 and
+        // closes the connection; the worker lives on to serve the next one.
+        let Ok(response) = panic::catch_unwind(AssertUnwindSafe(|| handler(&request))) else {
+            let body = "{\"error\":\"internal error: the request's handler panicked\"}";
+            let _ = write_response(&mut write_half, &Response::json(500, body), false);
+            return;
+        };
         let keep_alive = keep_alive && !stop.load(Ordering::SeqCst);
         if write_response(&mut write_half, &response, keep_alive).is_err() || !keep_alive {
             return;

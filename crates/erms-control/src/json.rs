@@ -42,6 +42,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::io::{self, Write};
 
 use crate::ryu;
 
@@ -394,17 +395,90 @@ fn write_escaped(s: &str, out: &mut Vec<u8>) {
     out.push(b'"');
 }
 
+/// Bytes a writer with a sink buffers before [`Writer::spill`] moves them
+/// out.
+const SPILL_BYTES: usize = 64 * 1024;
+
 /// The writer twin of [`Parser`]: a codec that wants text without a tree
 /// pushes tokens into one buffer, through the number and string writers
 /// [`Json::render`] uses, so what it writes is the bytes the tree it
 /// skipped would have rendered.
-pub(crate) struct Writer {
+///
+/// A writer made by [`Writer::to`] streams: its codec calls
+/// [`Writer::spill`] between items, and the buffer goes to the sink each
+/// time it holds 64 KB, so a document of any size costs about that much.
+pub(crate) struct Writer<'a> {
     out: Vec<u8>,
+    /// Where `spill` moves the buffer, and what it has moved: the bytes
+    /// written so far, or the first error the sink returned (after which
+    /// nothing more is written). `None` for a writer that builds a string.
+    sink: Option<(&'a mut dyn Write, io::Result<u64>)>,
 }
 
-impl Writer {
+impl<'a> Writer<'a> {
     pub(crate) fn new() -> Self {
-        Self { out: Vec::new() }
+        Self {
+            out: Vec::new(),
+            sink: None,
+        }
+    }
+
+    /// A writer whose text goes to `sink` through [`Writer::spill`],
+    /// [`Writer::drain`] and [`Writer::close`]. Its buffer has room for 64 KB
+    /// and the item that crosses that line, so it is seldom grown.
+    pub(crate) fn to(sink: &'a mut dyn Write) -> Self {
+        Self {
+            out: Vec::with_capacity(2 * SPILL_BYTES),
+            sink: Some((sink, Ok(0))),
+        }
+    }
+
+    /// Moves the buffer into the sink once it holds 64 KB; does nothing
+    /// for a writer without one.
+    pub(crate) fn spill(&mut self) {
+        if self.out.len() >= SPILL_BYTES {
+            self.drain();
+        }
+    }
+
+    /// Moves the whole buffer into the sink now; does nothing for a writer
+    /// without one. Called before an item written in one piece that may be
+    /// large (a plan), so the buffer holds that item and not 64 KB besides.
+    pub(crate) fn drain(&mut self) {
+        let Some((sink, written)) = &mut self.sink else {
+            return;
+        };
+        if let Ok(count) = written {
+            match sink.write_all(&self.out) {
+                Ok(()) => *count += self.out.len() as u64,
+                Err(e) => *written = Err(e),
+            }
+        }
+        self.out.clear();
+    }
+
+    /// Moves what is left into the sink. Returns the bytes written in all,
+    /// or the sink's first error.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a writer made by [`Writer::new`], which has no sink.
+    pub(crate) fn close(mut self) -> io::Result<u64> {
+        self.drain();
+        self.sink.expect("a writer made by `Writer::to`").1
+    }
+
+    /// A value that is already a tree, written as [`Json::render`] writes
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN or infinite number, as [`Json::render`] does.
+    pub(crate) fn json(&mut self, value: &Json) {
+        value
+            .write(&mut self.out)
+            .map_err(|NonFinite| JsonError::NonFinite)
+            .expect("codec-produced JSON is finite");
     }
 
     /// One byte of punctuation: `{`, `}`, `[`, `]` or `,`.

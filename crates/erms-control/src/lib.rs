@@ -19,9 +19,9 @@
 //! ```text
 //! json      strings ↔ Json values; the one tokenizer and its writer twin (no domain knowledge)
 //! http      TCP ↔ Request/Response                     (no JSON knowledge)
-//! codec     Json ↔ App/Plan/Cluster/...; text → spans; plan → text (no HTTP knowledge)
+//! codec     Json ↔ App/Plan/Cluster/...; text → spans, samples; domain → text (no HTTP knowledge)
 //! tenant    Registry of per-tenant loops; each one's published plan
-//! snapshot  Registry ↔ versioned disk format
+//! snapshot  Registry ↔ versioned disk format, streamed both ways
 //! server    routes + drain/reload + metrics            (ties it together)
 //! ```
 //!
@@ -59,6 +59,8 @@ mod number_tests;
 mod ryu;
 pub mod server;
 pub mod snapshot;
+#[cfg(test)]
+mod snapshot_tests;
 pub mod tenant;
 #[cfg(test)]
 mod wire_tests;

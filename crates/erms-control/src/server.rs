@@ -80,6 +80,24 @@ struct Shared {
     snapshot_path: Option<PathBuf>,
 }
 
+/// One request counted in flight for as long as it lives: it leaves the
+/// count when dropped, also by a handler that panics, so a reload's drain
+/// never waits for a request that is gone.
+struct InFlight<'a>(&'a AtomicU64);
+
+impl<'a> InFlight<'a> {
+    fn enter(count: &'a AtomicU64) -> Self {
+        count.fetch_add(1, Ordering::SeqCst);
+        Self(count)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// A running control-plane service.
 pub struct ControlPlane {
     server: Server,
@@ -106,10 +124,8 @@ impl ControlPlane {
         let routed = Arc::clone(&shared);
         let handler: Handler = Arc::new(move |req: &Request| {
             routed.requests.fetch_add(1, Ordering::SeqCst);
-            routed.in_flight.fetch_add(1, Ordering::SeqCst);
-            let response = route(&routed, req);
-            routed.in_flight.fetch_sub(1, Ordering::SeqCst);
-            response
+            let _in_flight = InFlight::enter(&routed.in_flight);
+            route(&routed, req)
         });
         let server = Server::bind(&config.addr, config.workers, handler)?;
         Ok(Self { server, shared })
@@ -817,6 +833,56 @@ mod tests {
         let read = client.request("GET", "/v1/tenants/other/plan", None);
         assert_eq!(read.unwrap(), (200, other));
         plane.stop();
+    }
+
+    /// Requests whose handler panics (status reads of a poisoned tenant)
+    /// are answered 500 at once, by every worker and one more time than
+    /// there are workers, and a reload afterwards drains and succeeds.
+    #[test]
+    fn a_panicking_handler_answers_500_and_keeps_its_worker() {
+        let snapshot = std::env::temp_dir().join(format!(
+            "erms-panic-{}-{:?}.json",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let workers = 2;
+        let config = ControlPlaneConfig {
+            workers,
+            snapshot_path: Some(snapshot.clone()),
+            ..ControlPlaneConfig::default()
+        };
+        let plane = ControlPlane::start(config, Registry::paper_pool()).expect("start");
+        let addr = plane.addr();
+        let mut client = Client::new(addr).unwrap();
+        planned(&mut client, "demo");
+        let saved = client.request("POST", "/v1/snapshot", None);
+        assert_eq!(saved.unwrap().0, 200);
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            plane.with_tenant("demo", |_| panic!("a round panics under the lock"))
+        }));
+        assert!(panicked.is_err());
+        for read in 0..=workers {
+            let started = Instant::now();
+            let reply = Client::new(addr)
+                .unwrap()
+                .request("GET", "/v1/tenants/demo", None);
+            let (status, body) = reply.unwrap_or_else(|e| panic!("read {read}: {e}"));
+            assert_eq!(status, 500, "read {read}");
+            let body = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+            assert!(
+                body.get("error").and_then(Json::as_str).is_some(),
+                "{body:?}"
+            );
+            assert!(started.elapsed() < Duration::from_secs(5), "read {read}");
+        }
+        let started = Instant::now();
+        let (status, body) = client.request("POST", "/v1/reload", None).unwrap();
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        assert!(started.elapsed() < Duration::from_secs(5));
+        let read = client.request("GET", "/v1/tenants/demo", None);
+        assert_eq!(read.unwrap().0, 200);
+        plane.stop();
+        std::fs::remove_file(&snapshot).ok();
     }
 
     /// The epoch tenant `id`'s slot holds and the manager's, `None` without

@@ -611,7 +611,7 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::codec::plan_to_json;
-    use crate::snapshot::{registry_from_json, registry_to_json};
+    use crate::snapshot::{self, registry_from_text};
     use erms_core::app::{AppBuilder, RequestRate, Sla};
     use erms_core::ids::ServiceId;
     use erms_core::resources::Resources;
@@ -707,7 +707,7 @@ mod tests {
             let reports: Vec<u64> = t.manager.history().iter().map(|r| r.round).collect();
             assert_eq!(reports, held);
         }
-        let restored = registry_from_json(&registry_to_json(&registry)).unwrap();
+        let restored = registry_from_text(&snapshot::text(&registry)).unwrap();
         let restored = restored.with_tenant("a", |t| t.history.clone()).unwrap();
         assert_eq!(restored, handle.lock().unwrap().history);
     }
@@ -1019,8 +1019,8 @@ mod tests {
                         .with_tenant("a", |t| t.manager.restore_state(donor.clone()))
                         .unwrap(),
                     _ => {
-                        let json = registry_to_json(&registry);
-                        registry = registry_from_json(&json).map_err(TestCaseError::Fail)?;
+                        let text = snapshot::text(&registry);
+                        registry = registry_from_text(&text).map_err(TestCaseError::Fail)?;
                         let kept = registry.entry("a").unwrap().1.current();
                         let written = kept.as_ref().and_then(|entry| entry.text.get());
                         prop_assert!(written.is_none(), "a restore rendered eagerly: {written:?}");

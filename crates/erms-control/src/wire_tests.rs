@@ -16,7 +16,7 @@ use crate::codec::{app_to_json, span_batch_from_json, span_batch_from_text, Span
 use crate::http::Client;
 use crate::json::Json;
 use crate::server::{ControlPlane, ControlPlaneConfig};
-use crate::snapshot::registry_to_json;
+use crate::snapshot;
 use crate::tenant::{Registry, Tenant};
 
 /// A splitmix64 stream: the style and mutation choices of one case, drawn
@@ -154,7 +154,7 @@ fn body_of(batch: &SpanBatch, dice: &mut Dice) -> String {
 
 /// Flip, delete, insert or truncate at positions the dice pick. Inserted
 /// and flipped-to bytes lean towards the ones the grammar cares about.
-fn mutate(body: &str, dice: &mut Dice) -> Vec<u8> {
+pub(crate) fn mutate(body: &str, dice: &mut Dice) -> Vec<u8> {
     const LOADED: &[u8] = b"[]{},:\"\\-+.eE0123456789 \n\x00\x7f\xc3\xff";
     let mut bytes = body.as_bytes().to_vec();
     for _ in 0..=dice.roll(3) {
@@ -246,7 +246,7 @@ impl Daemon {
             t.workloads = WorkloadVector::uniform(&t.app, RequestRate::per_minute(6_000.0));
             assert!(!t.replan().skipped);
         });
-        let state = plane.with_registry(|r| registry_to_json(r).render());
+        let state = plane.with_registry(|r| snapshot::text(r));
         Self {
             plane,
             client,
@@ -263,7 +263,7 @@ impl Daemon {
             .request("POST", &format!("/v1/tenants/{id}/spans"), Some(body))
             .map_err(|e| format!("the daemon dropped the request: {e}"))?;
         let reply = String::from_utf8_lossy(&reply).into_owned();
-        let now = self.plane.with_registry(|r| registry_to_json(r).render());
+        let now = self.plane.with_registry(|r| snapshot::text(r));
         match status {
             200 => self.state = now,
             400 if now == self.state => {}

@@ -48,6 +48,11 @@ pub struct RequestRate(f64);
 
 impl RequestRate {
     /// A rate expressed in requests per minute.
+    ///
+    /// A negative or NaN rate is taken as 0 without a word: no rate is
+    /// refused here. `+∞` is kept as it is. A caller that must tell a bad
+    /// rate from a zero one checks it before calling (the daemon's
+    /// workloads decoder and the CLI do).
     pub fn per_minute(requests: f64) -> Self {
         Self(requests.max(0.0))
     }
@@ -431,6 +436,24 @@ mod tests {
             g.call_seq(root, p);
         });
         (b.build().unwrap(), [u, h, p], [s1, s2])
+    }
+
+    /// The silent clamp `per_minute` documents: negative and NaN rates
+    /// become 0, an infinite one stays infinite.
+    #[test]
+    fn per_minute_clamps_negative_and_nan_rates_to_zero() {
+        for clamped in [-5.0, -0.0, f64::NAN, f64::NEG_INFINITY] {
+            assert_eq!(
+                RequestRate::per_minute(clamped).as_per_minute(),
+                0.0,
+                "{clamped}"
+            );
+        }
+        assert_eq!(
+            RequestRate::per_minute(f64::INFINITY).as_per_minute(),
+            f64::INFINITY
+        );
+        assert_eq!(RequestRate::per_minute(12.5).as_per_minute(), 12.5);
     }
 
     #[test]

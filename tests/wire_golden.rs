@@ -3,13 +3,14 @@
 //! The daemon and every client render with the same writer, so a writer
 //! that moved a byte would agree with itself and no round trip could see
 //! it. These digests were taken from the `Display`-based writer the
-//! current one replaced; a changed byte in any of the three documents
+//! current one replaced, and the snapshot's from the tree the streamed
+//! `snapshot::save` replaced; a changed byte in any of the three documents
 //! fails here.
 
 use std::collections::BTreeMap;
 
 use erms::control::codec::{plan_to_json, span_batch_to_json, SpanBatch};
-use erms::control::snapshot::registry_to_json;
+use erms::control::snapshot;
 use erms::control::{Registry, Tenant};
 use erms::core::prelude::*;
 use erms::sim::runtime::{SimConfig, Simulation};
@@ -105,6 +106,11 @@ fn snapshot_bytes_are_pinned() {
         tenant.ingest(&des_batch()).expect("ingest");
         tenant.replan();
     }
-    let text = registry_to_json(&registry).render();
+    let path =
+        std::env::temp_dir().join(format!("erms-golden-snapshot-{}.json", std::process::id()));
+    let written = snapshot::save(&registry, &path).expect("save");
+    let text = std::fs::read_to_string(&path).expect("read back");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(written, text.len() as u64);
     assert_eq!((text.len(), fnv1a(&text)), (5_271, 0x7d8e_9c77_2b4b_6649));
 }
