@@ -1,6 +1,7 @@
 //! Ablation — dynamic dependency graphs: complete-graph scaling (what Erms
-//! ships, §7) vs per-class scaling (the future-work refinement of §9,
-//! implemented in `erms_trace::cluster`).
+//! ships, §7) vs per-class scaling (the future-work refinement of §9). The
+//! two request classes are built by hand here; the repo does not cluster
+//! traces into classes.
 //!
 //! A service has two request variants: reads traverse the read subtree,
 //! writes the write subtree, 60/40. Erms' complete-graph approach merges
@@ -47,8 +48,7 @@ fn main() {
         .expect("feasible");
 
     // Per-class scaling: the read class and the write class, each at its
-    // own share of the rate (frequencies as `erms_trace::cluster` would
-    // report them).
+    // own share of the rate.
     let mut per_class_total = 0u64;
     for (name, share, mid_slope, db_slope) in [
         ("read", read_share, 0.004, 0.006),

@@ -14,12 +14,12 @@ use erms_bench::table;
 use erms_core::app::{AppBuilder, RequestRate, Sla, WorkloadVector};
 use erms_core::latency::{Interference, LatencyProfile};
 use erms_core::resources::Resources;
+use erms_core::stats;
 use erms_profilers::dataset::Sample;
 use erms_profilers::metrics::accuracy;
 use erms_profilers::piecewise::PiecewiseFitter;
 use erms_sim::runtime::{SimConfig, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
-use erms_sim::stats;
 use erms_sim::telemetry::{FnSink, SpanRecord};
 
 fn main() {

@@ -11,9 +11,9 @@ use std::collections::BTreeMap;
 use erms_bench::table;
 use erms_core::app::{RequestRate, WorkloadVector};
 use erms_core::latency::Interference;
+use erms_core::stats;
 use erms_sim::runtime::{Scheduling, SimConfig, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
-use erms_sim::stats;
 use erms_sim::telemetry::{FnSink, SpanRecord};
 use erms_workload::apps::fig5_app;
 

@@ -25,6 +25,7 @@
 //! its test oracle.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use erms_core::app::{App, AppBuilder, Microservice, RequestRate, Service, Sla, WorkloadVector};
 use erms_core::autoscaler::ScalingPlan;
@@ -795,7 +796,10 @@ pub(crate) fn write_manager_state(w: &mut Writer<'_>, state: &ManagerState) {
 /// The tree form of [`write_manager_state`], its oracle.
 #[cfg(test)]
 pub fn manager_state_to_json(state: &ManagerState) -> Json {
-    let last_applied = state.last_applied.as_ref().map_or(Json::Null, plan_to_json);
+    let last_applied = state
+        .last_applied
+        .as_ref()
+        .map_or(Json::Null, |plan| plan_to_json(plan));
     let last_good = state
         .last_good
         .as_ref()
@@ -826,16 +830,14 @@ pub fn manager_state_to_json(state: &ManagerState) -> Json {
 pub fn manager_state_from_json(j: &Json) -> Result<ManagerState, DecodeError> {
     let last_applied = match j.get("last_applied") {
         Some(Json::Null) | None => None,
-        Some(p) => Some(plan_from_json(p)?),
+        Some(p) => Some(Arc::new(plan_from_json(p)?)),
     };
     let last_good = match j.get("last_good") {
         Some(Json::Null) | None => None,
         Some(entry) => Some((
-            plan_from_json(
-                entry
-                    .get("plan")
-                    .ok_or_else(|| "manager state: `last_good` missing `plan`".to_string())?,
-            )?,
+            Arc::new(plan_from_json(entry.get("plan").ok_or_else(|| {
+                "manager state: `last_good` missing `plan`".to_string()
+            })?)?),
             get_u64(entry, "round", "manager state last_good")?,
         )),
     };
@@ -1003,9 +1005,10 @@ pub fn host_to_json(h: &Host) -> Json {
     ])
 }
 
-/// Decodes one host.
-pub fn host_from_json(j: &Json) -> Result<Host, DecodeError> {
-    let ctx = "host";
+/// Decodes the host at position `index` of its list, refusing one whose
+/// placements add up to more containers than a host counts (`u32`).
+pub fn host_from_json(j: &Json, index: usize) -> Result<Host, DecodeError> {
+    let ctx = &format!("host {index}");
     let mut host = Host::new(
         get_f64(j, "cpu_capacity", ctx)?,
         get_f64(j, "mem_capacity", ctx)?,
@@ -1042,6 +1045,13 @@ pub fn host_from_json(j: &Json) -> Result<Host, DecodeError> {
         "host resize factors",
     )?;
     host.restore_placements(placements, resize);
+    let total: u64 = host.placements().map(|(_, n)| u64::from(n)).sum();
+    if total > u64::from(u32::MAX) {
+        return Err(format!(
+            "{ctx}: {total} containers placed, more than a host holds ({})",
+            u32::MAX
+        ));
+    }
     Ok(host)
 }
 
@@ -1082,7 +1092,8 @@ pub fn cluster_to_json(state: &ClusterState) -> Json {
 pub fn cluster_from_json(j: &Json) -> Result<ClusterState, DecodeError> {
     let hosts = get_arr(j, "hosts", "cluster")?
         .iter()
-        .map(host_from_json)
+        .enumerate()
+        .map(|(i, h)| host_from_json(h, i))
         .collect::<Result<Vec<_>, DecodeError>>()?;
     let mut state = ClusterState::new(hosts);
     let resize = resize_pairs_from_json(
@@ -1664,9 +1675,10 @@ pub(crate) mod tests {
     fn manager_state_round_trips() {
         let mut plan = ScalingPlan::new("erms");
         plan.set_containers(MicroserviceId::new(0), 3);
+        let plan = Arc::new(plan);
         let state = ManagerState {
             round: 17,
-            last_applied: Some(plan.clone()),
+            last_applied: Some(Arc::clone(&plan)),
             last_good: Some((plan, 15)),
             directions: [(MicroserviceId::new(0), (-1i8, 16u64))]
                 .into_iter()

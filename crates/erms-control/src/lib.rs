@@ -36,15 +36,15 @@
 //! | Method & path                         | Purpose |
 //! |---------------------------------------|---------|
 //! | `GET /healthz`                        | liveness + tenant count |
-//! | `GET /metrics`                        | Prometheus text exposition |
-//! | `GET/POST /v1/tenants`                | list / register tenants |
+//! | `GET /metrics`                        | Prometheus text exposition; each tenant read under its own lock in turn (id order), not one instant across tenants; the pool gauges sum those reads |
+//! | `GET/POST /v1/tenants`                | list (each tenant's summary read under its own lock in turn) / register tenants |
 //! | `GET/DELETE /v1/tenants/{id}`         | inspect / remove one tenant |
 //! | `POST /v1/tenants/{id}/spans`         | ingest telemetry spans; decoded from the bytes in one pass, no tree; a field out of range, or a microservice the tenant does not have, is a 400, never a clamp |
 //! | `POST /v1/tenants/{id}/workloads`     | update request rates; a service named twice, or one the tenant's app does not have, is a 400 |
 //! | `GET /v1/tenants/{id}/plan`           | current scaling plan, from the published entry with no tenant lock; text written once per applied plan, straight from the plan |
 //! | `POST /v1/tenants/{id}/replan`        | refit (with no lock held) + run one control round; replies `{"decision":…,"plan":…}` with the same plan text |
 //! | `GET /v1/tenants/{id}/history`        | scaling-decision audit trail, bounded: the most recent 1 024 rounds (`HISTORY_LIMIT`), oldest first |
-//! | `POST /v1/snapshot`                   | write the versioned snapshot |
+//! | `POST /v1/snapshot`                   | write the versioned snapshot: one consistent cut, every tenant lock held at once |
 //! | `POST /v1/reload`                     | drain, restore from snapshot |
 //! | `POST /v1/shutdown`                   | graceful stop |
 

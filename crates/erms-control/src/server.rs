@@ -7,10 +7,13 @@
 //! workloads, replan, history, status) resolve the handle under the outer
 //! lock, *drop it*, and then lock only their tenant — so a slow replan for
 //! one tenant no longer serializes every other tenant's traffic behind it.
-//! Registry-shaped endpoints (create/delete/list/metrics/snapshot/reload)
-//! still run under the outer lock; list/metrics/snapshot additionally take
-//! every tenant lock in id order for a consistent cut. Per-tenant request
-//! order remains the only source of nondeterminism, exactly as before.
+//! List and `/metrics` resolve every handle the same way and then lock the
+//! tenants one at a time in id order, so a tenant section they wait for
+//! stalls no request for another tenant; their replies are per-tenant
+//! reads, not one instant. Create, delete and reload run under the outer
+//! lock, and the snapshot takes every tenant lock in id order under it for
+//! a consistent cut. Per-tenant request order remains the only source of
+//! nondeterminism, exactly as before.
 //!
 //! A tenant lock covers work on the tenant's state only. Bodies are decoded
 //! before it is taken (`POST …/spans` straight from the bytes, with no tree),
@@ -26,9 +29,9 @@
 //! The read resolves the slot under the outer lock, clones the slot's entry,
 //! and copies its text, written once per plan, into the reply. So a plan
 //! read waits for no round, ingest or poisoned tenant (only for the brief
-//! outer lock, which a list, `/metrics` or snapshot holds while it takes the
-//! tenant locks), and never returns a plan older than one an earlier reply
-//! reflected. The replan reply carries the entry its own round published.
+//! outer lock, which a snapshot holds while it takes the tenant locks), and
+//! never returns a plan older than one an earlier reply reflected. The
+//! replan reply carries the entry its own round published.
 //!
 //! Graceful reload: `POST /v1/reload` flips the draining flag (new
 //! requests get 503), waits until it is the only request in flight, swaps
@@ -47,7 +50,7 @@ use crate::codec::{app_from_json, span_batch_from_text, workloads_from_json, Dec
 use crate::http::{Handler, Request, Response, Server};
 use crate::json::Json;
 use crate::snapshot;
-use crate::tenant::{replan_published, with_published, PlanSlot, Registry, Tenant};
+use crate::tenant::{replan_published, with_published, PlanSlot, PoolUsage, Registry, Tenant};
 
 /// Configuration of a control-plane instance.
 #[derive(Debug, Clone)]
@@ -274,30 +277,36 @@ fn sanitize_metric(name: &str) -> String {
 }
 
 fn metrics(shared: &Arc<Shared>) -> Response {
-    let mut out = String::new();
-    let mut registry = shared.registry.lock().expect("registry poisoned");
-    registry.pool_usage(); // refresh pool gauges before rendering
-    out.push_str(&format!(
-        "erms_control_requests_total {}\n",
-        shared.requests.load(Ordering::SeqCst)
-    ));
-    out.push_str(&format!("erms_control_tenants {}\n", registry.len()));
-    for (name, value) in registry.metrics.counters() {
-        out.push_str(&format!("erms_{} {value}\n", sanitize_metric(name)));
-    }
-    for (name, value) in registry.metrics.gauges() {
-        out.push_str(&format!("erms_{} {value}\n", sanitize_metric(name)));
-    }
-    // One consistent cut under every tenant lock, formatted after release.
-    let tenants: Vec<(String, MetricsRegistry)> = registry
-        .lock_tenants()
+    let (handles, mut control, mut pool) = {
+        let registry = shared.registry.lock().expect("registry poisoned");
+        let pool = PoolUsage::of_pool(registry.pool());
+        (registry.handles(), registry.metrics.clone(), pool)
+    };
+    // With the outer lock released, each tenant under its own lock, one at
+    // a time in id order; the pool gauges sum those same reads.
+    let tenants: Vec<(String, MetricsRegistry)> = handles
         .iter()
-        .map(|tenant| {
+        .map(|handle| {
+            let tenant = handle.lock().expect("tenant poisoned");
+            pool.add(&tenant);
             let mut per_tenant = MetricsRegistry::new();
             tenant.record_metrics(&mut per_tenant);
             (tenant.id.clone(), per_tenant)
         })
         .collect();
+    pool.record(&mut control);
+    let mut out = String::new();
+    out.push_str(&format!(
+        "erms_control_requests_total {}\n",
+        shared.requests.load(Ordering::SeqCst)
+    ));
+    out.push_str(&format!("erms_control_tenants {}\n", tenants.len()));
+    for (name, value) in control.counters() {
+        out.push_str(&format!("erms_{} {value}\n", sanitize_metric(name)));
+    }
+    for (name, value) in control.gauges() {
+        out.push_str(&format!("erms_{} {value}\n", sanitize_metric(name)));
+    }
     for (id, per_tenant) in &tenants {
         for (name, value) in per_tenant.counters() {
             out.push_str(&format!(
@@ -342,11 +351,10 @@ fn tenant_summary(t: &Tenant) -> Json {
 }
 
 fn list_tenants(shared: &Arc<Shared>) -> Response {
-    let registry = shared.registry.lock().expect("registry poisoned");
-    let summaries = registry
-        .lock_tenants()
+    let handles = shared.registry.lock().expect("registry poisoned").handles();
+    let summaries = handles
         .iter()
-        .map(|t| tenant_summary(t))
+        .map(|handle| tenant_summary(&handle.lock().expect("tenant poisoned")))
         .collect();
     ok_json(Json::Arr(summaries))
 }
@@ -799,6 +807,68 @@ mod tests {
                 .expect("the plan read waited for the tenant lock")
                 .unwrap();
             assert_eq!((status, body), (200, plan));
+        });
+        plane.stop();
+    }
+
+    /// A `/metrics` that waits for one tenant's lock stalls no request
+    /// that resolves a tenant: plan reads of that tenant and of another,
+    /// and a span ingest into another, answer while the section is held.
+    #[test]
+    fn metrics_waiting_for_a_tenant_stalls_no_other_request() {
+        let plane = ControlPlane::start(ControlPlaneConfig::default(), Registry::paper_pool())
+            .expect("start");
+        let addr = plane.addr();
+        let mut client = Client::new(addr).unwrap();
+        let plan = planned(&mut client, "demo");
+        let other = planned(&mut client, "other");
+        let spans = br#"{"sampling":1,"containers":[[0,1]],"spans":[[0,0,0,0,0,3]]}"#;
+        let (held, holding) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let plane = &plane;
+            s.spawn(move || {
+                plane.with_tenant("demo", |_| {
+                    held.send(()).unwrap();
+                    released.recv().unwrap();
+                })
+            });
+            holding.recv().unwrap();
+            let before = plane.shared.requests.load(Ordering::SeqCst);
+            let metrics = s.spawn(move || {
+                let reply = Client::new(addr).unwrap().request("GET", "/metrics", None);
+                reply.unwrap().0
+            });
+            while plane.shared.requests.load(Ordering::SeqCst) == before {
+                std::thread::yield_now();
+            }
+            // Let the handler reach the tenant lock it waits for.
+            std::thread::sleep(Duration::from_millis(100));
+            let requests: [(&str, &str, Option<&'static [u8]>); 3] = [
+                ("GET", "/v1/tenants/demo/plan", None),
+                ("GET", "/v1/tenants/other/plan", None),
+                ("POST", "/v1/tenants/other/spans", Some(spans)),
+            ];
+            let replies = requests.map(|(method, path, body)| {
+                let (replied, reply) = mpsc::channel();
+                s.spawn(move || {
+                    let answer = Client::new(addr).unwrap().request(method, path, body);
+                    replied.send(answer.expect("answered"))
+                });
+                reply
+            });
+            let deadline = Instant::now() + Duration::from_secs(1);
+            let [demo, other_plan, ingest] = replies.map(|reply| {
+                reply
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                    .ok()
+            });
+            release.send(()).unwrap();
+            assert_eq!(demo, Some((200, plan)), "the plan read waited");
+            assert_eq!(other_plan, Some((200, other)), "the other plan read waited");
+            let ingest = ingest.expect("the other ingest waited");
+            assert_eq!(ingest.0, 200);
+            assert_eq!(metrics.join().unwrap(), 200);
         });
         plane.stop();
     }

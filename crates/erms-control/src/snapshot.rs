@@ -278,7 +278,7 @@ pub(crate) fn registry_from_text(text: &str) -> Result<Registry, DecodeError> {
                 }
                 let hosts = pool.insert(Vec::new());
                 p.sequence(b']', |p| {
-                    hosts.push(host_from_json(&p.value(2)?)?);
+                    hosts.push(host_from_json(&p.value(2)?, hosts.len())?);
                     Ok::<(), DecodeError>(())
                 })?;
             }
@@ -492,7 +492,8 @@ pub(crate) mod tree {
             .and_then(Json::as_arr)
             .ok_or_else(|| "snapshot: missing array `pool`".to_string())?
             .iter()
-            .map(host_from_json)
+            .enumerate()
+            .map(|(i, h)| host_from_json(h, i))
             .collect::<Result<Vec<_>, String>>()?;
         let mut registry = Registry::new(pool);
         for tenant in j

@@ -4,6 +4,7 @@
 //! their files.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use erms_core::app::{App, AppBuilder, RequestRate, Sla, WorkloadVector};
 use erms_core::ids::{MicroserviceId, ServiceId};
@@ -172,11 +173,11 @@ fn tenant(dice: &mut Dice, pool: &[Host]) -> Tenant {
         })
         .collect();
     tenant.profiler.restore_samples(window);
-    let applied = (dice.roll(3) > 0).then(|| arbitrary_plan(dice.roll(u64::MAX)));
+    let applied = (dice.roll(3) > 0).then(|| Arc::new(arbitrary_plan(dice.roll(u64::MAX))));
     let good = match dice.roll(3) {
         0 => None,
         1 => applied.clone().map(|plan| (plan, dice.roll(50))),
-        _ => Some((arbitrary_plan(dice.roll(u64::MAX)), dice.roll(50))),
+        _ => Some((Arc::new(arbitrary_plan(dice.roll(u64::MAX))), dice.roll(50))),
     };
     tenant.manager.restore_state(ManagerState {
         round: dice.roll(1 << 30),
@@ -539,6 +540,21 @@ fn loaders_agree_on_the_corner_cases() {
         ("null", false),
     ] {
         cases.push((samples(window), verdict));
+    }
+    // A host counts its containers as `u32`: placements that add up past
+    // it are refused, not wrapped (or a panic) at the next round.
+    let pool = |counts: &[u32]| {
+        let mut host = Host::paper_host();
+        let placements = (0..).map(MicroserviceId::new).zip(counts.iter().copied());
+        host.restore_placements(placements, std::iter::empty());
+        text(&Registry::new(vec![host]))
+    };
+    for (counts, verdict) in [
+        (&[3_000_000_000, 3_000_000_000][..], false),
+        (&[4_000_000_000, 294_967_296][..], false),
+        (&[4_000_000_000, 294_967_295][..], true),
+    ] {
+        cases.push((pool(counts), verdict));
     }
     for (text, verdict) in cases {
         let (streamed, tree) = (registry_from_text(&text), tree_load(&text));

@@ -412,6 +412,41 @@ pub struct PoolUsage {
 }
 
 impl PoolUsage {
+    /// Nothing requested yet of a pool of `hosts`.
+    pub(crate) fn of_pool(hosts: &[Host]) -> Self {
+        Self {
+            requested_cpu: 0.0,
+            requested_mem: 0.0,
+            capacity_cpu: hosts.iter().map(|h| h.cpu_capacity).sum(),
+            capacity_mem: hosts.iter().map(|h| h.mem_capacity).sum(),
+        }
+    }
+
+    /// Adds the resources `tenant`'s applied plan requests.
+    pub(crate) fn add(&mut self, tenant: &Tenant) {
+        if let Some(plan) = tenant.plan() {
+            for (ms, count) in plan.iter() {
+                if let Ok(micro) = tenant.app.microservice(ms) {
+                    self.requested_cpu += micro.resources.cpu * f64::from(count);
+                    self.requested_mem += micro.resources.memory_mb * f64::from(count);
+                }
+            }
+        }
+    }
+
+    /// Mirrors the usage into `metrics`: the `pool.*` gauges plus an
+    /// `oversubscribed` 0/1 gauge.
+    pub(crate) fn record(&self, metrics: &mut MetricsRegistry) {
+        metrics.set_gauge("pool.requested_cpu_cores", self.requested_cpu);
+        metrics.set_gauge("pool.requested_mem_mb", self.requested_mem);
+        metrics.set_gauge("pool.capacity_cpu_cores", self.capacity_cpu);
+        metrics.set_gauge("pool.capacity_mem_mb", self.capacity_mem);
+        metrics.set_gauge(
+            "pool.oversubscribed",
+            if self.oversubscribed() { 1.0 } else { 0.0 },
+        );
+    }
+
     /// Whether the tenants together over-subscribe the physical pool.
     pub fn oversubscribed(&self) -> bool {
         self.requested_cpu > self.capacity_cpu || self.requested_mem > self.capacity_mem
@@ -427,7 +462,8 @@ impl PoolUsage {
 pub struct Registry {
     pool: Vec<Host>,
     tenants: BTreeMap<String, Entry>,
-    /// Control-plane-level counters (request totals, pool gauges).
+    /// Control-plane-level counters and gauges, rendered by `GET /metrics`
+    /// beside the pool gauges it computes.
     pub metrics: MetricsRegistry,
 }
 
@@ -541,10 +577,20 @@ impl Registry {
         }
     }
 
+    /// Every tenant's handle, in id order, cloned out under the outer lock:
+    /// a caller that releases it and then locks the tenants one at a time
+    /// stalls no request for another tenant.
+    pub(crate) fn handles(&self) -> Vec<Arc<Mutex<Tenant>>> {
+        self.tenants
+            .values()
+            .map(|entry| Arc::clone(&entry.tenant))
+            .collect()
+    }
+
     /// Locks every tenant in id order and returns the guards — a
-    /// consistent cut across the registry for snapshots and metrics
-    /// rendering. The fixed order keeps concurrent whole-registry
-    /// operations deadlock-free against each other.
+    /// consistent cut across the registry for snapshots. The fixed order
+    /// keeps concurrent whole-registry operations deadlock-free against
+    /// each other.
     ///
     /// # Panics
     ///
@@ -564,46 +610,6 @@ impl Registry {
     /// Whether no tenant is registered.
     pub fn is_empty(&self) -> bool {
         self.tenants.is_empty()
-    }
-
-    /// Sums requested resources across all tenants' applied plans against
-    /// the physical pool capacity, and mirrors the result into the
-    /// control-plane metrics (`pool.*` gauges plus an `oversubscribed`
-    /// 0/1 gauge). Called by the server after every mutation.
-    pub fn pool_usage(&mut self) -> PoolUsage {
-        let capacity_cpu: f64 = self.pool.iter().map(|h| h.cpu_capacity).sum();
-        let capacity_mem: f64 = self.pool.iter().map(|h| h.mem_capacity).sum();
-        let mut requested_cpu = 0.0;
-        let mut requested_mem = 0.0;
-        for entry in self.tenants.values() {
-            let tenant = entry.tenant.lock().expect("tenant poisoned");
-            if let Some(plan) = tenant.plan() {
-                for (ms, count) in plan.iter() {
-                    if let Ok(micro) = tenant.app.microservice(ms) {
-                        requested_cpu += micro.resources.cpu * f64::from(count);
-                        requested_mem += micro.resources.memory_mb * f64::from(count);
-                    }
-                }
-            }
-        }
-        let usage = PoolUsage {
-            requested_cpu,
-            requested_mem,
-            capacity_cpu,
-            capacity_mem,
-        };
-        self.metrics
-            .set_gauge("pool.requested_cpu_cores", requested_cpu);
-        self.metrics
-            .set_gauge("pool.requested_mem_mb", requested_mem);
-        self.metrics
-            .set_gauge("pool.capacity_cpu_cores", capacity_cpu);
-        self.metrics.set_gauge("pool.capacity_mem_mb", capacity_mem);
-        self.metrics.set_gauge(
-            "pool.oversubscribed",
-            if usage.oversubscribed() { 1.0 } else { 0.0 },
-        );
-        usage
     }
 }
 
@@ -772,8 +778,15 @@ mod tests {
                 t.replan();
             })
             .unwrap();
-        assert!(registry.pool_usage().requested_cpu > 0.0);
-        assert!(!registry.pool_usage().oversubscribed());
+        let usage = |registry: &Registry| {
+            let mut usage = PoolUsage::of_pool(registry.pool());
+            for tenant in registry.lock_tenants() {
+                usage.add(&tenant);
+            }
+            usage
+        };
+        assert!(usage(&registry).requested_cpu > 0.0);
+        assert!(!usage(&registry).oversubscribed());
 
         let mut cramped = Registry::new(vec![Host::new(0.05, 10.0)]);
         let filler = Tenant::new("x", tiny_app("x"), registry.pool());
@@ -781,9 +794,11 @@ mod tests {
             .with_tenant("a", |t| std::mem::replace(t, filler))
             .unwrap();
         cramped.insert(tenant);
-        let usage = cramped.pool_usage();
-        assert!(usage.oversubscribed());
-        assert_eq!(cramped.metrics.gauge("pool.oversubscribed"), Some(1.0));
+        let cramped_usage = usage(&cramped);
+        assert!(cramped_usage.oversubscribed());
+        let mut metrics = MetricsRegistry::new();
+        cramped_usage.record(&mut metrics);
+        assert_eq!(metrics.gauge("pool.oversubscribed"), Some(1.0));
     }
 
     /// What a plan read gets through the tenant's slot, against a fresh

@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::graph::{DependencyGraph, GraphBuilder};
 use crate::ids::{MicroserviceId, ServiceId};
@@ -19,7 +17,7 @@ use crate::latency::LatencyProfile;
 use crate::resources::Resources;
 
 /// A service-level agreement on tail end-to-end latency (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sla {
     /// The latency percentile the SLA is defined on (e.g. `0.95`).
     pub percentile: f64,
@@ -43,7 +41,7 @@ impl Sla {
 /// The paper expresses workloads in requests per minute (600 – 100 000 in
 /// §6.1); this newtype prevents unit confusion with per-second or per-ms
 /// rates.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct RequestRate(f64);
 
 impl RequestRate {
@@ -80,7 +78,7 @@ impl RequestRate {
 }
 
 /// Per-service request rates for one scaling round.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkloadVector {
     rates: BTreeMap<ServiceId, RequestRate>,
 }
@@ -125,7 +123,7 @@ impl FromIterator<(ServiceId, RequestRate)> for WorkloadVector {
 }
 
 /// A deployed microservice: its latency profile and container shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Microservice {
     /// Human-readable name (unique within the app by convention, not
     /// enforced).
@@ -138,7 +136,7 @@ pub struct Microservice {
 
 /// An online service: a named request type with an SLA and a dependency
 /// graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Service {
     /// Human-readable name.
     pub name: String,
@@ -156,7 +154,7 @@ pub struct Service {
 /// which is how an online refit updates the model. Scaling decisions are
 /// pure functions of an `App`, a [`WorkloadVector`] and an interference
 /// level, which keeps the controller logic easy to reason about and test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct App {
     name: String,
     microservices: Vec<Microservice>,

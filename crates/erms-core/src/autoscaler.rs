@@ -3,13 +3,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::app::{App, WorkloadVector};
 use crate::error::Result;
 use crate::ids::{MicroserviceId, ServiceId};
 use crate::latency::Interference;
-use crate::resources::ClusterCapacity;
 use crate::scaling::{ScalerConfig, ServicePlan};
 
 /// Everything an autoscaler may observe when making a decision.
@@ -29,7 +26,7 @@ pub struct ScalingContext<'a> {
 /// A resource-scaling decision: container counts per microservice, plus the
 /// latency targets and (optionally) the service priorities that produced
 /// them.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScalingPlan {
     /// Name of the scheme that produced this plan (e.g. `"erms"`).
     pub scheme: String,
@@ -91,30 +88,6 @@ impl ScalingPlan {
     /// primary resource-usage metric (§6.3).
     pub fn total_containers(&self) -> u64 {
         self.containers.values().map(|&c| c as u64).sum()
-    }
-
-    /// Total CPU cores requested by the plan.
-    pub fn cpu_cores(&self, app: &App) -> f64 {
-        self.containers
-            .iter()
-            .filter_map(|(&ms, &c)| {
-                app.microservice(ms)
-                    .ok()
-                    .map(|m| m.resources.cpu * c as f64)
-            })
-            .sum()
-    }
-
-    /// Total dominant-resource usage `Σ nᵢ·Rᵢ` (the objective of Eq. 2).
-    pub fn resource_usage(&self, app: &App, capacity: &ClusterCapacity) -> f64 {
-        self.containers
-            .iter()
-            .filter_map(|(&ms, &c)| {
-                app.microservice(ms)
-                    .ok()
-                    .map(|m| m.resources.dominant_share(capacity) * c as f64)
-            })
-            .sum()
     }
 
     /// Records the priority order (highest first) of services at a shared
@@ -186,37 +159,20 @@ pub trait Autoscaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{AppBuilder, Sla};
-    use crate::latency::LatencyProfile;
-    use crate::resources::Resources;
-
-    fn tiny_app() -> (App, MicroserviceId) {
-        let mut b = AppBuilder::new("t");
-        let m = b.microservice(
-            "m",
-            LatencyProfile::linear(0.01, 1.0),
-            Resources::new(0.5, 100.0),
-        );
-        b.service("s", Sla::p95_ms(100.0), |g| {
-            g.entry(m);
-        });
-        (b.build().unwrap(), m)
-    }
 
     #[test]
     fn plan_accounting() {
-        let (app, m) = tiny_app();
+        let m = MicroserviceId::new(0);
         let mut plan = ScalingPlan::new("test");
         plan.set_containers(m, 7);
         assert_eq!(plan.containers(m), 7);
         assert_eq!(plan.total_containers(), 7);
-        assert!((plan.cpu_cores(&app) - 3.5).abs() < 1e-9);
         assert_eq!(plan.containers(MicroserviceId::new(9)), 0);
     }
 
     #[test]
     fn priorities_default_to_fcfs() {
-        let (_, m) = tiny_app();
+        let m = MicroserviceId::new(0);
         let mut plan = ScalingPlan::new("test");
         assert!(plan.priority_order(m).is_none());
         assert!(!plan.has_priorities());
@@ -226,15 +182,5 @@ mod tests {
             Some(&[ServiceId::new(1), ServiceId::new(0)][..])
         );
         assert!(plan.has_priorities());
-    }
-
-    #[test]
-    fn resource_usage_uses_dominant_share() {
-        let (app, m) = tiny_app();
-        let cap = ClusterCapacity::new(10.0, 1000.0);
-        let mut plan = ScalingPlan::new("test");
-        plan.set_containers(m, 4);
-        // dominant share = max(0.5/10, 100/1000) = 0.1 -> 4 * 0.1
-        assert!((plan.resource_usage(&app, &cap) - 0.4).abs() < 1e-9);
     }
 }

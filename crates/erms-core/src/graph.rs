@@ -20,12 +20,10 @@
 //! graphs as trees; a microservice shared between several call sites simply
 //! appears as several nodes referencing the same [`MicroserviceId`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{MicroserviceId, NodeId};
 
 /// One call node in a dependency graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The microservice this node invokes.
     pub microservice: MicroserviceId,
@@ -56,7 +54,7 @@ impl Node {
 ///
 /// Construct through [`GraphBuilder`], normally via
 /// [`AppBuilder::service`](crate::app::AppBuilder::service).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DependencyGraph {
     nodes: Vec<Node>,
     root: NodeId,
@@ -96,20 +94,10 @@ impl DependencyGraph {
             .map(|(i, n)| (NodeId::new(i as u32), n))
     }
 
-    /// The *effective* per-request call multiplicity of a node: the product
-    /// of multiplicities along the path from the root.
-    ///
-    /// A node with multiplicity 2 under a parent with multiplicity 3 is
-    /// invoked 6 times per service request.
-    pub fn effective_multiplicity(&self, id: NodeId) -> f64 {
-        // Recompute the parent chain: graphs are small and this keeps the
-        // structure free of redundant cached state.
-        let mut mult = vec![0.0; self.nodes.len()];
-        self.fill_multiplicity(self.root, 1.0, &mut mult);
-        mult[id.index()]
-    }
-
-    /// Effective multiplicities for all nodes, indexed by node id.
+    /// The *effective* per-request call multiplicity of every node, indexed
+    /// by node id: the product of multiplicities along the path from the
+    /// root. A node with multiplicity 2 under a parent with multiplicity 3
+    /// is invoked 6 times per service request.
     pub fn effective_multiplicities(&self) -> Vec<f64> {
         let mut mult = vec![0.0; self.nodes.len()];
         self.fill_multiplicity(self.root, 1.0, &mut mult);
@@ -368,19 +356,6 @@ impl GraphBuilder {
         ids
     }
 
-    /// Adds one more parallel call to the *last* stage of `parent`
-    /// (creating a first stage if none exists); returns the new node.
-    pub fn call_in_last_stage(&mut self, parent: NodeId, ms: MicroserviceId) -> NodeId {
-        let id = self.push(Node::new(ms, 1.0));
-        let parent_node = &mut self.nodes[parent.index()];
-        if let Some(last) = parent_node.stages.last_mut() {
-            last.push(id);
-        } else {
-            parent_node.stages.push(vec![id]);
-        }
-        id
-    }
-
     /// Finalises the graph. Returns `None` if no entry node was declared.
     pub fn build(self) -> Option<DependencyGraph> {
         let root = self.root?;
@@ -438,15 +413,16 @@ mod tests {
     }
 
     #[test]
-    fn effective_multiplicity_multiplies_down_the_tree() {
+    fn effective_multiplicities_multiply_down_the_tree() {
         let mut g = GraphBuilder::new();
         let a = g.entry(ms(0));
         let b = g.call_seq_n(a, ms(1), 3.0);
         let c = g.call_seq_n(b, ms(2), 2.0);
         let graph = g.build().unwrap();
-        assert_eq!(graph.effective_multiplicity(a), 1.0);
-        assert_eq!(graph.effective_multiplicity(b), 3.0);
-        assert_eq!(graph.effective_multiplicity(c), 6.0);
+        let mult = graph.effective_multiplicities();
+        assert_eq!(mult[a.index()], 1.0);
+        assert_eq!(mult[b.index()], 3.0);
+        assert_eq!(mult[c.index()], 6.0);
     }
 
     #[test]
@@ -460,18 +436,6 @@ mod tests {
         assert_eq!(graph.calls_per_request(ms(1)), 3.0);
         assert_eq!(graph.calls_per_request(ms(0)), 1.0);
         assert_eq!(graph.microservices(), vec![ms(0), ms(1)]);
-    }
-
-    #[test]
-    fn call_in_last_stage_extends_parallel_group() {
-        let mut g = GraphBuilder::new();
-        let root = g.entry(ms(0));
-        g.call_seq(root, ms(1));
-        g.call_in_last_stage(root, ms(2));
-        let graph = g.build().unwrap();
-        let node = graph.node(root);
-        assert_eq!(node.stages.len(), 1);
-        assert_eq!(node.stages[0].len(), 2);
     }
 
     #[test]

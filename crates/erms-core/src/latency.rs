@@ -16,14 +16,12 @@
 //! with a decision tree (§5.2); [`CutoffModel`] covers the constant, affine
 //! and tree-structured forms.
 
-use serde::{Deserialize, Serialize};
-
 /// Host-level resource interference observed by a container (§2.2).
 ///
 /// Both components are utilisations in `[0, 1]`. The paper shows that CPU
 /// and memory utilisation alone are sufficient to profile microservice
 /// latency accurately (§5.2, Fig. 10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interference {
     /// Host CPU utilisation in `[0, 1]`.
     pub cpu: f64,
@@ -39,14 +37,6 @@ impl Interference {
             memory: memory.clamp(0.0, 1.0),
         }
     }
-
-    /// Linear interpolation between two interference levels.
-    pub fn lerp(self, other: Self, t: f64) -> Self {
-        Self::new(
-            self.cpu + (other.cpu - self.cpu) * t,
-            self.memory + (other.memory - self.memory) * t,
-        )
-    }
 }
 
 impl Default for Interference {
@@ -60,7 +50,7 @@ impl Default for Interference {
 }
 
 /// Which interval of the piecewise model parameters are drawn from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Interval {
     /// The pre-knee interval (`γ ≤ σ`): latency grows slowly.
     Low,
@@ -70,7 +60,7 @@ pub enum Interval {
 }
 
 /// One linear segment of the piecewise model: `L = (α·C + β·M + c)·γ + b`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// CPU-interference coefficient α of the slope.
     pub alpha: f64,
@@ -115,7 +105,7 @@ impl Segment {
 
 /// A node of a [`CutoffTree`]: either an internal split on CPU or memory
 /// utilisation, or a leaf holding a cut-off value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CutoffNode {
     /// Internal split: `if feature < threshold { left } else { right }`,
     /// where `feature` 0 is CPU utilisation and 1 is memory utilisation, and
@@ -139,7 +129,7 @@ pub enum CutoffNode {
 ///
 /// Trees are produced by the `erms-profilers` crate but evaluated here so
 /// that a [`LatencyProfile`] is self-contained.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CutoffTree {
     /// Tree nodes; index 0 is the root. Must be non-empty.
     pub nodes: Vec<CutoffNode>,
@@ -192,7 +182,7 @@ impl CutoffTree {
 }
 
 /// How the knee of the piecewise model moves with interference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CutoffModel {
     /// Interference-independent cut-off.
     Constant(f64),
@@ -257,7 +247,7 @@ impl CutoffModel {
 /// `a` already folds in the interference level (`a = α·C + β·M + c`), so the
 /// closed-form results of §4.2 can treat it as a constant for one scaling
 /// round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearParams {
     /// Effective slope `a` (milliseconds per call/min per container).
     pub a: f64,
@@ -290,7 +280,7 @@ impl LinearParams {
 /// // Continuous at the knee.
 /// assert!((p.eval(499.9, itf) - p.eval(500.1, itf)).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyProfile {
     /// Parameters of the pre-knee interval (`γ ≤ σ`).
     pub low: Segment,
@@ -485,14 +475,5 @@ mod tests {
         let itf = Interference::new(3.0, -2.0);
         assert_eq!(itf.cpu, 1.0);
         assert_eq!(itf.memory, 0.0);
-    }
-
-    #[test]
-    fn lerp_midpoint() {
-        let a = Interference::new(0.0, 0.0);
-        let b = Interference::new(1.0, 0.5);
-        let mid = a.lerp(b, 0.5);
-        assert!((mid.cpu - 0.5).abs() < 1e-12);
-        assert!((mid.memory - 0.25).abs() < 1e-12);
     }
 }

@@ -23,7 +23,15 @@
 //! * [`resilience`] — the self-healing wrapper around the controller round:
 //!   bounded retries, a degradation ladder (relaxed placement, demand
 //!   shedding, last-known-good fallback) and plan hysteresis, with every
-//!   fallback audited in a `ResilienceReport`.
+//!   fallback audited in a `ResilienceReport`;
+//! * [`incremental`] / [`cache`] — dirty-subtree re-planning over the merge
+//!   arenas, and memoized merges for repeated rounds;
+//! * [`autoscaler`] — the [`Autoscaler`](autoscaler::Autoscaler) trait the
+//!   baselines share with Erms, and the
+//!   [`ScalingPlan`](autoscaler::ScalingPlan) they produce;
+//! * [`resources`], [`ids`], [`stats`], [`error`] — container sizes and
+//!   cluster capacities, typed ids, the workspace's one percentile
+//!   implementation, error types.
 //!
 //! # Example
 //!
@@ -64,7 +72,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod actions;
 pub mod app;
 pub mod autoscaler;
 pub mod cache;

@@ -25,8 +25,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::app::{App, WorkloadVector};
 use crate::autoscaler::{Autoscaler, ScalingContext, ScalingPlan};
 use crate::cache::PlanCache;
@@ -39,7 +37,7 @@ use crate::scaling::{own_workloads, plan_service_cached, ScalerConfig, ServicePl
 
 /// How requests from different services are ordered at shared
 /// microservices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulingMode {
     /// Erms priority scheduling (§4.3/§5.3.2) — the full design.
     #[default]

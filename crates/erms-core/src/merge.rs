@@ -46,10 +46,9 @@
 //!   `root − subtree_size + 1 ..= root`, so an entire clean subtree can be
 //!   skipped with one index jump.
 //!
-//! The [`MergeTree`] enum is kept as an on-demand *view* for inspection and
-//! tests ([`MergedGraph::tree`]).
-
-use serde::{Deserialize, Serialize};
+//! The arena is the tree's only form: its shape is read through
+//! [`MergedGraph::root_index`], [`MergedGraph::kind`] and
+//! [`MergedGraph::children_of`].
 
 use crate::graph::DependencyGraph;
 use crate::ids::NodeId;
@@ -57,7 +56,7 @@ use crate::ids::NodeId;
 /// Interference-resolved, multiplicity-folded parameters of one (real or
 /// virtual) microservice used by the merge algebra: latency
 /// `L = a·γ_svc/n + b` and per-container dominant resource demand `r`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VirtualParams {
     /// Effective slope `ã` with respect to the *service* workload.
     pub a: f64,
@@ -120,56 +119,6 @@ impl VirtualParams {
             .max(f64::MIN); // empty input degenerates safely
         let ar: f64 = parts.map(|p| p.a * p.r).sum();
         VirtualParams::new(a, b, ar / a.max(1e-12))
-    }
-}
-
-/// A node of the merge tree recording how the graph was collapsed.
-///
-/// This is the *view* form, materialized on demand by
-/// [`MergedGraph::tree`]; the planner itself walks the flat arena.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MergeTree {
-    /// A real call node of the original graph.
-    Leaf {
-        /// The original graph node.
-        node: NodeId,
-        /// Its folded parameters.
-        params: VirtualParams,
-    },
-    /// A virtual microservice merging sequentially-executed children.
-    Sequential {
-        /// Merged parameters (Eqs. 7–9).
-        params: VirtualParams,
-        /// The merged children, in execution order.
-        children: Vec<MergeTree>,
-    },
-    /// A virtual microservice merging parallel children.
-    Parallel {
-        /// Merged parameters (Eqs. 11–12).
-        params: VirtualParams,
-        /// The merged children.
-        children: Vec<MergeTree>,
-    },
-}
-
-impl MergeTree {
-    /// The (possibly virtual) parameters of this subtree.
-    pub fn params(&self) -> VirtualParams {
-        match self {
-            MergeTree::Leaf { params, .. }
-            | MergeTree::Sequential { params, .. }
-            | MergeTree::Parallel { params, .. } => *params,
-        }
-    }
-
-    /// Number of real (leaf) microservice call nodes below this subtree.
-    pub fn leaf_count(&self) -> usize {
-        match self {
-            MergeTree::Leaf { .. } => 1,
-            MergeTree::Sequential { children, .. } | MergeTree::Parallel { children, .. } => {
-                children.iter().map(MergeTree::leaf_count).sum()
-            }
-        }
     }
 }
 
@@ -425,37 +374,6 @@ impl MergedGraph {
         self.leaf_of[node.index()] as usize
     }
 
-    /// Materializes the [`MergeTree`] view of the arena (for inspection
-    /// and tests; the planner walks the arena directly).
-    pub fn tree(&self) -> MergeTree {
-        self.build_tree(self.root_index())
-    }
-
-    fn build_tree(&self, i: usize) -> MergeTree {
-        match self.kinds[i] {
-            ArenaKind::Leaf(node) => MergeTree::Leaf {
-                node,
-                params: self.params[i],
-            },
-            ArenaKind::Sequential => MergeTree::Sequential {
-                params: self.params[i],
-                children: self
-                    .children_of(i)
-                    .iter()
-                    .map(|&c| self.build_tree(c as usize))
-                    .collect(),
-            },
-            ArenaKind::Parallel => MergeTree::Parallel {
-                params: self.params[i],
-                children: self
-                    .children_of(i)
-                    .iter()
-                    .map(|&c| self.build_tree(c as usize))
-                    .collect(),
-            },
-        }
-    }
-
     /// The merged whole-graph parameters — a single virtual microservice
     /// standing for the entire service.
     pub fn params(&self) -> VirtualParams {
@@ -548,31 +466,6 @@ impl MergedGraph {
     }
 }
 
-/// A two-tier invocation: a call node together with all of its direct
-/// downstream call nodes (§4.2). Exposed for analysis and to mirror the
-/// DFS enumeration of Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TwoTierInvocation {
-    /// The upstream node.
-    pub parent: NodeId,
-    /// Its direct downstream nodes across all stages.
-    pub children: Vec<NodeId>,
-}
-
-/// Enumerates all two-tier invocations of a graph in the bottom-up order in
-/// which Algorithm 1 merges them (deepest invocations first).
-pub fn two_tier_invocations(graph: &DependencyGraph) -> Vec<TwoTierInvocation> {
-    graph
-        .post_order()
-        .into_iter()
-        .filter(|&id| !graph.node(id).stages.is_empty())
-        .map(|id| TwoTierInvocation {
-            parent: id,
-            children: graph.node(id).children().collect(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,16 +550,21 @@ mod tests {
         let (graph, _) = fig7_graph();
         let merged = MergedGraph::merge(&graph, &fig7_params());
         // Root is a sequential merge of [T, parallel(Url, U), C].
-        match merged.tree() {
-            MergeTree::Sequential { children, .. } => {
-                assert_eq!(children.len(), 3);
-                assert!(matches!(children[0], MergeTree::Leaf { .. }));
-                assert!(matches!(children[1], MergeTree::Parallel { .. }));
-                assert!(matches!(children[2], MergeTree::Leaf { .. }));
-            }
-            other => panic!("unexpected root {other:?}"),
-        }
-        assert_eq!(merged.tree().leaf_count(), 4);
+        let root = merged.root_index();
+        assert_eq!(merged.kind(root), ArenaKind::Sequential);
+        let kinds: Vec<ArenaKind> = merged
+            .children_of(root)
+            .iter()
+            .map(|&c| merged.kind(c as usize))
+            .collect();
+        assert!(matches!(
+            kinds[..],
+            [ArenaKind::Leaf(_), ArenaKind::Parallel, ArenaKind::Leaf(_)]
+        ));
+        let leaves = (0..merged.arena_len())
+            .filter(|&i| matches!(merged.kind(i), ArenaKind::Leaf(_)))
+            .count();
+        assert_eq!(leaves, 4);
     }
 
     #[test]
@@ -770,21 +668,6 @@ mod tests {
         let merged = MergedGraph::merge(&graph, &[vp(0.1, 2.0, 0.1)]);
         let targets = merged.assign_targets(80.0).unwrap();
         assert!((targets[root.index()] - 80.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn two_tier_invocations_bottom_up() {
-        let mut g = GraphBuilder::new();
-        let t = g.entry(ms(0));
-        let url = g.call_seq(t, ms(1));
-        let _c = g.call_seq(url, ms(2));
-        let graph = g.build().unwrap();
-        let invs = two_tier_invocations(&graph);
-        assert_eq!(invs.len(), 2);
-        // Deepest first: Url's invocation before T's.
-        assert_eq!(invs[0].parent, url);
-        assert_eq!(invs[1].parent, t);
-        assert_eq!(invs[1].children, vec![url]);
     }
 
     #[test]

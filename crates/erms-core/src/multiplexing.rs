@@ -22,8 +22,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::app::{App, WorkloadVector};
 use crate::error::Result;
 use crate::ids::{MicroserviceId, ServiceId};
@@ -143,7 +141,7 @@ pub fn total_workloads(
 /// assert!(cmp.priority <= cmp.non_sharing);
 /// assert!(cmp.non_sharing <= cmp.sharing_fcfs);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharingScenario {
     /// Slope, intercept and container demand of microservice `U`.
     pub u: (f64, f64, f64),
@@ -307,7 +305,7 @@ impl SharingScenario {
 }
 
 /// Resource usage of the three scheduling schemes at a shared microservice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeComparison {
     /// FCFS sharing (scheme ① of Fig. 5).
     pub sharing_fcfs: f64,

@@ -4,7 +4,6 @@
 //! use erms_core::prelude::*;
 //! ```
 
-pub use crate::actions::{Action, PlanDelta};
 pub use crate::app::{App, AppBuilder, Microservice, RequestRate, Service, Sla, WorkloadVector};
 pub use crate::autoscaler::{Autoscaler, ScalingContext, ScalingPlan};
 pub use crate::cache::PlanCache;
@@ -19,7 +18,7 @@ pub use crate::latency::{
     CutoffModel, Interference, Interval, LatencyProfile, LinearParams, Segment,
 };
 pub use crate::manager::{Erms, ErmsScaler, SchedulingMode};
-pub use crate::merge::{MergeTree, MergedGraph, VirtualParams};
+pub use crate::merge::{MergedGraph, VirtualParams};
 pub use crate::multiplexing::{SchemeComparison, SharingScenario};
 pub use crate::provisioning::{ClusterState, FailureDomain, Host, HostLifecycle, PlacementPolicy};
 pub use crate::resilience::{

@@ -21,8 +21,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::app::App;
 use crate::autoscaler::ScalingPlan;
 use crate::error::{Error, Result};
@@ -37,7 +35,7 @@ use crate::resources::HostClass;
 /// advance notice; the provisioning layer cordons a host once a reclamation
 /// notice is posted, and the spot-aware resilience ladder evacuates its
 /// containers to surviving capacity inside the grace window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HostLifecycle {
     /// Regular capacity: stays until it fails.
     #[default]
@@ -51,7 +49,7 @@ pub enum HostLifecycle {
 /// and a power feed; hosts sharing a zone share cooling and a power grid —
 /// so faults are *correlated* along these coordinates, and
 /// `ClusterFaultPlan::FailDomain` can take out a whole rack or zone at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct FailureDomain {
     /// Availability zone index.
     pub zone: u32,
@@ -68,7 +66,7 @@ impl FailureDomain {
 
 /// One physical host: capacity, invisible background (batch) usage, and the
 /// containers currently placed on it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Host {
     /// CPU capacity in cores.
     pub cpu_capacity: f64,
@@ -314,7 +312,7 @@ impl Host {
 }
 
 /// Container placement across a cluster of hosts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterState {
     hosts: Vec<Host>,
     /// Cluster-wide vertical-scaling factors (f64 bit patterns), mirrored
@@ -676,7 +674,7 @@ impl UsageCache {
 }
 
 /// Which placement algorithm to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Erms' interference-aware placement, with hosts statically divided
     /// into `groups` equal partitions solved independently (POP \[31\]).
@@ -874,7 +872,7 @@ fn provision_in_place(
 }
 
 /// Summary of one provisioning round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProvisionReport {
     /// Containers newly placed.
     pub placed: u32,

@@ -258,11 +258,12 @@ impl ResilientOutcome {
 pub struct ManagerState {
     /// Rounds run so far (the next round is `round + 1`).
     pub round: u64,
-    /// The last plan that was successfully applied.
-    pub last_applied: Option<ScalingPlan>,
+    /// The last plan that was successfully applied, shared with the
+    /// manager it was exported from.
+    pub last_applied: Option<Arc<ScalingPlan>>,
     /// The last freshly planned (not stale-substituted) applied plan and
     /// the round it was planned in.
-    pub last_good: Option<(ScalingPlan, u64)>,
+    pub last_good: Option<(Arc<ScalingPlan>, u64)>,
     /// Per-microservice last rescaling: (+1 up / −1 down, round it
     /// happened).
     pub directions: BTreeMap<MicroserviceId, (i8, u64)>,
@@ -399,15 +400,13 @@ impl ResilientManager {
     /// decisions), and so is the incremental planner's carried state: a
     /// restored manager replans cold on its first round, which the
     /// planner's own invariant guarantees is bit-identical to the warm
-    /// re-plan the uninterrupted manager would have produced.
+    /// re-plan the uninterrupted manager would have produced. The plans are
+    /// shared, not copied.
     pub fn export_state(&self) -> ManagerState {
         ManagerState {
             round: self.round,
-            last_applied: self.last_applied.as_deref().cloned(),
-            last_good: self
-                .last_good
-                .as_ref()
-                .map(|(plan, round)| (ScalingPlan::clone(plan), *round)),
+            last_applied: self.last_applied.clone(),
+            last_good: self.last_good.clone(),
             directions: self.directions.clone(),
         }
     }
@@ -416,10 +415,10 @@ impl ResilientManager {
     /// dropping any carried planner state so the next round plans cold.
     pub fn restore_state(&mut self, state: ManagerState) {
         self.round = state.round;
-        let applied = state.last_applied.map(Arc::new);
+        let applied = state.last_applied;
         self.last_good = state.last_good.map(|(plan, round)| match &applied {
-            Some(shared) if **shared == plan => (Arc::clone(shared), round),
-            _ => (Arc::new(plan), round),
+            Some(shared) if **shared == *plan => (Arc::clone(shared), round),
+            _ => (plan, round),
         });
         self.last_applied = applied;
         self.plan_epoch = next_plan_epoch();

@@ -1,12 +1,10 @@
 //! Container resource sizes and cluster capacities.
 
-use serde::{Deserialize, Serialize};
-
 /// Resource configuration of one microservice container.
 ///
 /// The paper configures every DeathStarBench container with 0.1 CPU core and
 /// 200 MB of memory (§6.1); [`Resources::default`] mirrors that.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resources {
     /// CPU request, in cores.
     pub cpu: f64,
@@ -58,7 +56,7 @@ impl Default for Resources {
 
 /// Total CPU and memory capacity of the cluster, used to normalise dominant
 /// resource demands (Eq. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterCapacity {
     /// Total CPU cores.
     pub cpu: f64,
@@ -94,7 +92,7 @@ impl Default for ClusterCapacity {
 /// large NUMA boxes isolate colocated work better (scale < 1), small or
 /// oversubscribed nodes amplify it (scale > 1). `scale = 1.0` reproduces the
 /// paper's uniform behaviour exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostClass {
     /// Human-readable class name ("standard", "large", ...).
     pub name: String,

@@ -19,8 +19,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::app::{App, RequestRate};
 use crate::cache::PlanCache;
 use crate::error::{Error, Result};
@@ -30,7 +28,7 @@ use crate::merge::{MergedGraph, VirtualParams};
 use crate::resources::ClusterCapacity;
 
 /// One microservice of a sequential chain, for direct use of Eq. (5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChainItem {
     /// Latency slope `a` (ms per call/min per container).
     pub a: f64,
@@ -189,7 +187,7 @@ pub fn chain_resource_usage(items: &[ChainItem], sla_ms: f64) -> Option<f64> {
 }
 
 /// Configuration of the Erms scaler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalerConfig {
     /// Cluster capacity used to normalise dominant resource demands (Eq. 3).
     pub capacity: ClusterCapacity,
@@ -214,7 +212,7 @@ impl Default for ScalerConfig {
 }
 
 /// The outcome of latency-target computation for one service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServicePlan {
     /// The planned service.
     pub service: ServiceId,

@@ -2,12 +2,11 @@
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One profiling observation `d = (L, γ, C, M)` (§5.2): the tail latency of
 /// all calls in one minute, the per-container call rate, and the average
 /// host CPU/memory utilisation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Observed tail latency in milliseconds.
     pub latency_ms: f64,
@@ -37,7 +36,7 @@ impl Sample {
 }
 
 /// A set of profiling samples with train/test utilities.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
     /// The samples.
     pub samples: Vec<Sample>,

@@ -19,8 +19,7 @@
 //!   replacements and background (batch) load swings.
 //!
 //! Both plans can be authored explicitly (builder methods) or generated
-//! from a seed, and both are plain data — `Serialize`/`Deserialize` — so a
-//! fault scenario can be stored next to the experiment it belongs to.
+//! from a seed.
 
 use std::collections::BTreeMap;
 
@@ -29,7 +28,6 @@ use erms_core::ids::MicroserviceId;
 use erms_core::provisioning::{ClusterState, Host};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A structural defect in a fault plan, caught at construction time by
 /// [`FaultPlan::validate`] / [`ClusterFaultPlan::validate`] instead of
@@ -162,7 +160,7 @@ impl std::error::Error for FaultError {}
 /// are lost. Requests queued on or being served by a crashed container are
 /// disrupted (counted as crash-induced violations in
 /// [`SimResult`](crate::runtime::SimResult)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContainerCrash {
     /// The microservice losing containers.
     pub ms: MicroserviceId,
@@ -175,7 +173,7 @@ pub struct ContainerCrash {
 /// A host failure: at `at_ms`, every listed deployment loses the given
 /// number of containers *simultaneously* — the correlated-loss pattern that
 /// distinguishes a host failure from independent container crashes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostFailure {
     /// Simulated time of the failure, in ms.
     pub at_ms: f64,
@@ -186,7 +184,7 @@ pub struct HostFailure {
 /// A cold-start delay: `count` containers of `ms` (of the configured
 /// deployment) only begin serving `delay_ms` into the run — the scale-up
 /// lag of pulling an image and warming a runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColdStart {
     /// The microservice whose new containers start cold.
     pub ms: MicroserviceId,
@@ -201,7 +199,7 @@ pub struct ColdStart {
 /// stop accepting *new* work (draining) but keep serving their queues —
 /// and at `at_ms + grace_ms` the capacity is taken back, destroying
 /// whatever is still queued or in flight on them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotReclamation {
     /// The microservice losing spot capacity.
     pub ms: MicroserviceId,
@@ -218,7 +216,7 @@ pub struct SpotReclamation {
 ///
 /// An empty (default) plan injects nothing and leaves the simulation's
 /// behaviour bit-for-bit identical to a run without a plan.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Container crashes, by time.
     pub container_crashes: Vec<ContainerCrash>,
@@ -320,35 +318,6 @@ impl FaultPlan {
     pub fn with_span_loss(mut self, p: f64) -> Self {
         self.span_loss = p.clamp(0.0, 1.0);
         self
-    }
-
-    /// Generates a random crash schedule: expected `crash_rate_per_min`
-    /// single-container crashes per minute, uniformly over `(0,
-    /// duration_ms)`, targeting microservices drawn uniformly from the
-    /// app's catalogue. Deterministic given the seed.
-    pub fn random_crashes(seed: u64, app: &App, duration_ms: f64, crash_rate_per_min: f64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ms_ids: Vec<MicroserviceId> = app.microservices().map(|(id, _)| id).collect();
-        let mut plan = Self::new();
-        if ms_ids.is_empty() || duration_ms <= 0.0 || crash_rate_per_min <= 0.0 {
-            return plan;
-        }
-        let expected = crash_rate_per_min * duration_ms / 60_000.0;
-        // Poisson-ish: round the expectation, at least one crash if the
-        // expectation is positive, so a seeded plan is never silently empty.
-        let crashes = expected.round().max(1.0) as usize;
-        for _ in 0..crashes {
-            let ms = ms_ids[rng.gen_range(0..ms_ids.len())];
-            let at_ms = rng.gen_range(0.0..duration_ms);
-            plan.container_crashes.push(ContainerCrash {
-                ms,
-                at_ms,
-                count: 1,
-            });
-        }
-        plan.container_crashes
-            .sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
-        plan
     }
 
     /// Structurally validates the plan against `app` and a simulation
@@ -503,7 +472,7 @@ impl FaultPlan {
 }
 
 /// One cluster-level fault applied between controller rounds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ClusterFault {
     /// Crash up to `count` containers of `ms` (most-loaded hosts first).
     CrashContainers {
@@ -558,7 +527,7 @@ pub enum ClusterFault {
 /// A round-indexed schedule of [`ClusterFault`]s for controller-loop
 /// experiments: each fault fires *before* the controller round with the
 /// same (1-based) number.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClusterFaultPlan {
     faults: BTreeMap<u64, Vec<ClusterFault>>,
 }
@@ -856,20 +825,6 @@ mod tests {
             .crash(MicroserviceId::new(0), 10.0, 1)
             .is_empty());
         assert!(!FaultPlan::new().with_deadline_ms(50.0).is_empty());
-    }
-
-    #[test]
-    fn random_crashes_are_deterministic_and_sorted() {
-        let (app, _) = tiny_app();
-        let a = FaultPlan::random_crashes(9, &app, 60_000.0, 5.0);
-        let b = FaultPlan::random_crashes(9, &app, 60_000.0, 5.0);
-        assert_eq!(a, b);
-        assert!(!a.container_crashes.is_empty());
-        for w in a.container_crashes.windows(2) {
-            assert!(w[0].at_ms <= w[1].at_ms);
-        }
-        let c = FaultPlan::random_crashes(10, &app, 60_000.0, 5.0);
-        assert_ne!(a, c, "different seeds should give different schedules");
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //!   cluster faults for controller-loop experiments
 //!   ([`ClusterFaultPlan`]);
 //! * [`service_time`] — lognormal, interference-sensitive service times;
-//! * [`stats`] — percentile helpers;
 //! * [`telemetry`] — zero-cost-when-disabled [`TelemetrySink`] hooks
 //!   feeding the `erms-telemetry` observability pipeline.
 //!
@@ -67,7 +66,6 @@ pub mod replicate;
 pub mod runtime;
 pub mod service_time;
 pub mod shard;
-pub mod stats;
 mod tables;
 pub mod telemetry;
 pub mod timekey;

@@ -22,6 +22,7 @@ use erms_core::app::{App, WorkloadVector};
 use erms_core::error::{Error, Result};
 use erms_core::ids::{MicroserviceId, NodeId, ServiceId};
 use erms_core::latency::Interference;
+use erms_core::stats;
 use erms_trace::span::{Span, SpanId, SpanKind, TraceId};
 use erms_trace::store::TraceStore;
 use rand::Rng;
@@ -31,7 +32,6 @@ use crate::deployment::{Admission, Deployments, Ledger, Occupant, Release, Seat}
 use crate::equeue::{CalendarQueue, Popped};
 use crate::faults::FaultPlan;
 use crate::service_time::ServiceTimeModel;
-use crate::stats;
 use crate::tables::SimTables;
 use crate::telemetry::{NullSink, TelemetrySink};
 use crate::timekey::{key_time, time_key};

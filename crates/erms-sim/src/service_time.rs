@@ -9,10 +9,9 @@
 
 use erms_core::latency::{Interference, LatencyProfile};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Lognormal service-time model of one microservice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceTimeModel {
     /// Mean service time at zero interference, in ms.
     pub base_ms: f64,

@@ -8,15 +8,13 @@
 
 use std::collections::BTreeMap;
 
+use crate::extract::LatencyObservation;
 use erms_core::ids::MicroserviceId;
 use erms_core::latency::Interference;
-use serde::{Deserialize, Serialize};
-
-use crate::extract::LatencyObservation;
 
 /// One per-minute profiling observation for a microservice — the
 /// `d = (L, γ, C, M)` sample of §5.2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinuteObservation {
     /// The microservice observed.
     pub microservice: MicroserviceId,

@@ -16,15 +16,14 @@
 //! * [`alibaba`] — a synthetic generator of Alibaba-scale application
 //!   topologies calibrated to the published statistics (Fig. 2 sharing CDF,
 //!   Taobao-scale services) used for the trace-driven simulations of §6.5;
-//! * [`cluster`] — dynamic-graph clustering into structural classes, the
-//!   §7/§9 future-work refinement over scaling one complete graph.
+//! * [`synth`] — deterministic synthetic applications of a chosen size and
+//!   shape for the planner scalability runs.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod aggregate;
 pub mod alibaba;
-pub mod cluster;
 pub mod extract;
 pub mod span;
 pub mod store;

@@ -6,18 +6,17 @@
 //! The difference between the two is the transmission latency.
 
 use erms_core::ids::{MicroserviceId, ServiceId};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one end-to-end request's trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(pub u64);
 
 /// Identifier of a span within a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
 /// Which side of a call a span was recorded on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Recorded at the caller: send request → receive response.
     Client,
@@ -26,7 +25,7 @@ pub enum SpanKind {
 }
 
 /// One recorded span.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     /// The trace (end-to-end request) this span belongs to.
     pub trace_id: TraceId,

@@ -2,15 +2,13 @@
 
 use std::collections::BTreeMap;
 
+use crate::span::{Span, TraceId};
 use rand::Rng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-
-use crate::span::{Span, TraceId};
 
 /// Stores spans grouped by trace, sampling whole traces at a fixed rate as
 /// Jaeger does (the paper uses 10 %, §5.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceStore {
     sampling: f64,
     seed: u64,

@@ -8,10 +8,9 @@
 use erms_core::app::RequestRate;
 use rand::Rng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the dynamic workload generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicWorkload {
     /// Mean request rate (req/min).
     pub base: f64,

@@ -7,10 +7,9 @@
 
 use erms_core::latency::Interference;
 use erms_core::provisioning::ClusterState;
-use serde::{Deserialize, Serialize};
 
 /// A named interference level, mirroring the iBench sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterferenceLevel {
     /// Idle hosts.
     None,

@@ -1,12 +1,11 @@
 //! Offline stand-in for `serde`.
 //!
-//! The workspace derives `Serialize`/`Deserialize` on its data types for
-//! downstream consumers but never serialises anything itself (no
-//! `serde_json`/`bincode` dependency exists). Because the build environment
-//! is fully offline, this stub provides the two marker traits and — behind
-//! the `derive` feature — no-op derive macros that accept (and ignore)
-//! `#[serde(...)]` attributes. Swapping the real `serde` back in requires
-//! only restoring the registry dependency; no source changes.
+//! No workspace source derives or names these traits any more; the crate
+//! manifests still list the dependency, and so does the lock file of the
+//! standalone `benchmark/` package, so the stub stays until both drop it.
+//! It provides the two marker traits and — behind the `derive` feature —
+//! no-op derive macros that accept (and ignore) `#[serde(...)]`
+//! attributes.
 
 /// Marker stand-in for `serde::Serialize`.
 pub trait Serialize {}

@@ -130,7 +130,7 @@ fn a_snapshot_is_never_a_tree_in_memory() {
     );
     assert!(bytes > 1_000_000, "a control_mix-sized snapshot: {bytes} B");
     assert!(
-        save_peak <= 512 * 1024,
+        save_peak <= 192 * 1024,
         "save held {save_peak} B of heap for a {bytes} B snapshot"
     );
     assert!(

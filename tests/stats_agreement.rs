@@ -3,13 +3,12 @@
 //! Every crate that answers a percentile/mean question must answer it
 //! through the shared `erms_core::stats` implementation (one documented
 //! nearest-rank quantile definition). This suite pins the public entry
-//! points against each other — `erms_sim::stats` (re-export),
-//! `erms_trace::aggregate::percentile` (delegating, in-place sort) and
-//! `SimResult::latency_percentile` — on common fixtures including the
-//! empty and single-sample edge cases.
+//! points against each other — `erms_core::stats::percentile`, its
+//! sorted-query form and `erms_trace::aggregate::percentile` (delegating,
+//! in-place sort) — on common fixtures including the empty and
+//! single-sample edge cases.
 
 use erms::core::stats;
-use erms::sim::stats as sim_stats;
 use erms::trace::aggregate;
 
 fn fixtures() -> Vec<Vec<f64>> {
@@ -30,8 +29,6 @@ fn percentile_entry_points_agree_bit_for_bit() {
     for (fi, v) in fixtures().into_iter().enumerate() {
         for p in PS {
             let core = stats::percentile(&v, p);
-            // erms-sim's module is a re-export of the same function.
-            let sim = sim_stats::percentile(&v, p);
             // erms-trace sorts in place, then selects the same rank.
             let mut scratch = v.clone();
             let trace = aggregate::percentile(&mut scratch, p);
@@ -39,7 +36,6 @@ fn percentile_entry_points_agree_bit_for_bit() {
             let mut sorted = v.clone();
             stats::sort_samples(&mut sorted);
             let via_sorted = stats::percentile_sorted(&sorted, p);
-            assert_eq!(core.to_bits(), sim.to_bits(), "fixture {fi}, p={p}: sim");
             assert_eq!(
                 core.to_bits(),
                 trace.to_bits(),
@@ -57,7 +53,6 @@ fn percentile_entry_points_agree_bit_for_bit() {
 #[test]
 fn empty_input_is_zero_everywhere() {
     assert_eq!(stats::percentile(&[], 0.95), 0.0);
-    assert_eq!(sim_stats::percentile(&[], 0.95), 0.0);
     assert_eq!(aggregate::percentile(&mut [], 0.95), 0.0);
     assert_eq!(stats::percentile_sorted(&[], 0.95), 0.0);
     assert_eq!(stats::mean(&[]), 0.0);
@@ -71,7 +66,6 @@ fn empty_input_is_zero_everywhere() {
 fn single_sample_is_every_percentile_everywhere() {
     for p in PS {
         assert_eq!(stats::percentile(&[3.25], p), 3.25, "core p={p}");
-        assert_eq!(sim_stats::percentile(&[3.25], p), 3.25, "sim p={p}");
         assert_eq!(aggregate::percentile(&mut [3.25], p), 3.25, "trace p={p}");
         assert_eq!(stats::percentile_sorted(&[3.25], p), 3.25, "sorted p={p}");
     }
