@@ -40,7 +40,7 @@ use erms_profilers::dataset::Sample;
 use erms_sim::telemetry::SpanRecord;
 use erms_telemetry::online::WindowConfig;
 
-use crate::json::{Json, JsonError, Parser, Writer};
+use crate::json::{exact_u32, Json, JsonError, Parser, Writer};
 
 /// A decode failure: what was wrong, with a rough path for diagnostics.
 pub type DecodeError = String;
@@ -111,14 +111,14 @@ fn id_from(j: &Json, ctx: &str) -> Result<u32, DecodeError> {
 /// A wire number that has to be a `u32`: refused, never clamped, when it
 /// is negative, fractional or too large.
 fn u32_from(v: f64, ctx: &str) -> Result<u32, DecodeError> {
-    // The cast truncates and saturates, so only a value that already is a
-    // `u32` comes back from it unchanged (`-0` does, as 0).
-    let n = v as u32;
-    if f64::from(n) == v {
-        Ok(n)
-    } else {
-        Err(format!("{ctx}: must be a non-negative integer below 2^32"))
-    }
+    u32_field(exact_u32(v), ctx)
+}
+
+/// An integer field as [`Parser::rows`] reads it: the `u32` it is, or the
+/// error [`u32_from`] gives any other number.
+#[inline(always)]
+fn u32_field(v: Option<u32>, ctx: &str) -> Result<u32, DecodeError> {
+    v.ok_or_else(|| format!("{ctx}: must be a non-negative integer below 2^32"))
 }
 
 // ---------------------------------------------------------------- profiles
@@ -1158,7 +1158,7 @@ pub(crate) fn samples_from_text(
         p.rows(
             "samples: bucket must be an array",
             "samples: expected [latency, gamma, cpu, mem]",
-            |[latency, gamma, cpu, mem]| {
+            |[], [latency, gamma, cpu, mem]| {
                 bucket.push(Sample::new(latency, gamma, cpu, mem));
                 Ok::<(), DecodeError>(())
             },
@@ -1292,10 +1292,13 @@ fn checked_sampling(sampling: f64) -> Result<f64, DecodeError> {
     }
 }
 
-/// One span from its six wire numbers. Both decoders end here, so what a
-/// span may hold is decided once.
+/// One span from its six wire numbers, the four ids as [`Parser::rows`]
+/// reads them. Both decoders end here, so what a span may hold is decided
+/// once.
+#[inline(always)]
 fn span_from_fields(
-    [service, ms, container, class, start_ms, end_ms]: [f64; 6],
+    [service, ms, container, class]: [Option<u32>; 4],
+    [start_ms, end_ms]: [f64; 2],
 ) -> Result<SpanRecord, DecodeError> {
     // Its latency goes into the fit as it is, and into snapshots, which
     // cannot carry an infinity: two finite ends far enough apart make one.
@@ -1305,10 +1308,10 @@ fn span_from_fields(
             .into());
     }
     Ok(SpanRecord {
-        service: ServiceId::new(u32_from(service, "span `service`")?),
-        microservice: MicroserviceId::new(u32_from(ms, "span `microservice`")?),
-        container: u32_from(container, "span `container`")?,
-        priority_class: u32_from(class, "span `priority_class`")?,
+        service: ServiceId::new(u32_field(service, "span `service`")?),
+        microservice: MicroserviceId::new(u32_field(ms, "span `microservice`")?),
+        container: u32_field(container, "span `container`")?,
+        priority_class: u32_field(class, "span `priority_class`")?,
         start_ms,
         end_ms,
     })
@@ -1333,7 +1336,9 @@ pub fn span_batch_from_json(j: &Json) -> Result<SpanBatch, DecodeError> {
         for (field, value) in fields.iter_mut().zip(six) {
             *field = value.as_f64().ok_or(SPAN_SHAPE)?;
         }
-        spans.push(span_from_fields(fields)?);
+        let [service, ms, container, class, start_ms, end_ms] = fields;
+        let ids = [service, ms, container, class].map(exact_u32);
+        spans.push(span_from_fields(ids, [start_ms, end_ms])?);
     }
     Ok(SpanBatch {
         sampling,
@@ -1418,10 +1423,10 @@ pub fn span_batch_from_text(text: &str) -> Result<SpanBatch, DecodeError> {
                 let ctx = "span batch containers";
                 let shape = "span batch containers: expected an array of pairs";
                 let pairs = containers.insert(BTreeMap::new());
-                p.rows(shape, shape, |[ms, count]| {
+                p.rows(shape, shape, |[ms, count], []| {
                     pairs.insert(
-                        MicroserviceId::new(u32_from(ms, ctx)?),
-                        u32_from(count, ctx)?,
+                        MicroserviceId::new(u32_field(ms, ctx)?),
+                        u32_field(count, ctx)?,
                     );
                     Ok::<(), DecodeError>(())
                 })?;
@@ -1434,8 +1439,8 @@ pub fn span_batch_from_text(text: &str) -> Result<SpanBatch, DecodeError> {
                 p.rows(
                     "span batch: non-array field `spans`",
                     SPAN_SHAPE,
-                    |fields| {
-                        list.push(span_from_fields(fields)?);
+                    |ids, ends| {
+                        list.push(span_from_fields(ids, ends)?);
                         Ok::<(), DecodeError>(())
                     },
                 )?;

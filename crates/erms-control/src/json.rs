@@ -24,9 +24,11 @@
 //!   out: no exponent, zeros padded on either side. The reader reads the
 //!   digits once into a `u64`; a number without an exponent whose 19 or
 //!   fewer digits make a mantissa of at most 2^53 is one exact division
-//!   (Clinger's fast path), and every other number goes to `from_str`.
-//!   Span bodies are mostly such numbers, and they are where the daemon
-//!   and its clients spend their JSON time.
+//!   (Clinger's fast path), one whose mantissa is larger is one 64 × 128-bit
+//!   product (Eisel–Lemire, with an exact integer quotient where the
+//!   product cannot decide the rounding), and every other number goes to
+//!   `from_str`. Span bodies are mostly such numbers, and they are where the
+//!   daemon and its clients spend their JSON time.
 //! * **Strict grammar.** The parser accepts exactly RFC 8259: no
 //!   trailing commas, no comments, no leading zeros, no bare NaN/inf
 //!   tokens, full `\uXXXX` escapes with surrogate-pair handling, and a
@@ -67,6 +69,101 @@ const EXACT_POWERS_OF_TEN: [f64; 19] = [
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
     1e17, 1e18,
 ];
+
+/// `10^k` for `k` = 0 … 19, every power of ten a `u64` holds.
+const POWERS_OF_TEN: [u64; 20] = {
+    let mut table = [1; 20];
+    let mut k = 1;
+    while k < 20 {
+        table[k] = table[k - 1] * 10;
+        k += 1;
+    }
+    table
+};
+
+/// For `k` = 0 … 19, `10^-k` as a 128-bit multiplier and the power of two
+/// it is scaled by: `(⌊2^s / 5^k⌋ + 1, s + k)` with `s = 127 + ⌊log2 5^k⌋`,
+/// so the multiplier lies in (2^126, 2^127 + 1] and exceeds `2^s / 5^k` by
+/// at most one. Computed here by long division, as `ryu.rs` computes its
+/// tables.
+const INVERSE_POWERS_OF_TEN: [(u128, u32); 20] = {
+    let mut table = [(0, 0); 20];
+    let mut five: u64 = 1;
+    let mut k = 0;
+    while k < 20 {
+        let log2 = 63 - five.leading_zeros();
+        // 2^s / 5^k, one bit of the dividend at a time: a one, then s zeros.
+        let (mut quotient, mut remainder) = (0u128, 0u64);
+        let mut bit = 0;
+        while bit <= 127 + log2 {
+            remainder = 2 * remainder + (bit == 0) as u64;
+            quotient <<= 1;
+            if remainder >= five {
+                remainder -= five;
+                quotient |= 1;
+            }
+            bit += 1;
+        }
+        table[k] = (quotient + 1, 127 + log2 + k as u32);
+        five *= 5;
+        k += 1;
+    }
+    table
+};
+
+/// The `f64` nearest `mantissa / 10^k` (ties to even), for a mantissa above
+/// 2^53 and `k` ≤ 19: what `str::parse` makes of a decimal with those
+/// digits, where Clinger's fast path cannot go.
+///
+/// This is the Eisel–Lemire step over one table entry. The mantissa,
+/// shifted to fill 64 bits, times the rounded-up multiplier overshoots the
+/// exact product by less than 2^64; so wherever the bits under the 54 that
+/// decide the rounding are at least 2^65, the overshoot cannot reach the
+/// rounding bit and the value below it is not zero, and those 54 bits round
+/// the mantissa correctly. Where they are not, the value lies on a rounding
+/// boundary or within about 2^-72 of a unit in the last place of one, and
+/// [`exact_quotient`] decides it.
+#[inline]
+fn long_decimal(mantissa: u64, k: usize) -> f64 {
+    let (multiplier, scale) = INVERSE_POWERS_OF_TEN[k];
+    let zeros = mantissa.leading_zeros();
+    let w = mantissa << zeros;
+    // The top 128 of the 192-bit product `w × multiplier`.
+    let low = u128::from(w) * (multiplier as u64 as u128);
+    let top = u128::from(w) * (multiplier >> 64) + (low >> 64);
+    let (high, middle) = ((top >> 64) as u64, top as u64);
+    // The product is below 2^191, so `high` starts at bit 62 or 61.
+    let lead = high.leading_zeros();
+    let below = 10 - lead;
+    if high & ((1 << below) - 1) == 0 && middle < 2 {
+        return exact_quotient(mantissa, k);
+    }
+    // The 53 bits and the rounding bit; the bits under them are not zero,
+    // so the rounding bit alone says which way to go.
+    let bits54 = high >> below;
+    let significand = (bits54 >> 1) + (bits54 & 1);
+    let exponent = 1214 - u64::from(lead) - u64::from(scale) - u64::from(zeros);
+    // A significand rounded up to 2^53 carries into the exponent.
+    f64::from_bits((exponent << 52) + significand - (1 << 52))
+}
+
+/// [`long_decimal`] by exact integer division: `mantissa × 2^64 / 10^k`
+/// has at least 54 bits, and its remainder is the rest.
+#[cold]
+fn exact_quotient(mantissa: u64, k: usize) -> f64 {
+    let divisor = 10u128.pow(k as u32);
+    let dividend = u128::from(mantissa) << 64;
+    let (quotient, remainder) = (dividend / divisor, dividend % divisor);
+    let shift = 128 - quotient.leading_zeros() - 53;
+    let mut significand = (quotient >> shift) as u64;
+    let dropped = quotient & ((1 << shift) - 1);
+    let half = 1 << (shift - 1);
+    if dropped > half || (dropped == half && (remainder != 0 || significand & 1 == 1)) {
+        significand += 1;
+    }
+    let exponent = u64::from(shift) + 1011;
+    f64::from_bits((exponent << 52) + significand - (1 << 52))
+}
 
 /// A JSON document value.
 #[derive(Debug, Clone, PartialEq)]
@@ -781,19 +878,30 @@ impl<'a> Parser<'a> {
         Ok(n)
     }
 
-    /// Walks `[[n, …], [n, …], …]`, an array whose elements are arrays of
-    /// exactly `N` numbers, handing each element's numbers to `row`. Fails
-    /// with `array` when no array is here and with `element` when an
-    /// element is anything else. This is the loop a span body spends its
-    /// time in, so the position stays in a local from the first bracket
-    /// to the last, and the whitespace rule is consulted only where the
-    /// expected byte is not next.
-    pub(crate) fn rows<const N: usize, E: From<JsonError> + From<&'static str>>(
+    /// Walks `[[i, …, x, …], …]`, an array whose elements are arrays of
+    /// exactly `I` integers and then `F` numbers, handing each element's
+    /// fields to `row`. An integer field is `Some` when its number is a
+    /// `u32` (`7`, but also `7.0`, `7e0` and `-0` as 0) and `None` when it
+    /// is any other number. Fails with `array` when no array is here and
+    /// with `element` when an element is anything else.
+    ///
+    /// This is the loop a span body spends its time in, so the position
+    /// stays in a local from the first bracket to the last, and a field is
+    /// read in one step where it is what a writer writes: an integer as a
+    /// plain run of at most nine digits, with no `f64` between, a number as
+    /// a decimal [`decimal_at`] reads, each right after the `[` or `,`
+    /// before it and right before its separator. Any other field goes to
+    /// the general reader, out of line: whitespace, `3.0`, `3e0` or `-0` for
+    /// an integer, an exponent, an error.
+    pub(crate) fn rows<const I: usize, const F: usize, E>(
         &mut self,
         array: &'static str,
         element: &'static str,
-        mut row: impl FnMut([f64; N]) -> Result<(), E>,
-    ) -> Result<(), E> {
+        mut row: impl FnMut([Option<u32>; I], [f64; F]) -> Result<(), E>,
+    ) -> Result<(), E>
+    where
+        E: From<JsonError> + From<&'static str>,
+    {
         let bytes = self.text.as_bytes();
         if bytes.get(self.pos) != Some(&b'[') {
             return Err(array.into());
@@ -803,26 +911,33 @@ impl<'a> Parser<'a> {
             self.pos = at + 1;
             return Ok(());
         }
+        let separator = |i: usize| if i + 1 == I + F { b']' } else { b',' };
         loop {
             if bytes.get(at) != Some(&b'[') {
                 return Err(element.into());
             }
-            let mut fields = [0.0; N];
-            for (i, field) in fields.iter_mut().enumerate() {
-                at = skip_ws(bytes, at + 1);
-                if !matches!(bytes.get(at), Some(b'-' | b'0'..=b'9')) {
-                    return Err(element.into());
-                }
-                (*field, at) = number_at(self.text, at)?;
-                let separator = if i + 1 == N { b']' } else { b',' };
-                if bytes.get(at) != Some(&separator) {
-                    at = skip_ws(bytes, at);
-                    if bytes.get(at) != Some(&separator) {
-                        return Err(element.into());
+            let mut integers = [None; I];
+            for (i, field) in integers.iter_mut().enumerate() {
+                let separator = separator(i);
+                (*field, at) = match plain_u32(bytes, at + 1, separator) {
+                    Some((n, end)) => (Some(n), end),
+                    None => {
+                        general_field::<_, E>(self.text, at, separator, element, |text, at| {
+                            number_at(text, at).map(|(n, at)| (exact_u32(n), at))
+                        })?
                     }
-                }
+                };
             }
-            row(fields)?;
+            let mut numbers = [0.0; F];
+            for (i, field) in numbers.iter_mut().enumerate() {
+                let separator = separator(I + i);
+                let plain = decimal_at(bytes, at + 1);
+                (*field, at) = match plain.filter(|&(_, end)| bytes.get(end) == Some(&separator)) {
+                    Some(read) => read,
+                    None => general_field::<_, E>(self.text, at, separator, element, number_at)?,
+                };
+            }
+            row(integers, numbers)?;
             at += 1;
             if bytes.get(at) != Some(&b',') {
                 at = skip_ws(bytes, at);
@@ -909,33 +1024,112 @@ fn short_digits(bytes: &[u8], mut at: usize, mut value: u64) -> (usize, u64) {
     (at, value)
 }
 
-/// Parses the number at byte `start` of `text` to the `f64` that
-/// `f64::from_str` makes of it; returns it and the index after it.
-///
-/// The digits are read once, into a `u64`. Without an exponent, and with
-/// at most 19 digits (so the `u64` has not wrapped) making a mantissa of at
-/// most 2^53, the value is Clinger's fast path: the mantissa and the power
-/// of ten (at most 10^18) are exact doubles, so one IEEE division rounds
-/// their quotient correctly, as `from_str` does. Every other number is
-/// handed to `from_str` itself.
+/// `n` as a `u32` when it is one, `-0` included (as 0).
+pub(crate) fn exact_u32(n: f64) -> Option<u32> {
+    // The cast truncates and saturates, so only a number that is a `u32`
+    // comes back from it unchanged.
+    let whole = n as u32;
+    (f64::from(whole) == n).then_some(whole)
+}
+
+/// Reads a plain integer at byte `start`: one to nine digits, not starting
+/// with a zero unless it is `0` alone, and `separator` right after them.
+/// Returns it and the index of the separator, or `None` for anything else,
+/// which the general reader takes.
 #[inline(always)]
-fn number_at(text: &str, start: usize) -> Result<(f64, usize), JsonError> {
-    let bytes = text.as_bytes();
+fn plain_u32(bytes: &[u8], start: usize, separator: u8) -> Option<(u32, usize)> {
+    let mut value = 0u32;
+    let mut at = start;
+    // Nine digits cannot overflow; a tenth fails the separator test.
+    while at < start + 9 {
+        let digit = bytes.get(at)?.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        value = value * 10 + u32::from(digit);
+        at += 1;
+    }
+    let plain = at > start
+        && bytes.get(at) == Some(&separator)
+        && (bytes[start] != b'0' || at == start + 1);
+    plain.then_some((value, at))
+}
+
+/// Reads a decimal at byte `start` of `bytes`: an optional `-`, the integer
+/// part, an optional fraction, at most 19 digits in all and no exponent.
+/// Returns the `f64` that `f64::from_str` makes of it and the index after
+/// it, or `None` for any other text, which [`number_at`] takes.
+///
+/// The digits are read once, into a `u64` that has not wrapped. Up to 2^53
+/// the value is Clinger's fast path: the mantissa and the power of ten (at
+/// most 10^18) are exact doubles, so one IEEE division rounds their
+/// quotient correctly, as `from_str` does. Above it, [`long_decimal`].
+#[inline(always)]
+fn decimal_at(bytes: &[u8], start: usize) -> Option<(f64, usize)> {
     let negative = bytes.get(start) == Some(&b'-');
     let int_start = start + usize::from(negative);
     // Integer part: "0" alone, or a nonzero digit followed by digits.
     let (mut at, mut mantissa) = match bytes.get(int_start) {
         Some(b'0') => (int_start + 1, 0),
         Some(b'1'..=b'9') => short_digits(bytes, int_start, 0),
-        _ => return Err(syntax(int_start, "expected a digit")),
+        _ => return None,
     };
     let int_digits = at - int_start;
     let mut fraction_digits = 0;
     if bytes.get(at) == Some(&b'.') {
+        // The fraction is read on its own and joined after, so its digits
+        // do not wait on the integer part's.
         let fraction_start = at + 1;
-        (at, mantissa) = digits(bytes, fraction_start, mantissa);
+        let fraction;
+        (at, fraction) = digits(bytes, fraction_start, 0);
         fraction_digits = at - fraction_start;
-        if fraction_digits == 0 {
+        if fraction_digits == 0 || int_digits + fraction_digits > 19 {
+            return None;
+        }
+        mantissa = mantissa
+            .wrapping_mul(POWERS_OF_TEN[fraction_digits])
+            .wrapping_add(fraction);
+    }
+    if int_digits + fraction_digits > 19 || matches!(bytes.get(at), Some(b'e' | b'E')) {
+        return None;
+    }
+    // "-0" and "-0.0" are -0.0 either way.
+    let n = if mantissa <= EXACT_MANTISSA {
+        mantissa as f64 / EXACT_POWERS_OF_TEN[fraction_digits]
+    } else {
+        long_decimal(mantissa, fraction_digits)
+    };
+    Some((if negative { -n } else { n }, at))
+}
+
+/// Parses the number at byte `start` of `text` to the `f64` that
+/// `f64::from_str` makes of it; returns it and the index after it. A
+/// decimal [`decimal_at`] reads is read there; every other number is
+/// handed to `from_str` itself.
+#[inline(always)]
+fn number_at(text: &str, start: usize) -> Result<(f64, usize), JsonError> {
+    match decimal_at(text.as_bytes(), start) {
+        Some(read) => Ok(read),
+        None => any_number_at(text, start),
+    }
+}
+
+/// [`number_at`] for what [`decimal_at`] leaves: a number with an exponent
+/// or with more than 19 digits, or a syntax error.
+#[cold]
+#[inline(never)]
+fn any_number_at(text: &str, start: usize) -> Result<(f64, usize), JsonError> {
+    let bytes = text.as_bytes();
+    let int_start = start + usize::from(bytes.get(start) == Some(&b'-'));
+    let mut at = match bytes.get(int_start) {
+        Some(b'0') => int_start + 1,
+        Some(b'1'..=b'9') => short_digits(bytes, int_start, 0).0,
+        _ => return Err(syntax(int_start, "expected a digit")),
+    };
+    if bytes.get(at) == Some(&b'.') {
+        let fraction_start = at + 1;
+        (at, _) = digits(bytes, fraction_start, 0);
+        if at == fraction_start {
             return Err(syntax(at, "expected a digit after '.'"));
         }
     }
@@ -947,10 +1141,6 @@ fn number_at(text: &str, start: usize) -> Result<(f64, usize), JsonError> {
         if at == exponent_start {
             return Err(syntax(at, "expected a digit in the exponent"));
         }
-    } else if int_digits + fraction_digits <= 19 && mantissa <= EXACT_MANTISSA {
-        // "-0" and "-0.0" are -0.0 either way.
-        let n = mantissa as f64 / EXACT_POWERS_OF_TEN[fraction_digits];
-        return Ok((if negative { -n } else { n }, at));
     }
     // The grammar above admits only strings f64::from_str accepts, and
     // overflow saturates to ±∞ per IEEE — reject that explicitly so a
@@ -962,6 +1152,33 @@ fn number_at(text: &str, start: usize) -> Result<(f64, usize), JsonError> {
         return Err(syntax(at, "number overflows an f64"));
     }
     Ok((n, at))
+}
+
+/// One field of a [`Parser::rows`] element the way the grammar reads it:
+/// whitespace either side, and any number, which `read` reads. `at` is on
+/// the byte before the field; returns the value and the index of
+/// `separator` after it, or fails with `element`.
+#[cold]
+#[inline(never)]
+fn general_field<T, E: From<JsonError> + From<&'static str>>(
+    text: &str,
+    at: usize,
+    separator: u8,
+    element: &'static str,
+    read: impl Fn(&str, usize) -> Result<(T, usize), JsonError>,
+) -> Result<(T, usize), E> {
+    let bytes = text.as_bytes();
+    let at = skip_ws(bytes, at + 1);
+    if !matches!(bytes.get(at), Some(b'-' | b'0'..=b'9')) {
+        return Err(element.into());
+    }
+    let (value, at) = read(text, at)?;
+    let at = skip_ws(bytes, at);
+    if bytes.get(at) == Some(&separator) {
+        Ok((value, at))
+    } else {
+        Err(element.into())
+    }
 }
 
 #[cfg(test)]

@@ -38,6 +38,25 @@ fn check_read(text: &str) {
     assert_eq!(read(text).to_bits(), expected.to_bits(), "read {text}");
 }
 
+/// 2^53 and 10^19: the mantissas above the first and below the second are
+/// the reader's product path.
+const EXACT: u64 = 1 << 53;
+const TEN_19: u64 = 10_000_000_000_000_000_000;
+
+/// `mantissa × 10^-fraction` written out: its digits with the point
+/// `fraction` from the end, `0.` and zeros in front where it has fewer.
+fn with_fraction(mantissa: u64, fraction: usize) -> String {
+    let digits = mantissa.to_string();
+    if fraction == 0 {
+        digits
+    } else if fraction < digits.len() {
+        let (whole, part) = digits.split_at(digits.len() - fraction);
+        format!("{whole}.{part}")
+    } else {
+        format!("0.{}{digits}", "0".repeat(fraction - digits.len()))
+    }
+}
+
 /// Counts the values a sweep checked.
 #[derive(Default)]
 struct Checked {
@@ -135,6 +154,30 @@ fn sweep(per_family: u64, seed: u64) -> Checked {
             text.insert(point.max(1), '.');
         }
         check_read(&text);
+    }
+    // Mantissas in (2^53, 10^19) with 1 to 19 fraction digits: the product
+    // path, and past 19 digits in all (leading zeros) `from_str` again.
+    for _ in 0..per_family {
+        let mantissa = EXACT + 1 + rng.below(TEN_19 - EXACT - 1);
+        check_read(&with_fraction(mantissa, 1 + rng.below(19) as usize));
+    }
+    // Decimals exactly halfway between two adjacent doubles, and one unit
+    // in their last digit either side: `m × 2^e` and `(m + 1) × 2^e` for a
+    // 53-bit `m`, whose midpoint has `1 - e` fraction digits when `e` ≤ 0.
+    for _ in 0..per_family {
+        let m = (1 << 52) | rng.below(1 << 52);
+        let e = rng.below(15) as i32 - 4;
+        let odd = u128::from(2 * m + 1);
+        let (mantissa, fraction) = if e >= 1 {
+            (odd << (e - 1), 0)
+        } else {
+            (odd * 5u128.pow((1 - e) as u32), (1 - e) as usize)
+        };
+        for mantissa in [mantissa - 1, mantissa, mantissa + 1] {
+            if let Ok(mantissa) = u64::try_from(mantissa) {
+                check_read(&with_fraction(mantissa, fraction));
+            }
+        }
     }
     for mantissa in 9_007_199_254_740_990u64..9_007_199_254_740_995 {
         let text = mantissa.to_string();

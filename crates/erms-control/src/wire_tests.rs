@@ -452,6 +452,13 @@ fn decoders_agree_on_the_corner_cases() {
     .into_iter()
     .map(|(body, verdict)| (body.to_string(), verdict))
     .chain([(nested(100), true), (nested(200), false)])
+    .chain(id_cases())
+    .chain(end_cases().into_iter().map(|(start, end, verdict)| {
+        (
+            format!(r#"{{"sampling":1,"spans":[[0,0,0,0,{start},{end}]]}}"#),
+            verdict,
+        )
+    }))
     .collect();
     for (body, verdict) in cases {
         let (streamed, tree) = (span_batch_from_text(&body), tree_decode(&body));
@@ -459,6 +466,128 @@ fn decoders_agree_on_the_corner_cases() {
         assert_eq!(tree.is_ok(), verdict, "tree, {body}: {tree:?}");
         if let (Ok(streamed), Ok(tree)) = (streamed, tree) {
             assert_eq!(batch_bits(&streamed), batch_bits(&tree), "{body}");
+        }
+    }
+}
+
+/// Span bodies whose ids the row reader's integer path must judge as the
+/// general reader does: integers written as other numbers, leading zeros,
+/// the ends of the `u32` range, runs of ten digits, whitespace at every
+/// separator.
+fn id_cases() -> Vec<(String, bool)> {
+    let body = |row: &str| format!(r#"{{"sampling":1,"containers":[[7,1]],"spans":[{row}]}}"#);
+    let mut cases = Vec::new();
+    for (id, verdict) in [
+        ("3", true),
+        ("3.0", true),
+        ("3e0", true),
+        ("30e-1", true),
+        ("-0", true),
+        ("-0.0", true),
+        ("0", true),
+        ("007", false),
+        ("00", false),
+        ("-3", false),
+        ("3.5", false),
+        ("123456789", true),
+        ("999999999", true),
+        ("1234567890", true),
+        ("4294967295", true),
+        ("4294967296", false),
+        ("9999999999", false),
+        ("12345678901", false),
+        ("1e9", true),
+        ("1e10", false),
+    ] {
+        for field in 0..4 {
+            let mut ids = ["0"; 4];
+            ids[field] = id;
+            cases.push((body(&format!("[{},1,2]", ids.join(","))), verdict));
+        }
+    }
+    let fields = ["1", "2", "3", "4", "5.5", "6.25"];
+    for ws in [" ", "\n", "\t", "\r", " \n\t "] {
+        for at in 0..=fields.len() {
+            // Whitespace after the `[`, after field `at - 1`, or both
+            // around one separator.
+            let mut row = String::from("[");
+            for (i, field) in fields.iter().enumerate() {
+                if i == at {
+                    row.push_str(ws);
+                }
+                row.push_str(field);
+                if i + 1 == at {
+                    row.push_str(ws);
+                }
+                row.push(if i + 1 == fields.len() { ']' } else { ',' });
+            }
+            cases.push((body(&row), true));
+        }
+        cases.push((
+            body(&format!("[1,2,3,4,5.5,6.25]{ws},{ws}[1,2,3,4,5,6]")),
+            true,
+        ));
+        cases.push((body(&format!("{ws}[1,2,3,4,5.5,6.25]{ws}")), true));
+        cases.push((
+            format!(r#"{{"sampling":1,"containers":[{ws}[{ws}7{ws},{ws}1{ws}]{ws}],"spans":[]}}"#),
+            true,
+        ));
+    }
+    cases
+}
+
+/// Ends the row reader's decimal path must read as `str::parse` does, or
+/// leave to the general reader: more digits than a `u64` holds, exponents,
+/// signed zeros, mantissas above 2^53. Each with the verdict on a span that
+/// starts at the first and ends at the second.
+fn end_cases() -> Vec<(&'static str, &'static str, bool)> {
+    vec![
+        // 17, 18 and 19 digits, above 2^53.
+        ("123.45678901234567", "123.456789012345678", true),
+        ("1234.567890123456789", "9999.999999999999999", true),
+        ("9007199254740993", "9007199254740993.5", true),
+        ("0.9007199254740993", "9.007199254740993", true),
+        // Exactly 19 digits and 20: the second goes to `from_str`.
+        ("1234567890.123456789", "12345678901.123456789", true),
+        ("0.123456789012345678", "0.1234567890123456789", true),
+        ("9999999999999999999", "99999999999999999999", true),
+        // Signed zeros.
+        ("-0.0", "0", true),
+        ("-0", "-0.0", true),
+        ("0.0", "-0.0", true),
+        // Exponents.
+        ("1.5e3", "15E2", true),
+        ("15E-1", "2e+0", true),
+        ("1e0", "1.0000000000000000001e0", true),
+        ("1e-400", "1e-300", true),
+        // Malformed.
+        ("1.", "2", false),
+        (".5", "2", false),
+        ("1e", "2", false),
+        ("1e+", "2", false),
+        ("+1", "2", false),
+        ("1", "2.5.1", false),
+        ("1", "1e999", false),
+    ]
+}
+
+/// A decimal of either span end decodes, through both decoders, to the
+/// bits `str::parse` gives its text.
+#[test]
+fn span_ends_read_as_str_parse_reads_them() {
+    for (start, end, verdict) in end_cases() {
+        if !verdict {
+            continue;
+        }
+        let body = format!(r#"{{"sampling":1,"spans":[[0,0,0,0,{start},{end}]]}}"#);
+        for batch in [span_batch_from_text(&body), tree_decode(&body)] {
+            let span = batch.expect("a valid span").spans[0];
+            let expected = [start, end].map(|t| t.parse::<f64>().unwrap().to_bits());
+            assert_eq!(
+                [span.start_ms, span.end_ms].map(f64::to_bits),
+                expected,
+                "{body}"
+            );
         }
     }
 }

@@ -34,8 +34,10 @@
 
 use std::cmp::Ordering;
 
-/// Index of the nearest-rank percentile element in a `len`-element sample.
-fn nearest_rank(len: usize, p: f64) -> usize {
+/// Index of the nearest-rank percentile element in a `len`-element sample
+/// (`len` ≥ 1): the rank every percentile here selects, for a caller that
+/// selects it in place.
+pub fn nearest_rank(len: usize, p: f64) -> usize {
     let rank = ((p.clamp(0.0, 1.0) * len as f64).ceil() as usize).max(1) - 1;
     rank.min(len - 1)
 }

@@ -471,12 +471,57 @@ impl Occupant for Call {
     }
 }
 
-/// One service's pending Poisson arrival (see `Engine::arrivals`).
-#[derive(Clone, Copy)]
-struct ArrivalSlot {
-    key: u64,
-    seq: u64,
-    time: f64,
+/// The services' pending Poisson arrivals (see `Engine::arrivals`), with
+/// a tournament tree over them so the earliest is found in O(log services)
+/// after each one is armed or consumed.
+struct Arrivals {
+    /// Each service's armed arrival time.
+    times: Vec<f64>,
+    /// Leaf `width + i` is service `i`'s `(key, seq, i)`, `(u64::MAX,
+    /// u64::MAX, i)` while unarmed; each inner node is the lesser of its
+    /// two children, so node 1 is the minimum, ties going to the lower
+    /// index as a scan in index order would have it.
+    tree: Vec<(u64, u64, u32)>,
+    width: usize,
+}
+
+impl Arrivals {
+    fn new(services: usize) -> Self {
+        let width = services.next_power_of_two();
+        let mut tree = vec![(u64::MAX, u64::MAX, 0); 2 * width];
+        for (i, leaf) in tree[width..].iter_mut().enumerate() {
+            leaf.2 = i as u32;
+        }
+        for node in (1..width).rev() {
+            tree[node] = tree[2 * node].min(tree[2 * node + 1]);
+        }
+        Self {
+            times: vec![0.0; services],
+            tree,
+            width,
+        }
+    }
+
+    /// The earliest armed arrival as `(key, seq, service index)`;
+    /// `(u64::MAX, u64::MAX, _)` when none is.
+    fn min(&self) -> (u64, u64, u32) {
+        self.tree[1]
+    }
+
+    fn set(&mut self, i: usize, key: u64, seq: u64) {
+        let mut node = self.width + i;
+        self.tree[node] = (key, seq, i as u32);
+        while node > 1 {
+            node /= 2;
+            self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
+        }
+    }
+
+    /// Disarms service `i`'s slot and returns the time it was armed for.
+    fn take(&mut self, i: usize) -> f64 {
+        self.set(i, u64::MAX, u64::MAX);
+        self.times[i]
+    }
 }
 
 struct Engine<'e, S: TelemetrySink> {
@@ -499,11 +544,9 @@ struct Engine<'e, S: TelemetrySink> {
     /// each service's stream is time-monotone, so one slot per service
     /// replaces a third of all queue traffic. `key == u64::MAX` marks an
     /// exhausted stream. `seq` is assigned at schedule time exactly as a
-    /// queue push would be, so merging [`Self::arr_min`] against the
-    /// queue front by `(key, seq)` reproduces the heap's total order.
-    arrivals: Vec<ArrivalSlot>,
-    /// Cached minimum over `arrivals` as `(key, seq, service index)`.
-    arr_min: (u64, u64, u32),
+    /// queue push would be, so merging their minimum against the queue
+    /// front by `(key, seq)` reproduces the heap's total order.
+    arrivals: Arrivals,
     /// Hot configuration scalars copied out of `sim` at setup, so the
     /// event loop reads engine-local fields instead of chasing the
     /// `&Simulation` reference per event.
@@ -551,15 +594,7 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
             queue: CalendarQueue::new(),
             batch_items: Vec::new(),
             batch_key: u64::MAX,
-            arrivals: vec![
-                ArrivalSlot {
-                    key: u64::MAX,
-                    seq: u64::MAX,
-                    time: 0.0,
-                };
-                service_count
-            ],
-            arr_min: (u64::MAX, u64::MAX, 0),
+            arrivals: Arrivals::new(service_count),
             seq: 0,
             max_events: sim.config.max_events,
             duration_ms: sim.config.duration_ms,
@@ -594,25 +629,8 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
     /// point so the merged total order is the heap's.
     fn push_arrival(&mut self, sid: ServiceId, time: f64) {
         self.seq += 1;
-        let key = time_key(time);
-        let slot = &mut self.arrivals[sid.index()];
-        slot.key = key;
-        slot.seq = self.seq;
-        slot.time = time;
-        if (key, self.seq) < (self.arr_min.0, self.arr_min.1) {
-            self.arr_min = (key, self.seq, sid.index() as u32);
-        }
-    }
-
-    /// Re-derives [`Self::arr_min`] after the minimum slot was consumed.
-    fn rescan_arrivals(&mut self) {
-        let mut best = (u64::MAX, u64::MAX, 0u32);
-        for (i, s) in self.arrivals.iter().enumerate() {
-            if (s.key, s.seq) < (best.0, best.1) {
-                best = (s.key, s.seq, i as u32);
-            }
-        }
-        self.arr_min = best;
+        self.arrivals.times[sid.index()] = time;
+        self.arrivals.set(sid.index(), time_key(time), self.seq);
     }
 
     fn alloc_call(&mut self, call: Call) -> u32 {
@@ -686,7 +704,7 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
         // pushed at the current instant mid-batch append to
         // `batch_items` and `drain_batch` picks them up by index.
         'run: loop {
-            let (akey, aseq, asid) = self.arr_min;
+            let (akey, aseq, asid) = self.arrivals.min();
             self.batch_items.clear();
             // A queue group with key strictly below the next arrival
             // dispatches first; an exact key tie also pops the group, and
@@ -709,10 +727,7 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
                             self.batch_items.push((seq, event));
                             self.batch_items.push(arr);
                         }
-                        let slot = &mut self.arrivals[asid as usize];
-                        slot.key = u64::MAX;
-                        slot.seq = u64::MAX;
-                        self.rescan_arrivals();
+                        self.arrivals.take(asid as usize);
                         if !self.drain_batch(time, &mut events) {
                             break 'run;
                         }
@@ -739,10 +754,7 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
                         let at = self.batch_items.partition_point(|&(s, _)| s < aseq);
                         self.batch_items
                             .insert(at, (aseq, Event::Arrival(ServiceId::new(asid))));
-                        let slot = &mut self.arrivals[asid as usize];
-                        slot.key = u64::MAX;
-                        slot.seq = u64::MAX;
-                        self.rescan_arrivals();
+                        self.arrivals.take(asid as usize);
                     }
                     if !self.drain_batch(key_time(key), &mut events) {
                         break 'run;
@@ -752,10 +764,7 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
                     // Next arrival precedes everything queued: dispatch
                     // it straight from its slot — no queue pop and no
                     // batch materialization on this path.
-                    let slot = &mut self.arrivals[asid as usize];
-                    let time = slot.time;
-                    slot.key = u64::MAX;
-                    slot.seq = u64::MAX;
+                    let time = self.arrivals.take(asid as usize);
                     self.batch_key = akey;
                     events += 1;
                     if events > self.max_events {
@@ -765,7 +774,6 @@ impl<'e, S: TelemetrySink> Engine<'e, S> {
                     if !self.drain_batch(time, &mut events) {
                         break 'run;
                     }
-                    self.rescan_arrivals();
                 }
                 Popped::None => break 'run,
             }

@@ -85,6 +85,43 @@ pub fn window_samples<'a>(
     sampling: f64,
     config: &WindowConfig,
 ) -> BTreeMap<MicroserviceId, Vec<Sample>> {
+    let mut out = BTreeMap::new();
+    windows(spans, containers, itf, sampling, config, |ms, samples| {
+        out.insert(ms, std::mem::take(samples));
+    });
+    out
+}
+
+/// Microservice ids below this are grouped through a table indexed by id,
+/// larger ones through a map.
+const DENSE_IDS: usize = 1 << 14;
+
+/// One microservice's spans in a batch: how many, and whether their
+/// windows arrived in order.
+struct Group {
+    ms: MicroserviceId,
+    len: usize,
+    last_window: u64,
+    ordered: bool,
+}
+
+/// The windowing of [`window_samples`], in one pass over the spans: hands
+/// each microservice that yields samples, in id order, its samples in
+/// window order to `emit` (which may take them).
+///
+/// The spans are grouped by microservice, then by window: one row per span
+/// is placed in its microservice's run, in arrival order, and a run whose
+/// windows arrived out of order is sorted by window; a run of equal windows
+/// is a cell. Each cell's percentile is selected in place, by `total_cmp`,
+/// so the order the grouping left inside a cell does not change its bits.
+fn windows<'a>(
+    spans: impl IntoIterator<Item = &'a SpanRecord>,
+    containers: &BTreeMap<MicroserviceId, u32>,
+    itf: Interference,
+    sampling: f64,
+    config: &WindowConfig,
+    mut emit: impl FnMut(MicroserviceId, &mut Vec<Sample>),
+) {
     let window_ms = if config.window_ms.is_finite() && config.window_ms > 0.0 {
         config.window_ms
     } else {
@@ -95,44 +132,120 @@ pub fn window_samples<'a>(
     } else {
         1.0
     };
-    // One (microservice, window, latency) row per span, grouped by sorting
-    // on the first two: a run of equal keys is a cell, and the runs come out
-    // in the order a map keyed the same way would iterate. (A map probe per
-    // span cost twice what the sort does, under the caller's lock.) Inside a
-    // run the order is whatever the sort left; `stats::percentile` selects
-    // by `total_cmp`, so it returns the same bits for any order.
-    let mut rows: Vec<(MicroserviceId, u64, f64)> = spans
+    // Each span's group (numbered as first seen: `slot` holds it + 1),
+    // window and latency.
+    let mut dense: Vec<u32> = Vec::new();
+    let mut sparse: BTreeMap<MicroserviceId, u32> = BTreeMap::new();
+    let mut groups: Vec<Group> = Vec::new();
+    let rows: Vec<(u32, u64, f64)> = spans
         .into_iter()
         .map(|span| {
-            let window = (span.start_ms / window_ms).floor().max(0.0) as u64;
-            (span.microservice, window, span.latency_ms())
+            // Truncation is the floor here: below zero (and NaN) is 0.
+            let window = (span.start_ms / window_ms).max(0.0) as u64;
+            let id = span.microservice.index();
+            let slot = if id < DENSE_IDS {
+                if id >= dense.len() {
+                    dense.resize(id + 1, 0);
+                }
+                &mut dense[id]
+            } else {
+                sparse.entry(span.microservice).or_insert(0)
+            };
+            if *slot == 0 {
+                groups.push(Group {
+                    ms: span.microservice,
+                    len: 0,
+                    last_window: window,
+                    ordered: true,
+                });
+                *slot = groups.len() as u32;
+            }
+            let group = &mut groups[*slot as usize - 1];
+            group.len += 1;
+            group.ordered &= group.last_window <= window;
+            group.last_window = window;
+            (*slot - 1, window, span.latency_ms())
         })
         .collect();
-    rows.sort_unstable_by_key(|&(ms, window, _)| (ms, window));
-    let mut out: BTreeMap<MicroserviceId, Vec<Sample>> = BTreeMap::new();
-    let mut latencies = Vec::new();
-    for cell in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-        if cell.len() < config.min_samples.max(1) {
-            continue;
-        }
-        let ms = cell[0].0;
-        let n = containers.get(&ms).copied().unwrap_or(0);
+    // The groups in id order, each a run of cells ending at `ends[g]`: the
+    // rows' windows and latencies apart, so a cell's latencies are one
+    // slice to select in, each as the integer that orders as `total_cmp`
+    // orders it.
+    let mut order: Vec<usize> = (0..groups.len()).collect();
+    order.sort_unstable_by_key(|&g| groups[g].ms);
+    let mut ends = vec![0; groups.len()];
+    let mut next = 0;
+    for &g in &order {
+        ends[g] = next;
+        next += groups[g].len;
+    }
+    let mut windows = vec![0u64; rows.len()];
+    let mut latencies = vec![0i64; rows.len()];
+    for &(g, window, latency) in &rows {
+        let at = &mut ends[g as usize];
+        windows[*at] = window;
+        latencies[*at] = total_order(latency);
+        *at += 1;
+    }
+    let min_samples = config.min_samples.max(1);
+    let (mut samples, mut scratch) = (Vec::new(), Vec::new());
+    for &g in &order {
+        let group = &groups[g];
+        let n = containers.get(&group.ms).copied().unwrap_or(0);
         if n == 0 {
             continue;
         }
-        // Sampled count → estimated true count → per-minute per-container.
-        let gamma = (cell.len() as f64 / sampling) * (60_000.0 / window_ms) / f64::from(n);
-        if !gamma.is_finite() {
-            continue;
+        let run = ends[g] - group.len..ends[g];
+        let (windows, latencies) = (&mut windows[run.clone()], &mut latencies[run]);
+        if !group.ordered {
+            sort_by_window(windows, latencies, &mut scratch);
         }
-        latencies.clear();
-        latencies.extend(cell.iter().map(|&(_, _, latency)| latency));
-        let tail = stats::percentile(&latencies, config.percentile);
-        out.entry(ms)
-            .or_default()
-            .push(Sample::new(tail, gamma, itf.cpu, itf.memory));
+        let mut start = 0;
+        for cell in windows.chunk_by(|a, b| a == b) {
+            let cell = &mut latencies[start..start + cell.len()];
+            start += cell.len();
+            if cell.len() < min_samples {
+                continue;
+            }
+            // Sampled count → estimated true count → per-minute per-container.
+            let gamma = (cell.len() as f64 / sampling) * (60_000.0 / window_ms) / f64::from(n);
+            if !gamma.is_finite() {
+                continue;
+            }
+            let rank = stats::nearest_rank(cell.len(), config.percentile);
+            let (_, &mut tail, _) = cell.select_nth_unstable(rank);
+            let tail = total_order_inverse(tail);
+            samples.push(Sample::new(tail, gamma, itf.cpu, itf.memory));
+        }
+        if !samples.is_empty() {
+            emit(group.ms, &mut samples);
+            samples.clear();
+        }
     }
-    out
+}
+
+/// Sorts a microservice's rows, `windows` and `latencies` alike, by window,
+/// through `scratch`.
+fn sort_by_window(windows: &mut [u64], latencies: &mut [i64], scratch: &mut Vec<(u64, i64)>) {
+    scratch.clear();
+    scratch.extend(windows.iter().copied().zip(latencies.iter().copied()));
+    scratch.sort_unstable_by_key(|&(window, _)| window);
+    for (k, &(window, latency)) in scratch.iter().enumerate() {
+        (windows[k], latencies[k]) = (window, latency);
+    }
+}
+
+/// `x` as an integer whose order is `f64::total_cmp`'s: negative numbers'
+/// magnitude bits flipped.
+fn total_order(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The `f64` that [`total_order`] maps to `key` (the map is its own
+/// inverse on the bits).
+fn total_order_inverse(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
 }
 
 /// Outcome of one [`OnlineProfiler::refit`] round.
@@ -223,17 +336,23 @@ impl OnlineProfiler {
         itf: Interference,
         sampling: f64,
     ) -> usize {
-        let windowed = window_samples(spans, containers, itf, sampling, &self.window);
         let mut added = 0;
-        for (ms, samples) in windowed {
-            added += samples.len();
-            let bucket = self.samples.entry(ms).or_default();
-            bucket.extend(samples);
-            if bucket.len() > MAX_SAMPLES {
-                let drop = bucket.len() - MAX_SAMPLES;
-                bucket.drain(..drop);
-            }
-        }
+        windows(
+            spans,
+            containers,
+            itf,
+            sampling,
+            &self.window,
+            |ms, samples| {
+                added += samples.len();
+                let bucket = self.samples.entry(ms).or_default();
+                bucket.append(samples);
+                if bucket.len() > MAX_SAMPLES {
+                    let drop = bucket.len() - MAX_SAMPLES;
+                    bucket.drain(..drop);
+                }
+            },
+        );
         added
     }
 
@@ -391,6 +510,58 @@ mod tests {
         out
     }
 
+    /// The windowing as it was before the one-pass grouping, by sorting one
+    /// row per span: the oracle [`window_samples`] is held to, bit for bit.
+    fn window_samples_by_sort<'a>(
+        spans: impl IntoIterator<Item = &'a SpanRecord>,
+        containers: &BTreeMap<MicroserviceId, u32>,
+        itf: Interference,
+        sampling: f64,
+        config: &WindowConfig,
+    ) -> BTreeMap<MicroserviceId, Vec<Sample>> {
+        let window_ms = if config.window_ms.is_finite() && config.window_ms > 0.0 {
+            config.window_ms
+        } else {
+            1_000.0
+        };
+        let sampling = if sampling.is_finite() && sampling > 0.0 {
+            sampling.min(1.0)
+        } else {
+            1.0
+        };
+        let mut rows: Vec<(MicroserviceId, u64, f64)> = spans
+            .into_iter()
+            .map(|span| {
+                let window = (span.start_ms / window_ms).floor().max(0.0) as u64;
+                (span.microservice, window, span.latency_ms())
+            })
+            .collect();
+        rows.sort_unstable_by_key(|&(ms, window, _)| (ms, window));
+        let mut out: BTreeMap<MicroserviceId, Vec<Sample>> = BTreeMap::new();
+        let mut latencies = Vec::new();
+        for cell in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            if cell.len() < config.min_samples.max(1) {
+                continue;
+            }
+            let ms = cell[0].0;
+            let n = containers.get(&ms).copied().unwrap_or(0);
+            if n == 0 {
+                continue;
+            }
+            let gamma = (cell.len() as f64 / sampling) * (60_000.0 / window_ms) / f64::from(n);
+            if !gamma.is_finite() {
+                continue;
+            }
+            latencies.clear();
+            latencies.extend(cell.iter().map(|&(_, _, latency)| latency));
+            let tail = stats::percentile(&latencies, config.percentile);
+            out.entry(ms)
+                .or_default()
+                .push(Sample::new(tail, gamma, itf.cpu, itf.memory));
+        }
+        out
+    }
+
     fn bits(
         samples: &BTreeMap<MicroserviceId, Vec<Sample>>,
     ) -> Vec<(MicroserviceId, Vec<[u64; 4]>)> {
@@ -406,14 +577,98 @@ mod tests {
             .collect()
     }
 
+    /// A batch drawn from `seed`, with what the windower is handed beside
+    /// it: spans in arrival order or sorted by start (so some microservices'
+    /// windows arrive in order and some do not), ties in latency, negative
+    /// and non-finite times, cells thinner than `min_samples`, ids past the
+    /// dense table, microservices with no containers or none in the map,
+    /// sampling rates below one and ones that make γ infinite, and empty
+    /// batches.
+    fn windowing_case(
+        seed: u64,
+    ) -> (
+        Vec<SpanRecord>,
+        BTreeMap<MicroserviceId, u32>,
+        f64,
+        WindowConfig,
+    ) {
+        let mut state = seed;
+        let mut roll = |sides: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % sides
+        };
+        let ids: Vec<u32> = (0..=roll(6))
+            .map(|_| match roll(4) {
+                0 => (DENSE_IDS as u64 + roll(1 << 20)) as u32,
+                _ => roll(40) as u32,
+            })
+            .collect();
+        let window_ms = [1_000.0, 250.0, 7.5, 1e-300, 0.0, f64::NAN][roll(6) as usize];
+        let len = [0, 1, 12, 400, 2_000][roll(5) as usize];
+        let mut spans: Vec<SpanRecord> = (0..len)
+            .map(|_| {
+                let ms = ids[roll(ids.len() as u64) as usize];
+                let start = match roll(50) {
+                    0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][roll(4) as usize],
+                    _ => roll(12_000) as f64 * 0.5 - 500.0,
+                };
+                // Latencies from a small set, so cells hold equal values.
+                span(ms, start, roll(40) as f64 * 0.37 - 1.0)
+            })
+            .collect();
+        if roll(2) == 0 {
+            spans.sort_by(|a, b| a.start_ms.total_cmp(&b.start_ms));
+        }
+        let mut containers = BTreeMap::new();
+        for &ms in &ids {
+            if roll(5) > 0 {
+                containers.insert(
+                    MicroserviceId::new(ms),
+                    [0, 1, 3, u32::MAX][roll(4) as usize],
+                );
+            }
+        }
+        let sampling = [1.0, 0.5, 0.05, 1.5, 5e-324, 0.0, f64::NAN][roll(7) as usize];
+        let config = WindowConfig {
+            window_ms,
+            percentile: [0.0, 0.5, 0.95, 1.0, f64::NAN][roll(5) as usize],
+            min_samples: roll(5) as usize,
+        };
+        (spans, containers, sampling, config)
+    }
+
+    /// The windower and its oracle on the batch of each of `cases` seeds
+    /// from `base`: the same samples in every bit, and `ingest_spans` adds
+    /// exactly those.
+    fn windowing_agrees(cases: u64, base: u64) {
+        let itf = Interference::new(0.3, 0.1);
+        for seed in (0..cases).map(|case| base.wrapping_add(case)) {
+            let (spans, containers, sampling, config) = windowing_case(seed);
+            let one_pass = window_samples(spans.iter(), &containers, itf, sampling, &config);
+            let sorted = window_samples_by_sort(spans.iter(), &containers, itf, sampling, &config);
+            assert_eq!(bits(&one_pass), bits(&sorted), "seed {seed}");
+            let mut profiler = OnlineProfiler::new().with_window(config);
+            let added = profiler.ingest_spans(spans.iter(), &containers, itf, sampling);
+            assert_eq!(
+                added,
+                sorted.values().map(Vec::len).sum::<usize>(),
+                "seed {seed}"
+            );
+            assert_eq!(bits(profiler.samples()), bits(&sorted), "seed {seed}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Grouping by sort returns the map the per-span probe returned, in
+        /// The grouping returns the map the per-span probe returned, in
         /// every bit: spans out of order, ties in latency, negative starts,
         /// microservices without containers, thin windows.
         #[test]
-        fn sorted_grouping_equals_the_map_probe(
+        fn grouping_equals_the_map_probe(
             rows in prop::collection::vec((0u32..6, -500.0f64..6_000.0, 0u32..40), 0..400),
             deployed in prop::collection::vec(0u32..4, 6),
             sampling in 0.05f64..1.5,
@@ -431,10 +686,25 @@ mod tests {
                 .collect();
             let itf = Interference::new(0.3, 0.1);
             let config = WindowConfig { window_ms, percentile, min_samples };
-            let sorted = window_samples(spans.iter(), &containers, itf, sampling, &config);
+            let grouped = window_samples(spans.iter(), &containers, itf, sampling, &config);
             let probed = window_samples_by_map(spans.iter(), &containers, itf, sampling, &config);
-            prop_assert_eq!(bits(&sorted), bits(&probed));
+            prop_assert_eq!(bits(&grouped), bits(&probed));
         }
+
+        /// Grouping in one pass returns the samples the sort returned, in
+        /// every bit.
+        #[test]
+        fn one_pass_grouping_equals_the_sort(seed in any::<u64>()) {
+            windowing_agrees(1, seed);
+        }
+    }
+
+    /// The long form CI's `bench-smoke` job runs in release:
+    /// `cargo test -p erms-telemetry --release -- --ignored window_fuzz`.
+    #[test]
+    #[ignore = "100 000 batches; run in release"]
+    fn window_fuzz() {
+        windowing_agrees(100_000, 0x57A7);
     }
 
     /// The install as it was first written, a rebuild of the whole app
