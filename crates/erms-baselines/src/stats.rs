@@ -17,7 +17,7 @@ use erms_core::stats::{mean, pearson, variance};
 
 /// Summary statistics of one microservice's latency across workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MicroserviceStats {
+pub(crate) struct MicroserviceStats {
     /// Mean latency across the load sweep, ms.
     pub mean: f64,
     /// Variance of latency across the sweep.
@@ -29,13 +29,13 @@ pub struct MicroserviceStats {
 
 /// Per-(service, microservice) statistics for one application.
 #[derive(Debug, Clone, Default)]
-pub struct StatsTable {
+pub(crate) struct StatsTable {
     entries: BTreeMap<(ServiceId, MicroserviceId), MicroserviceStats>,
 }
 
 impl StatsTable {
     /// Statistics of a microservice within a service (zeros if absent).
-    pub fn get(&self, service: ServiceId, ms: MicroserviceId) -> MicroserviceStats {
+    pub(crate) fn get(&self, service: ServiceId, ms: MicroserviceId) -> MicroserviceStats {
         self.entries
             .get(&(service, ms))
             .copied()
@@ -76,7 +76,7 @@ fn ms_latency_at(app: &App, ms: MicroserviceId, f: f64, itf: Interference) -> f6
 
 /// Derives the statistics table for an application by sweeping load
 /// levels, as the baseline schemes would observe in their profiling runs.
-pub fn derive(app: &App, itf: Interference) -> StatsTable {
+pub(crate) fn derive(app: &App, itf: Interference) -> StatsTable {
     let grid = load_grid();
     let mut entries = BTreeMap::new();
     for (sid, svc) in app.services() {

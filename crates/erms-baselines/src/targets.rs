@@ -71,7 +71,7 @@ fn distribute(
 /// Splits a service's SLA into per-microservice latency targets in
 /// proportion to the given weights (minimum across call sites when a
 /// microservice appears several times).
-pub fn targets_by_weight(
+pub(crate) fn targets_by_weight(
     svc: &Service,
     weights: &BTreeMap<MicroserviceId, f64>,
 ) -> BTreeMap<MicroserviceId, f64> {
@@ -92,7 +92,7 @@ pub fn targets_by_weight(
 /// measured latency curve, and targets below the zero-load latency are
 /// clamped just above it (the real systems cannot allocate infinite
 /// containers; the shortfall surfaces as SLA violations, as in Figs. 11–12).
-pub fn plan_from_targets(
+pub(crate) fn plan_from_targets(
     ctx: &ScalingContext<'_>,
     scheme: &str,
     per_service_targets: &BTreeMap<ServiceId, BTreeMap<MicroserviceId, f64>>,

@@ -12,23 +12,11 @@
 pub mod replication;
 pub mod sweep;
 
-use erms_baselines::{Firm, GrandSlam, Rhythm};
 use erms_core::app::{App, WorkloadVector};
 use erms_core::autoscaler::{Autoscaler, ScalingContext, ScalingPlan};
 use erms_core::error::Result;
 use erms_core::latency::Interference;
-use erms_core::manager::Erms;
 use erms_core::scaling::ScalerConfig;
-
-/// The scheme line-up of the paper's evaluation (§6.1).
-pub fn schemes() -> Vec<Box<dyn Autoscaler>> {
-    vec![
-        Box::new(Erms::new()),
-        Box::new(Firm::new()),
-        Box::new(GrandSlam::new()),
-        Box::new(Rhythm::new()),
-    ]
-}
 
 /// Runs one scheme to convergence on a static workload: learning-based
 /// schemes (Firm) get `rounds` controller iterations, one-shot schemes
@@ -65,7 +53,7 @@ pub fn plan_static(
 /// This mirrors how the paper's measured violation probabilities relate to
 /// the tail latency: if the modelled P95 sits exactly at the SLA the
 /// violation probability is 5 %, above it grows smoothly toward 1.
-pub fn violation_probability(p95_ms: f64, sla_ms: f64, cv: f64) -> f64 {
+pub(crate) fn violation_probability(p95_ms: f64, sla_ms: f64, cv: f64) -> f64 {
     if !(p95_ms.is_finite() && p95_ms > 0.0) {
         return 1.0;
     }
@@ -161,11 +149,5 @@ mod tests {
         assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
         assert!((normal_cdf(1.6449) - 0.95).abs() < 1e-3);
         assert!((normal_cdf(-1.0) + normal_cdf(1.0) - 1.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn schemes_lineup() {
-        let names: Vec<String> = schemes().iter().map(|s| s.name().to_string()).collect();
-        assert_eq!(names, vec!["erms", "firm", "grandslam", "rhythm"]);
     }
 }

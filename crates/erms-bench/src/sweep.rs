@@ -45,13 +45,8 @@ pub enum SchemeSet {
 
 impl SchemeSet {
     /// Number of schemes in the line-up.
-    pub fn len(self) -> usize {
+    pub(crate) fn len(self) -> usize {
         4
-    }
-
-    /// A scheme set is never empty (clippy pairs `len` with `is_empty`).
-    pub fn is_empty(self) -> bool {
-        false
     }
 
     /// Builds the `index`-th scheme of the line-up, sharing `cache` with
@@ -126,12 +121,12 @@ impl AppCatalog {
     }
 
     /// The SLA levels, in construction order.
-    pub fn slas_ms(&self) -> &[f64] {
+    pub(crate) fn slas_ms(&self) -> &[f64] {
         &self.slas_ms
     }
 
     /// The `(name, app)` pairs at the `sla_index`-th SLA level.
-    pub fn apps_at(&self, sla_index: usize) -> &[(String, App)] {
+    pub(crate) fn apps_at(&self, sla_index: usize) -> &[(String, App)] {
         &self.apps[sla_index]
     }
 }

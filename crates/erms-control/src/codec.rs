@@ -19,7 +19,7 @@
 //! load. Writers (`plan_text`, `write_*`) push the bytes the tree would
 //! have rendered straight into the crate's JSON writer: the plan the daemon
 //! serves and every member of a snapshot. Streamed readers
-//! ([`span_batch_from_text`], `samples_from_text`) build domain values
+//! (`span_batch_from_text`, `samples_from_text`) build domain values
 //! straight from the text: span bodies and a snapshot's sample window. Where
 //! a writer or reader replaced a tree codec, the tree form is kept only as
 //! its test oracle.
@@ -43,7 +43,7 @@ use erms_telemetry::online::WindowConfig;
 use crate::json::{exact_u32, Json, JsonError, Parser, Writer};
 
 /// A decode failure: what was wrong, with a rough path for diagnostics.
-pub type DecodeError = String;
+pub(crate) type DecodeError = String;
 
 /// Text that is not JSON fails a streamed decode with the parser's message.
 impl From<JsonError> for DecodeError {
@@ -124,7 +124,7 @@ fn u32_field(v: Option<u32>, ctx: &str) -> Result<u32, DecodeError> {
 // ---------------------------------------------------------------- profiles
 
 /// Encodes one linear segment.
-pub fn segment_to_json(s: &Segment) -> Json {
+pub(crate) fn segment_to_json(s: &Segment) -> Json {
     Json::obj(vec![
         ("alpha", num(s.alpha)),
         ("beta", num(s.beta)),
@@ -134,7 +134,7 @@ pub fn segment_to_json(s: &Segment) -> Json {
 }
 
 /// Decodes one linear segment.
-pub fn segment_from_json(j: &Json) -> Result<Segment, DecodeError> {
+pub(crate) fn segment_from_json(j: &Json) -> Result<Segment, DecodeError> {
     Ok(Segment::new(
         get_f64(j, "alpha", "segment")?,
         get_f64(j, "beta", "segment")?,
@@ -145,7 +145,7 @@ pub fn segment_from_json(j: &Json) -> Result<Segment, DecodeError> {
 
 /// Encodes a cut-off model. The infinite constant cut-off (single-interval
 /// profiles) becomes `{"kind":"constant","value":null}`.
-pub fn cutoff_to_json(c: &CutoffModel) -> Json {
+pub(crate) fn cutoff_to_json(c: &CutoffModel) -> Json {
     match c {
         CutoffModel::Constant(v) => Json::obj(vec![
             ("kind", Json::str("constant")),
@@ -191,7 +191,7 @@ pub fn cutoff_to_json(c: &CutoffModel) -> Json {
 }
 
 /// Decodes a cut-off model.
-pub fn cutoff_from_json(j: &Json) -> Result<CutoffModel, DecodeError> {
+pub(crate) fn cutoff_from_json(j: &Json) -> Result<CutoffModel, DecodeError> {
     match get_str(j, "kind", "cutoff")? {
         "constant" => {
             let value = j
@@ -236,7 +236,7 @@ pub fn cutoff_from_json(j: &Json) -> Result<CutoffModel, DecodeError> {
 }
 
 /// Encodes a latency profile.
-pub fn profile_to_json(p: &LatencyProfile) -> Json {
+pub(crate) fn profile_to_json(p: &LatencyProfile) -> Json {
     Json::obj(vec![
         ("low", segment_to_json(&p.low)),
         ("high", segment_to_json(&p.high)),
@@ -245,7 +245,7 @@ pub fn profile_to_json(p: &LatencyProfile) -> Json {
 }
 
 /// Decodes a latency profile.
-pub fn profile_from_json(j: &Json) -> Result<LatencyProfile, DecodeError> {
+pub(crate) fn profile_from_json(j: &Json) -> Result<LatencyProfile, DecodeError> {
     let low = segment_from_json(
         j.get("low")
             .ok_or_else(|| "profile: missing field `low`".to_string())?,
@@ -472,7 +472,7 @@ pub(crate) fn write_workloads(w: &mut Writer<'_>, workloads: &WorkloadVector) {
 
 /// The tree form of [`write_workloads`], its oracle.
 #[cfg(test)]
-pub fn workloads_to_json(w: &WorkloadVector) -> Json {
+pub(crate) fn workloads_to_json(w: &WorkloadVector) -> Json {
     Json::Arr(
         w.iter()
             .map(|(svc, rate)| Json::Arr(vec![uint(svc.index() as u64), num(rate.as_per_minute())]))
@@ -795,7 +795,7 @@ pub(crate) fn write_manager_state(w: &mut Writer<'_>, state: &ManagerState) {
 
 /// The tree form of [`write_manager_state`], its oracle.
 #[cfg(test)]
-pub fn manager_state_to_json(state: &ManagerState) -> Json {
+pub(crate) fn manager_state_to_json(state: &ManagerState) -> Json {
     let last_applied = state
         .last_applied
         .as_ref()
@@ -827,7 +827,7 @@ pub fn manager_state_to_json(state: &ManagerState) -> Json {
 
 /// Decodes the resilient manager's hysteresis state. The snapshot loader
 /// hands it the `manager` member's subtree alone.
-pub fn manager_state_from_json(j: &Json) -> Result<ManagerState, DecodeError> {
+pub(crate) fn manager_state_from_json(j: &Json) -> Result<ManagerState, DecodeError> {
     let last_applied = match j.get("last_applied") {
         Some(Json::Null) | None => None,
         Some(p) => Some(Arc::new(plan_from_json(p)?)),
@@ -975,7 +975,7 @@ pub(crate) fn write_host(w: &mut Writer<'_>, h: &Host) {
 
 /// The tree form of [`write_host`], its oracle.
 #[cfg(test)]
-pub fn host_to_json(h: &Host) -> Json {
+pub(crate) fn host_to_json(h: &Host) -> Json {
     Json::obj(vec![
         ("cpu_capacity", num(h.cpu_capacity)),
         ("mem_capacity", num(h.mem_capacity)),
@@ -1007,7 +1007,7 @@ pub fn host_to_json(h: &Host) -> Json {
 
 /// Decodes the host at position `index` of its list, refusing one whose
 /// placements add up to more containers than a host counts (`u32`).
-pub fn host_from_json(j: &Json, index: usize) -> Result<Host, DecodeError> {
+pub(crate) fn host_from_json(j: &Json, index: usize) -> Result<Host, DecodeError> {
     let ctx = &format!("host {index}");
     let mut host = Host::new(
         get_f64(j, "cpu_capacity", ctx)?,
@@ -1072,7 +1072,7 @@ pub(crate) fn write_cluster(w: &mut Writer<'_>, state: &ClusterState) {
 
 /// The tree form of [`write_cluster`], its oracle.
 #[cfg(test)]
-pub fn cluster_to_json(state: &ClusterState) -> Json {
+pub(crate) fn cluster_to_json(state: &ClusterState) -> Json {
     Json::obj(vec![
         (
             "hosts",
@@ -1089,7 +1089,7 @@ pub fn cluster_to_json(state: &ClusterState) -> Json {
 /// that feeds planning (capacities, placements, resize bits), which the
 /// snapshot equivalence test relies on. The snapshot loader hands it the
 /// `cluster` member's subtree alone.
-pub fn cluster_from_json(j: &Json) -> Result<ClusterState, DecodeError> {
+pub(crate) fn cluster_from_json(j: &Json) -> Result<ClusterState, DecodeError> {
     let hosts = get_arr(j, "hosts", "cluster")?
         .iter()
         .enumerate()
@@ -1175,7 +1175,7 @@ pub(crate) fn samples_from_text(
 
 /// The tree form of [`write_samples`], its oracle.
 #[cfg(test)]
-pub fn samples_to_json(samples: &BTreeMap<MicroserviceId, Vec<Sample>>) -> Json {
+pub(crate) fn samples_to_json(samples: &BTreeMap<MicroserviceId, Vec<Sample>>) -> Json {
     Json::Arr(
         samples
             .iter()
@@ -1203,7 +1203,9 @@ pub fn samples_to_json(samples: &BTreeMap<MicroserviceId, Vec<Sample>>) -> Json 
 
 /// The tree form of [`samples_from_text`], its oracle.
 #[cfg(test)]
-pub fn samples_from_json(j: &Json) -> Result<BTreeMap<MicroserviceId, Vec<Sample>>, DecodeError> {
+pub(crate) fn samples_from_json(
+    j: &Json,
+) -> Result<BTreeMap<MicroserviceId, Vec<Sample>>, DecodeError> {
     let mut out = BTreeMap::new();
     for item in j
         .as_arr()
@@ -1318,7 +1320,7 @@ fn span_from_fields(
 }
 
 /// Decodes a span batch from a parsed tree. The daemon decodes request
-/// bodies with [`span_batch_from_text`]; this form is the oracle that one
+/// bodies with `span_batch_from_text`; this form is the oracle that one
 /// is tested against, and what a caller already holding a tree uses.
 pub fn span_batch_from_json(j: &Json) -> Result<SpanBatch, DecodeError> {
     let sampling = checked_sampling(get_f64(j, "sampling", "span batch")?)?;
@@ -1395,7 +1397,7 @@ pub(crate) fn members(
 /// object are refused, and a member this decoder has no use for goes
 /// through the tree parser and is dropped, so garbage inside it is still
 /// garbage.
-pub fn span_batch_from_text(text: &str) -> Result<SpanBatch, DecodeError> {
+pub(crate) fn span_batch_from_text(text: &str) -> Result<SpanBatch, DecodeError> {
     let p = &mut Parser::new(text);
     let (mut sampling, mut containers, mut spans) = (None, None, None);
     let mut unknown = HashSet::new();

@@ -20,7 +20,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -36,13 +36,11 @@ const KEEP_ALIVE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub(crate) struct Request {
     /// Uppercase method (`GET`, `POST`, ...).
     pub method: String,
     /// Path without the query string (`/v1/tenants/a/plan`).
     pub path: String,
-    /// Raw query string after `?`, if any.
-    pub query: Option<String>,
     /// Body bytes (empty when no `Content-Length` was sent).
     pub body: Vec<u8>,
 }
@@ -50,7 +48,7 @@ pub struct Request {
 impl Request {
     /// Splits the path into non-empty segments: `/v1/tenants/a` →
     /// `["v1", "tenants", "a"]`.
-    pub fn segments(&self) -> Vec<&str> {
+    pub(crate) fn segments(&self) -> Vec<&str> {
         self.path.split('/').filter(|s| !s.is_empty()).collect()
     }
 }
@@ -58,7 +56,7 @@ impl Request {
 /// One HTTP response. Construct through the helpers, which fix the
 /// content type.
 #[derive(Debug, Clone)]
-pub struct Response {
+pub(crate) struct Response {
     /// Status code.
     pub status: u16,
     /// `Content-Type` header value.
@@ -69,7 +67,7 @@ pub struct Response {
 
 impl Response {
     /// A JSON response with the given status.
-    pub fn json(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn json(status: u16, body: impl Into<String>) -> Self {
         Self {
             status,
             content_type: "application/json",
@@ -78,7 +76,7 @@ impl Response {
     }
 
     /// A plain-text response (used by `/metrics`).
-    pub fn text(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn text(status: u16, body: impl Into<String>) -> Self {
         Self {
             status,
             content_type: "text/plain; version=0.0.4",
@@ -103,12 +101,12 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// The request handler shared by all workers.
-pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
+pub(crate) type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
 /// A running HTTP server. Dropping it without calling
 /// [`shutdown`](Server::shutdown) aborts the process-exit path less
 /// gracefully (threads are detached), so call `shutdown` when done.
-pub struct Server {
+pub(crate) struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
@@ -117,7 +115,6 @@ pub struct Server {
     /// [`shutdown`](Server::shutdown) can wake a worker blocked reading an
     /// idle keep-alive connection.
     live: Arc<Vec<Mutex<Option<TcpStream>>>>,
-    requests: Arc<AtomicU64>,
 }
 
 impl Server {
@@ -127,11 +124,10 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the bind failure.
-    pub fn bind(addr: &str, workers: usize, handler: Handler) -> std::io::Result<Self> {
+    pub(crate) fn bind(addr: &str, workers: usize, handler: Handler) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let requests = Arc::new(AtomicU64::new(0));
         let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = mpsc::channel();
         let rx = Arc::new(Mutex::new(rx));
 
@@ -144,7 +140,6 @@ impl Server {
             let rx = Arc::clone(&rx);
             let handler = Arc::clone(&handler);
             let stop = Arc::clone(&stop);
-            let requests = Arc::clone(&requests);
             pool.push(std::thread::spawn(move || loop {
                 // Holding the lock only while receiving keeps the pool
                 // work-stealing: whichever worker is free picks up the
@@ -156,7 +151,7 @@ impl Server {
                         // `stop`: shutdown either finds the handle here or
                         // the worker finds the flag set.
                         *live[slot].lock().expect("live slot poisoned") = stream.try_clone().ok();
-                        serve_connection(stream, &handler, &stop, &requests);
+                        serve_connection(stream, &handler, &stop);
                         *live[slot].lock().expect("live slot poisoned") = None;
                     }
                     Err(_) => return, // channel closed: shutdown
@@ -189,35 +184,24 @@ impl Server {
             acceptor: Some(acceptor),
             workers: pool,
             live,
-            requests,
         })
     }
 
     /// The bound address (with the real port when 0 was requested).
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Total requests served so far.
-    pub fn request_count(&self) -> u64 {
-        self.requests.load(Ordering::SeqCst)
-    }
-
-    /// Whether shutdown has been requested (e.g. by a handler through
-    /// [`shutdown_flag`](Server::shutdown_flag)).
-    pub fn shutdown_requested(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    /// A handle that lets a request handler flag the server for shutdown
-    /// (the `POST /v1/shutdown` endpoint).
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
+    /// The flag [`shutdown`](Server::shutdown) sets first, for a test to
+    /// see that shutdown has begun.
+    #[cfg(test)]
+    pub(crate) fn shutdown_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.stop)
     }
 
     /// Stops accepting, drains the workers and joins every thread.
     /// In-flight requests complete; idle keep-alive connections close.
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the acceptor's blocking accept with a throwaway
         // connection to ourselves.
@@ -239,7 +223,7 @@ impl Server {
 }
 
 /// Runs the keep-alive loop of one connection.
-fn serve_connection(stream: TcpStream, handler: &Handler, stop: &AtomicBool, requests: &AtomicU64) {
+fn serve_connection(stream: TcpStream, handler: &Handler, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(KEEP_ALIVE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let peer = stream.try_clone();
@@ -261,7 +245,6 @@ fn serve_connection(stream: TcpStream, handler: &Handler, stop: &AtomicBool, req
                 return;
             }
         };
-        requests.fetch_add(1, Ordering::SeqCst);
         // A handler that panics answers its own request with a 500 and
         // closes the connection; the worker lives on to serve the next one.
         let Ok(response) = panic::catch_unwind(AssertUnwindSafe(|| handler(&request))) else {
@@ -346,15 +329,11 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<(Request, bo
         reader.read_exact(&mut body).map_err(|_| None)?;
     }
 
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), Some(q.to_string())),
-        None => (target.to_string(), None),
-    };
+    let path = target.split_once('?').map_or(target, |(path, _)| path);
     Ok(Some((
         Request {
             method: method.to_ascii_uppercase(),
-            path,
-            query,
+            path: path.to_string(),
             body,
         },
         !connection_close,
@@ -515,16 +494,11 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     fn echo_server() -> Server {
         let handler: Handler = Arc::new(|req: &Request| {
-            let body = format!(
-                "{} {} q={} len={}",
-                req.method,
-                req.path,
-                req.query.as_deref().unwrap_or("-"),
-                req.body.len()
-            );
+            let body = format!("{} {} len={}", req.method, req.path, req.body.len());
             Response::text(200, body)
         });
         Server::bind("127.0.0.1:0", 2, handler).expect("bind")
@@ -539,7 +513,7 @@ mod tests {
             assert_eq!(status, 200);
             assert_eq!(
                 String::from_utf8(body).unwrap(),
-                format!("GET /x/{i} q=a=1 len=0")
+                format!("GET /x/{i} len=0")
             );
         }
         let (status, body) = client.request("POST", "/ingest", Some(b"12345")).unwrap();
@@ -550,7 +524,13 @@ mod tests {
 
     #[test]
     fn parallel_clients_are_served() {
-        let server = echo_server();
+        let served = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&served);
+        let handler: Handler = Arc::new(move |_: &Request| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Response::text(200, "pong")
+        });
+        let server = Server::bind("127.0.0.1:0", 2, handler).expect("bind");
         let addr = server.addr();
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -565,7 +545,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(server.request_count(), 80);
+        assert_eq!(served.load(Ordering::SeqCst), 80);
         server.shutdown();
     }
 

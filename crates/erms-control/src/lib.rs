@@ -8,7 +8,7 @@
 //!
 //! The crate is **dependency-free** by construction: the build
 //! environment is fully offline, so the HTTP server
-//! ([`http::Server`]) is hand-rolled over `std::net::TcpListener` with a
+//! (`http::Server`) is hand-rolled over `std::net::TcpListener` with a
 //! bounded worker-thread pool, and the JSON codec ([`json::Json`]) is a
 //! strict RFC 8259 implementation whose number serializer round-trips
 //! every finite `f64` bit-exactly — the property the snapshot/restore

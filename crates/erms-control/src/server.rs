@@ -140,7 +140,7 @@ impl ControlPlane {
     }
 
     /// Whether `POST /v1/shutdown` has been received.
-    pub fn shutdown_requested(&self) -> bool {
+    pub(crate) fn shutdown_requested(&self) -> bool {
         self.shared.stop.load(Ordering::SeqCst)
     }
 
@@ -159,14 +159,16 @@ impl ControlPlane {
         self.server.shutdown();
     }
 
-    /// Direct access to the registry, bypassing HTTP — used by benches to
-    /// seed state without paying the wire cost. Holds the outer lock for
-    /// the duration of `f`; prefer [`Self::with_tenant`] for tenant work.
+    /// Direct access to the registry, bypassing HTTP — used by tests to
+    /// seed and read state without paying the wire cost. Holds the outer
+    /// lock for the duration of `f`; prefer [`Self::with_tenant`] for
+    /// tenant work.
     ///
     /// # Panics
     ///
     /// Panics if the registry lock is poisoned (a handler panicked).
-    pub fn with_registry<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> R {
+    #[cfg(test)]
+    pub(crate) fn with_registry<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> R {
         let mut registry = self.shared.registry.lock().expect("registry poisoned");
         f(&mut registry)
     }

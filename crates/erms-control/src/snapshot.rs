@@ -50,7 +50,7 @@ use crate::tenant::{DecisionRecord, Registry, Tenant};
 
 /// Current snapshot format version. Bump on any incompatible change and
 /// keep a migration or an explicit rejection for older versions.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub(crate) const SNAPSHOT_VERSION: u64 = 1;
 
 /// The one encoding of a decision record: history replies and snapshots
 /// both go through it.

@@ -10,7 +10,7 @@
 //! replans and span ingests proceed concurrently. The lock hierarchy is
 //! strictly *outer lock → tenant lock* (never the reverse, and
 //! registry-wide operations such as snapshots acquire tenant locks in id
-//! order via [`Registry::lock_tenants`]), which makes deadlock
+//! order via `Registry::lock_tenants`), which makes deadlock
 //! impossible by construction. A panicked round poisons only its own
 //! tenant; the registry and all other tenants keep serving.
 //!
@@ -248,7 +248,7 @@ impl Tenant {
     /// Mirrors this tenant's planner/resilience counters into a metrics
     /// registry (standard `planner.*` / `resilience.*` names; the server
     /// adds the tenant label when rendering).
-    pub fn record_metrics(&self, registry: &mut MetricsRegistry) {
+    pub(crate) fn record_metrics(&self, registry: &mut MetricsRegistry) {
         record_planner_metrics(
             registry,
             &self.manager.planner_metrics(),
@@ -400,7 +400,7 @@ fn same_window(
 /// Aggregate pool accounting across tenants. Purely observational: the
 /// planner never sees these numbers, so they cannot perturb plan bits.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoolUsage {
+pub(crate) struct PoolUsage {
     /// CPU cores requested by all tenants' current plans together.
     pub requested_cpu: f64,
     /// Memory (MB) requested by all tenants' current plans together.
@@ -448,7 +448,7 @@ impl PoolUsage {
     }
 
     /// Whether the tenants together over-subscribe the physical pool.
-    pub fn oversubscribed(&self) -> bool {
+    pub(crate) fn oversubscribed(&self) -> bool {
         self.requested_cpu > self.capacity_cpu || self.requested_mem > self.capacity_mem
     }
 }
@@ -495,7 +495,7 @@ impl Registry {
     }
 
     /// The pool template.
-    pub fn pool(&self) -> &[Host] {
+    pub(crate) fn pool(&self) -> &[Host] {
         &self.pool
     }
 
@@ -522,7 +522,7 @@ impl Registry {
 
     /// Inserts an already-built tenant (snapshot restore path), publishing
     /// the plan it carries. Replaces any existing tenant with the same id.
-    pub fn insert(&mut self, tenant: Tenant) {
+    pub(crate) fn insert(&mut self, tenant: Tenant) {
         let slot = Arc::new(PlanSlot::default());
         slot.publish(&tenant);
         let id = tenant.id.clone();
@@ -595,7 +595,7 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if any tenant's lock is poisoned.
-    pub fn lock_tenants(&self) -> Vec<MutexGuard<'_, Tenant>> {
+    pub(crate) fn lock_tenants(&self) -> Vec<MutexGuard<'_, Tenant>> {
         self.tenants
             .values()
             .map(|entry| entry.tenant.lock().expect("tenant poisoned"))

@@ -72,7 +72,7 @@ impl RequestRate {
 
     /// Scales the rate by a factor.
     #[must_use]
-    pub fn scaled(self, factor: f64) -> Self {
+    pub(crate) fn scaled(self, factor: f64) -> Self {
         Self::per_minute(self.0 * factor)
     }
 }

@@ -73,12 +73,6 @@ impl ScalingPlan {
         self.containers.get(&ms).copied()
     }
 
-    /// Whether the plan governs this microservice (even with an explicit
-    /// zero count).
-    pub fn covers(&self, ms: MicroserviceId) -> bool {
-        self.containers.contains_key(&ms)
-    }
-
     /// Iterates over `(microservice, containers)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (MicroserviceId, u32)> + '_ {
         self.containers.iter().map(|(&m, &c)| (m, c))
@@ -127,7 +121,7 @@ impl ScalingPlan {
 
     /// Mutable access to a per-service plan (used by the incremental
     /// planner to update stored plans in place).
-    pub fn service_plan_mut(&mut self, service: ServiceId) -> Option<&mut ServicePlan> {
+    pub(crate) fn service_plan_mut(&mut self, service: ServiceId) -> Option<&mut ServicePlan> {
         self.service_plans.get_mut(&service)
     }
 

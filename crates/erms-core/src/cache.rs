@@ -40,8 +40,8 @@
 //! generates an unbounded stream of *distinct* keys (every second-pass
 //! parameter vector embeds the effective workloads). To keep the memo
 //! table from growing without bound, the cache holds at most
-//! [`capacity`](PlanCache::capacity) entries (default
-//! [`PlanCache::DEFAULT_CAPACITY`]); inserting past the cap evicts the
+//! `capacity` entries (default
+//! `PlanCache::DEFAULT_CAPACITY`); inserting past the cap evicts the
 //! **oldest** entry first (FIFO by insertion) and bumps the
 //! [`evictions`](PlanCache::evictions) counter. Oldest-first matches the
 //! drift access pattern: entries keyed by superseded workloads are never
@@ -137,7 +137,7 @@ impl PlanCache {
     /// Default entry cap: generous for a whole-cluster controller (two
     /// merge trees per service per interval pass) while bounding a
     /// drift-heavy stream to a few thousand retained trees.
-    pub const DEFAULT_CAPACITY: usize = 4096;
+    pub(crate) const DEFAULT_CAPACITY: usize = 4096;
 
     /// Creates an empty cache with the default capacity.
     pub fn new() -> Self {
@@ -158,13 +158,14 @@ impl PlanCache {
     }
 
     /// The maximum number of retained entries.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity.load(Ordering::Relaxed)
     }
 
+    #[cfg(test)]
     /// Changes the entry cap. Shrinking below the current size evicts
     /// oldest-first on the next insertion (not eagerly).
-    pub fn set_capacity(&self, capacity: usize) {
+    pub(crate) fn set_capacity(&self, capacity: usize) {
         self.capacity.store(capacity, Ordering::Relaxed);
     }
 

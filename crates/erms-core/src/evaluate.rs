@@ -46,7 +46,7 @@ impl<F: Fn(MicroserviceId) -> Interference> InterferenceMap for F {
 
 /// The workload (calls/min) whose processing delays requests of `service`
 /// at microservice `ms`, given the plan's scheduling policy.
-pub fn effective_workload(
+pub(crate) fn effective_workload(
     app: &App,
     plan: &ScalingPlan,
     workloads: &WorkloadVector,

@@ -45,7 +45,7 @@ impl Node {
     }
 
     /// Iterates over all children in all stages.
-    pub fn children(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn children(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.stages.iter().flatten().copied()
     }
 }
@@ -157,21 +157,6 @@ impl DependencyGraph {
                 path
             })
             .collect()
-    }
-
-    /// Post-order traversal (children before parents), useful for bottom-up
-    /// merging.
-    pub fn post_order(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.nodes.len());
-        self.post_order_from(self.root, &mut order);
-        order
-    }
-
-    fn post_order_from(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        for child in self.node(id).children().collect::<Vec<_>>() {
-            self.post_order_from(child, out);
-        }
-        out.push(id);
     }
 
     /// The set of distinct microservices referenced by this graph, in first
@@ -398,18 +383,6 @@ mod tests {
         assert_eq!(paths.len(), 2);
         assert!(paths.contains(&vec![t, url, c]));
         assert!(paths.contains(&vec![t, u, c]));
-    }
-
-    #[test]
-    fn post_order_visits_children_first() {
-        let (g, [t, url, u, c]) = fig7();
-        let order = g.post_order();
-        assert_eq!(order.len(), 4);
-        assert_eq!(*order.last().unwrap(), t);
-        let pos = |n: NodeId| order.iter().position(|&x| x == n).unwrap();
-        assert!(pos(url) < pos(t));
-        assert!(pos(u) < pos(t));
-        assert!(pos(c) < pos(t));
     }
 
     #[test]

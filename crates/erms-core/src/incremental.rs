@@ -340,12 +340,6 @@ impl IncrementalPlanner {
         self.metrics
     }
 
-    /// The most recent plan, if any round has completed.
-    #[must_use]
-    pub fn plan(&self) -> Option<&ScalingPlan> {
-        self.state.as_ref().map(|s| &s.plan)
-    }
-
     /// Drops all carried state; the next round rebuilds from scratch.
     pub fn invalidate(&mut self) {
         self.state = None;
@@ -354,7 +348,7 @@ impl IncrementalPlanner {
     /// Adopts a (possibly different) configuration/mode, invalidating the
     /// carried state when either differs from what the state was built
     /// under.
-    pub fn ensure_config(&mut self, config: &ScalerConfig, mode: SchedulingMode) {
+    pub(crate) fn ensure_config(&mut self, config: &ScalerConfig, mode: SchedulingMode) {
         if self.config != *config || self.mode != mode {
             self.config = config.clone();
             self.mode = mode;

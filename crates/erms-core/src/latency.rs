@@ -79,7 +79,7 @@ impl Segment {
     }
 
     /// A segment with an interference-independent slope.
-    pub const fn flat(slope: f64, intercept: f64) -> Self {
+    pub(crate) const fn flat(slope: f64, intercept: f64) -> Self {
         Self::new(0.0, 0.0, slope, intercept)
     }
 
@@ -89,7 +89,7 @@ impl Segment {
     }
 
     /// Evaluates the segment at per-container workload `gamma`.
-    pub fn eval(&self, gamma: f64, itf: Interference) -> f64 {
+    pub(crate) fn eval(&self, gamma: f64, itf: Interference) -> f64 {
         self.slope(itf) * gamma + self.b
     }
 
@@ -140,7 +140,7 @@ impl CutoffTree {
     ///
     /// Returns the leaf value reached, or `0.0` for an empty tree (which
     /// [`LatencyProfile::validate`] rejects).
-    pub fn eval(&self, itf: Interference) -> f64 {
+    pub(crate) fn eval(&self, itf: Interference) -> f64 {
         let mut idx = 0usize;
         loop {
             match self.nodes.get(idx) {
@@ -257,13 +257,8 @@ pub struct LinearParams {
 
 impl LinearParams {
     /// Creates resolved linear parameters.
-    pub const fn new(a: f64, b: f64) -> Self {
+    pub(crate) const fn new(a: f64, b: f64) -> Self {
         Self { a, b }
-    }
-
-    /// Latency at per-container workload `gamma`.
-    pub fn eval(&self, gamma: f64) -> f64 {
-        self.a * gamma + self.b
     }
 }
 
@@ -345,7 +340,7 @@ impl LatencyProfile {
     /// Latency at the cut-off point — the threshold used by the two-interval
     /// selection rule of §5.3.1 (targets below this value mean the
     /// microservice actually operates in the low interval).
-    pub fn knee_latency(&self, itf: Interference) -> f64 {
+    pub(crate) fn knee_latency(&self, itf: Interference) -> f64 {
         let sigma = self.cutoff_at(itf);
         if sigma.is_finite() {
             self.high.eval(sigma, itf)

@@ -9,7 +9,7 @@
 //! 2. derives service priorities at every shared microservice from those
 //!    targets ([`assign_priorities`]);
 //! 3. recomputes targets per service with the priority-modified cumulative
-//!    workloads ([`cumulative_workloads`]), calling Latency Target
+//!    workloads (`cumulative_workloads`), calling Latency Target
 //!    Computation exactly twice per dependency graph as in §5.3.3;
 //! 4. sizes each microservice to the maximum per-service container demand
 //!    and rounds up (§7).
@@ -30,7 +30,7 @@ use crate::autoscaler::{Autoscaler, ScalingContext, ScalingPlan};
 use crate::cache::PlanCache;
 use crate::error::{Error, Result};
 use crate::ids::{MicroserviceId, ServiceId};
-use crate::incremental::{IncrementalPlanner, PlannerMetrics};
+use crate::incremental::IncrementalPlanner;
 use crate::latency::Interference;
 use crate::multiplexing::{assign_priorities, cumulative_workloads, total_workloads};
 use crate::scaling::{own_workloads, plan_service_cached, ScalerConfig, ServicePlan};
@@ -241,12 +241,6 @@ impl Erms {
         self.cache = Some(cache);
         self
     }
-
-    /// Work counters of the carried incremental planner.
-    #[must_use]
-    pub fn planner_metrics(&self) -> PlannerMetrics {
-        self.planner.metrics()
-    }
 }
 
 impl Autoscaler for Erms {
@@ -410,7 +404,7 @@ mod tests {
             .plan(&w, Interference::default())
             .unwrap();
         assert_eq!(plan.get(h), Some(0), "idle path: explicit zero");
-        assert!(plan.covers(h));
+        assert!(plan.get(h).is_some());
         assert!(plan.containers(u) >= 1);
         assert!(plan.containers(p) >= 1);
     }
@@ -470,7 +464,7 @@ mod tests {
         let plan = ErmsScaler::new(&app)
             .plan(&w, Interference::default())
             .unwrap();
-        assert!(!plan.covers(x));
+        assert!(plan.get(x).is_none());
         assert_eq!(plan.get(x), None);
 
         let mut state = ClusterState::paper_cluster();

@@ -47,8 +47,8 @@
 //!   skipped with one index jump.
 //!
 //! The arena is the tree's only form: its shape is read through
-//! [`MergedGraph::root_index`], [`MergedGraph::kind`] and
-//! [`MergedGraph::children_of`].
+//! `MergedGraph::root_index`, `MergedGraph::kind` and
+//! `MergedGraph::children_of`.
 
 use crate::graph::DependencyGraph;
 use crate::ids::NodeId;
@@ -82,7 +82,7 @@ impl VirtualParams {
     /// dirtiness: `-0.0 != 0.0` and `NaN == NaN`, so "unchanged" means
     /// "replays the cold computation exactly".
     #[must_use]
-    pub fn bits_eq(&self, other: &VirtualParams) -> bool {
+    pub(crate) fn bits_eq(&self, other: &VirtualParams) -> bool {
         self.a.to_bits() == other.a.to_bits()
             && self.b.to_bits() == other.b.to_bits()
             && self.r.to_bits() == other.r.to_bits()
@@ -93,9 +93,10 @@ impl VirtualParams {
         Self::merge_sequential_iter(parts.iter().copied())
     }
 
+    #[cfg(test)]
     /// Parallel merge of several microservices (Eqs. 11–12, with the
     /// `nᵢ ∝ aᵢ` weighting for `R**` described in the module docs).
-    pub fn merge_parallel(parts: &[VirtualParams]) -> VirtualParams {
+    pub(crate) fn merge_parallel(parts: &[VirtualParams]) -> VirtualParams {
         Self::merge_parallel_iter(parts.iter().copied())
     }
 
@@ -124,7 +125,7 @@ impl VirtualParams {
 
 /// Kind of one arena slot of a [`MergedGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArenaKind {
+pub(crate) enum ArenaKind {
     /// A real call node of the original graph.
     Leaf(NodeId),
     /// A virtual sequential merge (Eqs. 7–9).
@@ -332,51 +333,52 @@ impl MergedGraph {
     }
 
     /// Number of arena slots (leaves + virtual merge nodes).
-    pub fn arena_len(&self) -> usize {
+    pub(crate) fn arena_len(&self) -> usize {
         self.kinds.len()
     }
 
     /// Arena index of the root (always the last slot, by post-order).
-    pub fn root_index(&self) -> usize {
+    pub(crate) fn root_index(&self) -> usize {
         self.kinds.len() - 1
     }
 
     /// Kind of arena slot `i`.
-    pub fn kind(&self, i: usize) -> ArenaKind {
+    pub(crate) fn kind(&self, i: usize) -> ArenaKind {
         self.kinds[i]
     }
 
+    #[cfg(test)]
     /// Folded parameters of arena slot `i`.
-    pub fn node_params(&self, i: usize) -> VirtualParams {
+    pub(crate) fn node_params(&self, i: usize) -> VirtualParams {
         self.params[i]
     }
 
     /// Direct children of arena slot `i`, in execution order.
-    pub fn children_of(&self, i: usize) -> &[u32] {
+    pub(crate) fn children_of(&self, i: usize) -> &[u32] {
         let start = self.child_start[i] as usize;
         &self.children[start..start + self.child_len[i] as usize]
     }
 
     /// Parent of arena slot `i`, or `None` for the root.
-    pub fn parent_of(&self, i: usize) -> Option<usize> {
+    pub(crate) fn parent_of(&self, i: usize) -> Option<usize> {
         let p = self.parent[i];
         (p != NO_PARENT).then_some(p as usize)
     }
 
     /// Size (in arena slots) of the subtree rooted at `i`, including `i`;
     /// the subtree occupies `i + 1 - subtree_size(i) ..= i`.
-    pub fn subtree_size(&self, i: usize) -> usize {
+    pub(crate) fn subtree_size(&self, i: usize) -> usize {
         self.subtree_size[i] as usize
     }
 
     /// Arena index of the leaf standing for graph node `node`.
-    pub fn leaf_index(&self, node: NodeId) -> usize {
+    pub(crate) fn leaf_index(&self, node: NodeId) -> usize {
         self.leaf_of[node.index()] as usize
     }
 
     /// The merged whole-graph parameters — a single virtual microservice
     /// standing for the entire service.
-    pub fn params(&self) -> VirtualParams {
+    pub(crate) fn params(&self) -> VirtualParams {
         self.params[self.root_index()]
     }
 

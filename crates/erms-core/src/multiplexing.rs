@@ -69,7 +69,7 @@ pub fn assign_priorities(
 /// # Errors
 ///
 /// Propagates id lookup failures from the app.
-pub fn cumulative_workloads(
+pub(crate) fn cumulative_workloads(
     app: &App,
     service: ServiceId,
     workloads: &WorkloadVector,
@@ -103,7 +103,7 @@ pub fn cumulative_workloads(
 
 /// Total workloads per microservice (FCFS sharing: every request waits
 /// behind the full arrival stream).
-pub fn total_workloads(
+pub(crate) fn total_workloads(
     app: &App,
     service: ServiceId,
     workloads: &WorkloadVector,
@@ -177,7 +177,7 @@ impl SharingScenario {
     /// the latency `P` contributes.
     ///
     /// Returns `None` when either SLA is infeasible.
-    pub fn ru_sharing_fcfs(&self) -> Option<f64> {
+    pub(crate) fn ru_sharing_fcfs(&self) -> Option<f64> {
         if !self.feasible() {
             return None;
         }
@@ -199,7 +199,7 @@ impl SharingScenario {
     /// Optimal resource usage when `P`'s containers are partitioned per
     /// service (non-sharing; Eq. 18): two independent chains solved in
     /// closed form.
-    pub fn ru_non_sharing(&self) -> Option<f64> {
+    pub(crate) fn ru_non_sharing(&self) -> Option<f64> {
         if !self.feasible() {
             return None;
         }
@@ -220,7 +220,7 @@ impl SharingScenario {
     /// Optimal resource usage under Erms priority scheduling (service 1
     /// prioritised at `P`; Eqs. 13–14), solved exactly by a 1-D convex
     /// search over `n_p`'s latency contribution to service 1.
-    pub fn ru_priority(&self) -> Option<f64> {
+    pub(crate) fn ru_priority(&self) -> Option<f64> {
         if !self.feasible() {
             return None;
         }
@@ -249,7 +249,7 @@ impl SharingScenario {
     /// The scenario with the two services exchanged (service 2 becomes the
     /// prioritised one).
     #[must_use]
-    pub fn swapped(&self) -> SharingScenario {
+    pub(crate) fn swapped(&self) -> SharingScenario {
         SharingScenario {
             u: self.h,
             h: self.u,
@@ -265,7 +265,7 @@ impl SharingScenario {
     /// of the two priority orders — this is what Erms does: the service
     /// whose initial latency target at the shared microservice is lower
     /// gets priority (§5.3.2), which coincides with the cheaper order.
-    pub fn ru_priority_best(&self) -> Option<f64> {
+    pub(crate) fn ru_priority_best(&self) -> Option<f64> {
         let a = self.ru_priority()?;
         let b = self.swapped().ru_priority()?;
         Some(a.min(b))
@@ -293,7 +293,7 @@ impl SharingScenario {
     /// Evaluates all three schemes; the Theorem-1 ordering is
     /// `priority ≤ non_sharing ≤ sharing_fcfs` in the symmetric-slack
     /// setting of Appendix A. Priority scheduling uses the better of the
-    /// two orders ([`ru_priority_best`](Self::ru_priority_best)), as Erms'
+    /// two orders (`ru_priority_best`), as Erms'
     /// target-driven priority assignment would.
     pub fn compare(&self) -> Option<SchemeComparison> {
         Some(SchemeComparison {
@@ -344,7 +344,7 @@ fn golden_min(f: impl Fn(f64) -> f64, lo: f64, hi: f64) -> f64 {
     f(0.5 * (lo + hi))
 }
 
-/// M/M/1 and M/M/c sanity analysis used in §2.3: *sharing* a fixed amount
+/// M/M/1 sanity analysis used in §2.3: *sharing* a fixed amount
 /// of serving capacity achieves a lower mean response time than
 /// partitioning it, even though SLA-driven scaling can still favour
 /// separation.
@@ -353,7 +353,7 @@ pub mod mm1 {
     /// service rate `mu` (same time unit), `W = 1/(μ − λ)`.
     ///
     /// Returns `None` for an overloaded queue (`λ ≥ μ`).
-    pub fn mean_response_time(lambda: f64, mu: f64) -> Option<f64> {
+    pub(crate) fn mean_response_time(lambda: f64, mu: f64) -> Option<f64> {
         if lambda < mu && mu > 0.0 {
             Some(1.0 / (mu - lambda))
         } else {
@@ -377,41 +377,6 @@ pub mod mm1 {
             return Some(0.0);
         }
         Some((lambda1 * w1 + lambda2 * w2) / total)
-    }
-
-    /// Erlang-C: the probability that an arriving request must queue in an
-    /// M/M/c system with `c` servers, arrival rate `lambda` and per-server
-    /// service rate `mu`.
-    ///
-    /// Returns `None` for an unstable system (`λ ≥ c·μ`). This is the
-    /// queueing-theoretic analogue of the container thread pools in
-    /// `erms-sim`: the knee of the Fig. 3 latency curves is where this
-    /// probability starts to matter.
-    pub fn erlang_c(c: usize, lambda: f64, mu: f64) -> Option<f64> {
-        if c == 0 || mu <= 0.0 || lambda < 0.0 {
-            return None;
-        }
-        let a = lambda / mu; // offered load in Erlangs
-        let rho = a / c as f64;
-        if rho >= 1.0 {
-            return None;
-        }
-        // Iterative Erlang-B, then convert to Erlang-C (numerically stable
-        // for large c, no factorials).
-        let mut b = 1.0;
-        for k in 1..=c {
-            b = a * b / (k as f64 + a * b);
-        }
-        Some(b / (1.0 - rho * (1.0 - b)))
-    }
-
-    /// Mean response time of an M/M/c queue (service + expected wait).
-    ///
-    /// Returns `None` for an unstable system.
-    pub fn mmc_mean_response_time(c: usize, lambda: f64, mu: f64) -> Option<f64> {
-        let pw = erlang_c(c, lambda, mu)?;
-        let rho = lambda / (c as f64 * mu);
-        Some(1.0 / mu + pw / (c as f64 * mu * (1.0 - rho)))
     }
 }
 
@@ -496,45 +461,6 @@ mod tests {
     fn mm1_overload_is_none() {
         assert!(mm1::mean_response_time(10.0, 10.0).is_none());
         assert!(mm1::mean_response_time(11.0, 10.0).is_none());
-    }
-
-    #[test]
-    fn erlang_c_single_server_matches_mm1() {
-        // For c = 1 the queueing probability is ρ and the mean response
-        // time is 1/(μ−λ).
-        let (lambda, mu) = (4.0, 5.0);
-        let pw = mm1::erlang_c(1, lambda, mu).unwrap();
-        assert!((pw - lambda / mu).abs() < 1e-12);
-        let w = mm1::mmc_mean_response_time(1, lambda, mu).unwrap();
-        assert!((w - 1.0 / (mu - lambda)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn erlang_c_decreases_with_servers() {
-        let lambda = 8.0;
-        let mu = 1.0;
-        let p10 = mm1::erlang_c(10, lambda, mu).unwrap();
-        let p20 = mm1::erlang_c(20, lambda, mu).unwrap();
-        assert!(p20 < p10, "more servers, less queueing: {p20} vs {p10}");
-        assert!((0.0..=1.0).contains(&p10));
-    }
-
-    #[test]
-    fn erlang_c_unstable_is_none() {
-        assert!(mm1::erlang_c(2, 2.0, 1.0).is_none());
-        assert!(mm1::erlang_c(0, 1.0, 1.0).is_none());
-        assert!(mm1::mmc_mean_response_time(4, 4.0, 1.0).is_none());
-    }
-
-    #[test]
-    fn pooled_mmc_beats_partitioned_mm1_pair() {
-        // Two M/M/1 queues at ρ=0.8 vs one M/M/2 with the pooled stream:
-        // the pooled system has strictly lower mean response time — the
-        // §2.3 observation, in M/M/c form.
-        let (lambda, mu) = (0.8, 1.0);
-        let separate = mm1::mean_response_time(lambda, mu).unwrap();
-        let pooled = mm1::mmc_mean_response_time(2, 2.0 * lambda, mu).unwrap();
-        assert!(pooled < separate, "pooled {pooled} vs separate {separate}");
     }
 
     fn sharing_app() -> (App, [MicroserviceId; 3], [ServiceId; 2]) {

@@ -19,6 +19,7 @@
 //! spreading that sees only container *requests* — it is blind to the
 //! background (batch) utilisation that actually causes interference.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::app::App;
@@ -136,18 +137,18 @@ impl Host {
     }
 
     /// Whether this is reclaimable spot capacity.
-    pub fn is_spot(&self) -> bool {
+    pub(crate) fn is_spot(&self) -> bool {
         self.lifecycle == HostLifecycle::Spot
     }
 
     /// Whether a reclamation notice is pending on this host.
-    pub fn reclaiming(&self) -> bool {
+    pub(crate) fn reclaiming(&self) -> bool {
         self.reclaim_at_round.is_some()
     }
 
     /// The vertical-scaling factor applied to containers of `ms` on this
     /// host (1.0 when never resized).
-    pub fn resize_factor(&self, ms: MicroserviceId) -> f64 {
+    pub(crate) fn resize_factor(&self, ms: MicroserviceId) -> f64 {
         self.resize
             .get(&ms)
             .map(|&bits| f64::from_bits(bits))
@@ -233,9 +234,10 @@ impl Host {
         )
     }
 
+    #[cfg(test)]
     /// Utilisation from container *requests* only — what the Kubernetes
     /// default scheduler sees.
-    pub fn requested_utilization(&self, app: &App) -> (f64, f64) {
+    pub(crate) fn requested_utilization(&self, app: &App) -> (f64, f64) {
         self.requested_utilization_from(self.container_usage(app))
     }
 
@@ -249,7 +251,7 @@ impl Host {
     /// Utilisation scaled by the host class's interference profile — the
     /// pressure colocated containers actually *feel* on this hardware.
     /// Identical to [`Host::utilization`] when `interference_scale == 1.0`.
-    pub fn felt_utilization(&self, app: &App) -> (f64, f64) {
+    pub(crate) fn felt_utilization(&self, app: &App) -> (f64, f64) {
         self.felt_utilization_from(self.container_usage(app))
     }
 
@@ -268,6 +270,13 @@ impl Host {
         !self.reclaiming()
             && cpu + self.background_cpu + need_cpu <= self.cpu_capacity
             && mem + self.background_mem + need_mem <= self.mem_capacity
+    }
+
+    /// Whether containers using `(cpu, mem)` and the background load are
+    /// within this host's capacity.
+    fn within_capacity(&self, (cpu, mem): (f64, f64)) -> bool {
+        cpu + self.background_cpu <= self.cpu_capacity
+            && mem + self.background_mem <= self.mem_capacity
     }
 
     /// The greedy placement score of this host under `policy` given its
@@ -301,13 +310,6 @@ impl Host {
         if *entry == 0 {
             self.containers.remove(&ms);
         }
-    }
-
-    /// The interference containers on this host experience (§5.2 uses host
-    /// CPU and memory utilisation, here scaled by the class profile).
-    pub fn interference(&self, app: &App) -> Interference {
-        let (c, m) = self.felt_utilization(app);
-        Interference::new(c, m)
     }
 }
 
@@ -480,7 +482,7 @@ impl ClusterState {
     ///
     /// Panics if `factor` is not finite and positive (a controller bug, not
     /// an operational condition).
-    pub fn resize_in_place(&mut self, ms: MicroserviceId, factor: f64) {
+    pub(crate) fn resize_in_place(&mut self, ms: MicroserviceId, factor: f64) {
         assert!(
             factor.is_finite() && factor > 0.0,
             "resize factor must be finite and positive"
@@ -497,7 +499,7 @@ impl ClusterState {
 
     /// Applies one vertical-scaling factor to every microservice of `app`.
     /// `factor = 1.0` restores full-size containers.
-    pub fn set_uniform_resize(&mut self, app: &App, factor: f64) {
+    pub(crate) fn set_uniform_resize(&mut self, app: &App, factor: f64) {
         // Restoring full size where nothing was ever resized removes
         // nothing: skip the microservices × hosts walk of empty maps.
         if (factor - 1.0).abs() < 1e-12
@@ -518,11 +520,12 @@ impl ClusterState {
         self.hosts.iter().filter(|h| h.is_spot()).count()
     }
 
+    #[cfg(test)]
     /// Posts a reclamation notice on host `index`: the provider takes the
     /// host back at controller round `due_round`. The host is cordoned
     /// immediately (no new placements land on it). Returns `false` when
     /// `index` is out of bounds.
-    pub fn post_reclaim_notice(&mut self, index: usize, due_round: u64) -> bool {
+    pub(crate) fn post_reclaim_notice(&mut self, index: usize, due_round: u64) -> bool {
         match self.hosts.get_mut(index) {
             Some(h) => {
                 h.reclaim_at_round = Some(due_round);
@@ -583,7 +586,7 @@ impl ClusterState {
     /// containers are *not* re-placed here; the caller re-runs
     /// [`provision`] so they land on surviving capacity under the normal
     /// placement policy. Returns `(hosts_drained, containers_drained)`.
-    pub fn evacuate_reclaiming(&mut self) -> (usize, u32) {
+    pub(crate) fn evacuate_reclaiming(&mut self) -> (usize, u32) {
         let mut hosts = 0;
         let mut containers = 0u32;
         for h in &mut self.hosts {
@@ -722,9 +725,11 @@ pub fn provision(
 /// every container of `app` requests `resize_factor` × its configured
 /// resources. `1.0` restores full-size containers, so a plain
 /// [`provision`] call after a squeezed round automatically grows the
-/// containers back. Transactional like [`provision`]: on error `state`
-/// keeps its previous contents *and* its previous resize factors.
-pub fn provision_with_resize(
+/// containers back; a host the regrowth pushes past its capacity gives
+/// containers back for the placement pass to put elsewhere. Transactional
+/// like [`provision`]: on error `state` keeps its previous contents *and*
+/// its previous resize factors.
+pub(crate) fn provision_with_resize(
     state: &mut ClusterState,
     app: &App,
     plan: &ScalingPlan,
@@ -738,9 +743,59 @@ pub fn provision_with_resize(
     // rollback trivially correct under every failure path.
     let mut working = state.clone();
     working.set_uniform_resize(app, resize_factor);
-    let report = provision_in_place(&mut working, app, plan, policy)?;
+    let (plan, given_back) = give_back_overflow(state, &mut working, app, plan);
+    let mut report = provision_in_place(&mut working, app, &plan, policy)?;
+    report.released += given_back;
     *state = working;
     Ok(report)
+}
+
+/// Makes every host that fit at `before`'s resize factors fit again at
+/// `after`'s: such a host gives back containers, the largest CPU request
+/// first and the lower microservice id on a tie, until its requests plus
+/// its background load are within its CPU and memory capacity (the rule
+/// [`Host::fits`] applies to a placement). A host that was over already
+/// (background load it cannot shed) is left as it is.
+///
+/// Returns the plan the placement pass must meet to put the given-back
+/// containers elsewhere — `plan` itself unless it leaves one of their
+/// microservices alone, in which case that microservice gets an entry for
+/// the count it had — and the number of containers given back.
+fn give_back_overflow<'a>(
+    before: &ClusterState,
+    after: &mut ClusterState,
+    app: &App,
+    plan: &'a ScalingPlan,
+) -> (Cow<'a, ScalingPlan>, u32) {
+    let mut given_back: BTreeMap<MicroserviceId, u32> = BTreeMap::new();
+    for (old, host) in before.hosts.iter().zip(&mut after.hosts) {
+        // Only a grown factor can push a host over.
+        if old.resize == host.resize || !old.within_capacity(old.container_usage(app)) {
+            continue;
+        }
+        while !host.within_capacity(host.container_usage(app)) {
+            let largest = host
+                .containers
+                .keys()
+                .filter_map(|&ms| {
+                    let m = app.microservice(ms).ok()?;
+                    Some((ms, m.resources.cpu * host.resize_factor(ms)))
+                })
+                .max_by(|(a, a_cpu), (b, b_cpu)| a_cpu.total_cmp(b_cpu).then(b.cmp(a)));
+            let Some((ms, _)) = largest else { break };
+            host.release_one(ms);
+            *given_back.entry(ms).or_insert(0) += 1;
+        }
+    }
+    let count = given_back.values().sum();
+    let mut plan = Cow::Borrowed(plan);
+    for (ms, n) in given_back {
+        if plan.get(ms).is_none() {
+            let had = after.containers_of(ms) + n;
+            plan.to_mut().set_containers(ms, had);
+        }
+    }
+    (plan, count)
 }
 
 /// The non-transactional provisioning pass; may leave `state` partially
@@ -1063,7 +1118,9 @@ mod tests {
         for (ms, _) in app.microservices() {
             working.resize_in_place(ms, resize_factor);
         }
-        let report = provision_in_place_reference(&mut working, app, plan, policy)?;
+        let (plan, given_back) = give_back_overflow(state, &mut working, app, plan);
+        let mut report = provision_in_place_reference(&mut working, app, &plan, policy)?;
+        report.released += given_back;
         *state = working;
         Ok(report)
     }
@@ -1191,6 +1248,59 @@ mod tests {
                     proptest::prop_assert_eq!(&fast, &state);
                 }
                 (got, want) => proptest::prop_assert!(false, "got {got:?}, oracle {want:?}"),
+            }
+        }
+
+        /// A squeeze round and then a regrow round: the regrow either
+        /// leaves every host that fit before it within its capacity, or
+        /// fails and leaves the cluster as it was.
+        #[test]
+        fn regrow_keeps_fitting_hosts_within_capacity(
+            resources in proptest::collection::vec((0.1f64..2.0, 128.0f64..4096.0), 1..7),
+            hosts in proptest::collection::vec(
+                (
+                    0usize..HOST_SHAPES.len(),
+                    0.0f64..0.7,
+                    0.0f64..0.7,
+                    0u8..4,
+                    proptest::collection::vec((0u32..MS_IDS, 1u32..6), 0..5),
+                    proptest::collection::vec((0u32..MS_IDS, 0.5f64..1.5), 0..3),
+                ),
+                1..9,
+            ),
+            targets in proptest::collection::vec((0u32..40, 1u32..30), 0..9),
+            grow in 0u32..20,
+        ) {
+            let app = generated_app(&resources);
+            let mut state = generated_cluster(&hosts, (0, &[]));
+            let mut plan = ScalingPlan::new("t");
+            for &(pick, count) in &targets {
+                plan.set_containers(MicroserviceId::new(pick % resources.len() as u32), count);
+            }
+            let policy = PlacementPolicy::default();
+            if provision_with_resize(&mut state, &app, &plan, policy, 0.6).is_err() {
+                return Ok(());
+            }
+            // The regrow round may also ask for more containers.
+            for (ms, count) in plan.clone().iter() {
+                plan.set_containers(ms, count + grow % 3);
+            }
+            let squeezed = state.clone();
+            let fit: Vec<bool> = state
+                .hosts()
+                .iter()
+                .map(|h| h.within_capacity(h.container_usage(&app)))
+                .collect();
+            match provision(&mut state, &app, &plan, policy) {
+                Ok(_) => {
+                    for (h, fit) in state.hosts().iter().zip(fit) {
+                        proptest::prop_assert!(
+                            !fit || h.within_capacity(h.container_usage(&app)),
+                            "{h:?}"
+                        );
+                    }
+                }
+                Err(_) => proptest::prop_assert_eq!(&state, &squeezed),
             }
         }
     }
@@ -1448,6 +1558,37 @@ mod tests {
         );
         assert_eq!(state, before);
         assert_eq!(state.resize_factor(ms), 1.0);
+    }
+
+    /// Two 10-core, 16 GB hosts, the second with 8 cores of background load, take
+    /// 15 one-core containers squeezed to 0.6 (12 + 3); a third host joins
+    /// and the next round grows the containers back: the first two hosts
+    /// would hold 12 and 3 + 8 cores, so each gives back what no longer
+    /// fits and the placement pass moves it to the new host.
+    #[test]
+    fn regrow_gives_back_what_no_longer_fits() {
+        let (app, ms) = app_with_one_ms();
+        let host = || Host::new(10.0, 16.0 * 1024.0);
+        let mut busy = host();
+        busy.background_cpu = 8.0;
+        let mut state = ClusterState::new(vec![host(), busy]);
+        let mut plan = ScalingPlan::new("t");
+        plan.set_containers(ms, 15);
+        provision_with_resize(&mut state, &app, &plan, PlacementPolicy::default(), 0.6).unwrap();
+        let counts = |s: &ClusterState| {
+            s.hosts()
+                .iter()
+                .map(|h| h.containers_of(ms))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(&state), [12, 3]);
+        state.add_host(host());
+        let report = provision(&mut state, &app, &plan, PlacementPolicy::default()).unwrap();
+        for h in state.hosts() {
+            assert!(h.within_capacity(h.container_usage(&app)), "{h:?}");
+        }
+        assert_eq!(counts(&state), [10, 2, 3]);
+        assert_eq!((report.placed, report.released), (3, 3));
     }
 
     #[test]

@@ -339,11 +339,6 @@ impl ResilientManager {
         }
     }
 
-    /// The ladder configuration.
-    pub fn config(&self) -> &ResilienceConfig {
-        &self.config
-    }
-
     /// The merge-tree memo used by every planning attempt, exposing
     /// hit/miss counters for observability and tests.
     pub fn plan_cache(&self) -> &PlanCache {

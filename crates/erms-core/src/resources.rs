@@ -29,7 +29,7 @@ impl Resources {
 
     /// Dominant-resource demand `R_i = max(cpu/C, mem/M)` of Eq. (3),
     /// normalised by the cluster capacity.
-    pub fn dominant_share(&self, capacity: &ClusterCapacity) -> f64 {
+    pub(crate) fn dominant_share(&self, capacity: &ClusterCapacity) -> f64 {
         let cpu_share = if capacity.cpu > 0.0 {
             self.cpu / capacity.cpu
         } else {
@@ -66,12 +66,12 @@ pub struct ClusterCapacity {
 
 impl ClusterCapacity {
     /// Creates a capacity description.
-    pub fn new(cpu: f64, memory_mb: f64) -> Self {
+    pub(crate) fn new(cpu: f64, memory_mb: f64) -> Self {
         Self { cpu, memory_mb }
     }
 
     /// The paper's evaluation cluster: 20 hosts × (32 cores, 64 GB) (§6.1).
-    pub fn paper_cluster() -> Self {
+    pub(crate) fn paper_cluster() -> Self {
         Self::new(20.0 * 32.0, 20.0 * 64.0 * 1024.0)
     }
 }
@@ -112,7 +112,7 @@ impl HostClass {
     ///
     /// Panics if any numeric field is not finite and positive; host classes
     /// are configuration constants, so this is a programming error.
-    pub fn new(name: &str, cpu: f64, memory_mb: f64, interference_scale: f64) -> Self {
+    pub(crate) fn new(name: &str, cpu: f64, memory_mb: f64, interference_scale: f64) -> Self {
         assert!(
             cpu.is_finite()
                 && cpu > 0.0

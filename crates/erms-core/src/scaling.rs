@@ -264,7 +264,7 @@ impl ServicePlan {
 /// * Under priority scheduling it is the cumulative rate
 ///   `Σ_{l ≤ k} γ_{l,i}` of all services with equal or higher priority
 ///   (§5.3.2).
-pub type EffectiveWorkloads = BTreeMap<MicroserviceId, f64>;
+pub(crate) type EffectiveWorkloads = BTreeMap<MicroserviceId, f64>;
 
 /// Builds the default effective-workload map of one service: its own call
 /// rate at every microservice it uses.
@@ -310,7 +310,7 @@ pub fn plan_service(
 /// bit-identical to the cold computation (the cache hits only on exact
 /// input equality), so plans are unchanged. With `None` this is exactly
 /// [`plan_service`].
-pub fn plan_service_cached(
+pub(crate) fn plan_service_cached(
     app: &App,
     service: ServiceId,
     rate: RequestRate,

@@ -30,7 +30,7 @@ impl Sample {
     }
 
     /// The regression feature row `[γ, C, M]`.
-    pub fn features(&self) -> Vec<f64> {
+    pub(crate) fn features(&self) -> Vec<f64> {
         vec![self.gamma, self.cpu, self.mem]
     }
 }
@@ -46,16 +46,6 @@ impl Dataset {
     /// Creates a dataset from samples.
     pub fn new(samples: Vec<Sample>) -> Self {
         Self { samples }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     /// Feature matrix (`[γ, C, M]` rows) and target vector.
@@ -117,8 +107,8 @@ mod tests {
     fn chronological_split_keeps_order() {
         let d = toy(10);
         let (train, test) = d.split_chronological(0.7);
-        assert_eq!(train.len(), 7);
-        assert_eq!(test.len(), 3);
+        assert_eq!(train.samples.len(), 7);
+        assert_eq!(test.samples.len(), 3);
         assert_eq!(train.samples[6].latency_ms, 6.0);
         assert_eq!(test.samples[0].latency_ms, 7.0);
     }
@@ -135,9 +125,9 @@ mod tests {
     #[test]
     fn take_fraction_truncates() {
         let d = toy(10);
-        assert_eq!(d.take_fraction(0.5).len(), 5);
-        assert_eq!(d.take_fraction(2.0).len(), 10);
-        assert_eq!(d.take_fraction(0.0).len(), 0);
+        assert_eq!(d.take_fraction(0.5).samples.len(), 5);
+        assert_eq!(d.take_fraction(2.0).samples.len(), 10);
+        assert_eq!(d.take_fraction(0.0).samples.len(), 0);
     }
 
     #[test]

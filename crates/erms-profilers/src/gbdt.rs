@@ -10,7 +10,7 @@ use crate::Regressor;
 
 /// Hyper-parameters of the booster.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GbdtConfig {
+pub(crate) struct GbdtConfig {
     /// Number of boosting rounds.
     pub rounds: usize,
     /// Shrinkage (learning rate) applied to each tree.
@@ -43,17 +43,12 @@ pub struct Gbdt {
 
 impl Gbdt {
     /// Creates an unfitted booster.
-    pub fn new(config: GbdtConfig) -> Self {
+    pub(crate) fn new(config: GbdtConfig) -> Self {
         Self {
             config,
             base: 0.0,
             trees: Vec::new(),
         }
-    }
-
-    /// Number of fitted trees.
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
     }
 }
 
@@ -125,7 +120,7 @@ mod tests {
         let y = vec![7.0; 50];
         let mut model = Gbdt::default();
         model.fit(&x, &y);
-        assert!(model.tree_count() <= 2, "{}", model.tree_count());
+        assert!(model.trees.len() <= 2, "{}", model.trees.len());
         assert!((model.predict(&[10.0]) - 7.0).abs() < 1e-6);
     }
 }

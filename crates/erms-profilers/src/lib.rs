@@ -15,10 +15,8 @@
 //!   cut-off model;
 //! * [`tree`] — a CART regression tree;
 //! * [`gbdt`] — gradient-boosted regression trees (the "XGBoost" baseline);
-//! * [`forest`] — a bagged random forest (extra non-parametric baseline);
 //! * [`mlp`] — a small multi-layer perceptron (the "NN" baseline);
-//! * [`metrics`] — the profiling-accuracy metric reported in Fig. 10 plus
-//!   standard regression metrics.
+//! * [`metrics`] — the profiling-accuracy metric reported in Fig. 10.
 //!
 //! # Example
 //!
@@ -45,7 +43,6 @@
 #![warn(clippy::all)]
 
 pub mod dataset;
-pub mod forest;
 pub mod gbdt;
 pub mod linreg;
 pub mod metrics;
@@ -59,7 +56,7 @@ use std::fmt;
 ///
 /// The latency-profiling feature layout used throughout this crate is
 /// `[γ, C, M]` (per-container workload, host CPU utilisation, host memory
-/// utilisation); see [`dataset::Sample::features`].
+/// utilisation); see `dataset::Sample::features`.
 pub trait Regressor {
     /// Fits the model to rows `x` with targets `y`.
     ///

@@ -1,7 +1,7 @@
 //! Ordinary least squares via normal equations, with a tiny ridge term for
 //! numerical stability.
 
-use crate::{FitError, Regressor};
+use crate::FitError;
 
 /// Solves the linear system `A·x = b` in place by Gaussian elimination with
 /// partial pivoting. `a` is row-major `n×n`.
@@ -10,7 +10,7 @@ use crate::{FitError, Regressor};
 // Index loops: elimination reads `a[col]` while writing `a[row]` — split
 // borrows of two rows, which iterator adapters cannot express cleanly.
 #[allow(clippy::needless_range_loop)]
-pub fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+pub(crate) fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = b.len();
     for col in 0..n {
         // Partial pivot.
@@ -60,7 +60,7 @@ pub fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
 /// * [`FitError::Singular`] when the normal equations cannot be solved.
 // Index loops: symmetrisation reads `xtx[j][i]` while writing `xtx[i][j]`.
 #[allow(clippy::needless_range_loop)]
-pub fn least_squares(x: &[impl AsRef<[f64]>], y: &[f64]) -> Result<Vec<f64>, FitError> {
+pub(crate) fn least_squares(x: &[impl AsRef<[f64]>], y: &[f64]) -> Result<Vec<f64>, FitError> {
     assert_eq!(x.len(), y.len(), "row/target count mismatch");
     let n = x.len();
     let d = x.first().map_or(0, |row| row.as_ref().len());
@@ -112,51 +112,6 @@ pub fn least_squares(x: &[impl AsRef<[f64]>], y: &[f64]) -> Result<Vec<f64>, Fit
     Ok(beta.into_iter().zip(&scale).map(|(b, s)| b / s).collect())
 }
 
-/// A linear model with intercept: `y = β₀ + β·x`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LinearModel {
-    /// Coefficients: `[β₀, β₁, …]` (intercept first).
-    pub coefficients: Vec<f64>,
-}
-
-impl LinearModel {
-    /// Fits a linear model with intercept.
-    ///
-    /// # Errors
-    ///
-    /// See [`least_squares`].
-    pub fn fit(x: &[Vec<f64>], y: &[f64]) -> Result<Self, FitError> {
-        let design: Vec<Vec<f64>> = x
-            .iter()
-            .map(|row| {
-                let mut r = Vec::with_capacity(row.len() + 1);
-                r.push(1.0);
-                r.extend_from_slice(row);
-                r
-            })
-            .collect();
-        Ok(Self {
-            coefficients: least_squares(&design, y)?,
-        })
-    }
-}
-
-impl Regressor for LinearModel {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
-        if let Ok(model) = LinearModel::fit(x, y) {
-            *self = model;
-        }
-    }
-
-    fn predict(&self, row: &[f64]) -> f64 {
-        let mut acc = self.coefficients.first().copied().unwrap_or(0.0);
-        for (c, v) in self.coefficients.iter().skip(1).zip(row) {
-            acc += c * v;
-        }
-        acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,20 +139,22 @@ mod tests {
             .map(|i| vec![i as f64, (i * i % 7) as f64])
             .collect();
         let y: Vec<f64> = x.iter().map(|r| 3.0 + 2.0 * r[0] - r[1]).collect();
-        let m = LinearModel::fit(&x, &y).unwrap();
+        let design: Vec<Vec<f64>> = x.iter().map(|r| vec![1.0, r[0], r[1]]).collect();
+        let beta = least_squares(&design, &y).unwrap();
         // Tolerances account for the small ridge regulariser.
-        assert!((m.coefficients[0] - 3.0).abs() < 1e-4);
-        assert!((m.coefficients[1] - 2.0).abs() < 1e-4);
-        assert!((m.coefficients[2] + 1.0).abs() < 1e-4);
-        assert!((m.predict(&[10.0, 4.0]) - 19.0).abs() < 1e-3);
+        assert!((beta[0] - 3.0).abs() < 1e-4);
+        assert!((beta[1] - 2.0).abs() < 1e-4);
+        assert!((beta[2] + 1.0).abs() < 1e-4);
+        let predicted = beta[0] + beta[1] * 10.0 + beta[2] * 4.0;
+        assert!((predicted - 19.0).abs() < 1e-3);
     }
 
     #[test]
     fn too_few_samples_errors() {
-        let x = vec![vec![1.0, 2.0, 3.0]];
+        let x = vec![vec![1.0, 1.0, 2.0, 3.0]];
         let y = vec![1.0];
         assert!(matches!(
-            LinearModel::fit(&x, &y),
+            least_squares(&x, &y),
             Err(FitError::TooFewSamples { .. })
         ));
     }

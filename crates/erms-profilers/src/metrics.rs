@@ -1,5 +1,4 @@
-//! Regression quality metrics, including the profiling-accuracy metric of
-//! Fig. 10. Shared numeric primitives come from [`erms_core::stats`].
+//! The profiling-accuracy metric of Fig. 10.
 
 /// Profiling accuracy as reported in Fig. 10: `mean(max(0, 1 − |ŷ−y|/y))`
 /// over the test set (the "1 − MAPE" accuracy, clipped at zero per
@@ -23,63 +22,6 @@ pub fn accuracy(truth: &[f64], predictions: &[f64]) -> f64 {
     }
 }
 
-/// Root mean squared error.
-pub fn rmse(truth: &[f64], predictions: &[f64]) -> f64 {
-    assert_eq!(truth.len(), predictions.len(), "length mismatch");
-    if truth.is_empty() {
-        return 0.0;
-    }
-    (truth
-        .iter()
-        .zip(predictions)
-        .map(|(y, p)| (y - p).powi(2))
-        .sum::<f64>()
-        / truth.len() as f64)
-        .sqrt()
-}
-
-/// Mean absolute percentage error (skipping non-positive truths).
-pub fn mape(truth: &[f64], predictions: &[f64]) -> f64 {
-    assert_eq!(truth.len(), predictions.len(), "length mismatch");
-    let mut acc = 0.0;
-    let mut count = 0usize;
-    for (&y, &p) in truth.iter().zip(predictions) {
-        if y > 0.0 {
-            acc += (p - y).abs() / y;
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        acc / count as f64
-    }
-}
-
-/// Coefficient of determination R².
-pub fn r2(truth: &[f64], predictions: &[f64]) -> f64 {
-    assert_eq!(truth.len(), predictions.len(), "length mismatch");
-    if truth.is_empty() {
-        return 0.0;
-    }
-    let mean = erms_core::stats::mean(truth);
-    let ss_tot: f64 = truth.iter().map(|y| (y - mean).powi(2)).sum();
-    let ss_res: f64 = truth
-        .iter()
-        .zip(predictions)
-        .map(|(y, p)| (y - p).powi(2))
-        .sum();
-    if ss_tot <= 0.0 {
-        if ss_res <= 1e-12 {
-            1.0
-        } else {
-            0.0
-        }
-    } else {
-        1.0 - ss_res / ss_tot
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,9 +30,6 @@ mod tests {
     fn perfect_prediction_scores_one() {
         let y = [1.0, 2.0, 4.0];
         assert!((accuracy(&y, &y) - 1.0).abs() < 1e-12);
-        assert_eq!(rmse(&y, &y), 0.0);
-        assert_eq!(mape(&y, &y), 0.0);
-        assert!((r2(&y, &y) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -103,26 +42,17 @@ mod tests {
     fn accuracy_is_one_minus_mape_when_errors_small() {
         let y = [10.0, 20.0];
         let p = [11.0, 18.0];
-        assert!((accuracy(&y, &p) - (1.0 - mape(&y, &p))).abs() < 1e-12);
+        // MAPE = (1/10 + 2/20) / 2 = 0.1.
+        assert!((accuracy(&y, &p) - 0.9).abs() < 1e-12);
     }
 
     #[test]
     fn skips_non_positive_truths() {
         assert_eq!(accuracy(&[0.0, -1.0], &[1.0, 1.0]), 0.0);
-        assert_eq!(mape(&[0.0], &[5.0]), 0.0);
-    }
-
-    #[test]
-    fn r2_of_mean_prediction_is_zero() {
-        let y = [1.0, 2.0, 3.0];
-        let p = [2.0, 2.0, 2.0];
-        assert!(r2(&y, &p).abs() < 1e-12);
     }
 
     #[test]
     fn empty_inputs_are_zero() {
         assert_eq!(accuracy(&[], &[]), 0.0);
-        assert_eq!(rmse(&[], &[]), 0.0);
-        assert_eq!(r2(&[], &[]), 0.0);
     }
 }

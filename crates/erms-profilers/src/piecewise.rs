@@ -322,26 +322,11 @@ fn knee_scan(group: &[&Sample], min_side: usize) -> Option<f64> {
 
 /// A [`Regressor`] adapter over the piecewise profile, for head-to-head
 /// comparison with the GBDT/MLP baselines in Fig. 10. Feature layout is
-/// `[γ, C, M]` as produced by [`Sample::features`].
+/// `[γ, C, M]` as produced by `Sample::features`.
 #[derive(Debug, Clone, Default)]
 pub struct PiecewiseRegressor {
     fitter: PiecewiseFitter,
     profile: Option<LatencyProfile>,
-}
-
-impl PiecewiseRegressor {
-    /// Creates a regressor with a custom fitter.
-    pub fn new(fitter: PiecewiseFitter) -> Self {
-        Self {
-            fitter,
-            profile: None,
-        }
-    }
-
-    /// The fitted profile, if any.
-    pub fn profile(&self) -> Option<&LatencyProfile> {
-        self.profile.as_ref()
-    }
 }
 
 impl Regressor for PiecewiseRegressor {
@@ -486,6 +471,6 @@ mod tests {
         reg.fit(&x, &y);
         let acc = accuracy(&y, &reg.predict_batch(&x));
         assert!(acc > 0.95, "accuracy {acc}");
-        assert!(reg.profile().is_some());
+        assert!(reg.profile.is_some());
     }
 }

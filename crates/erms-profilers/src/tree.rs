@@ -37,7 +37,7 @@ enum TreeNode {
 
 /// A fitted CART regression tree (piecewise-constant prediction).
 #[derive(Debug, Clone, PartialEq)]
-pub struct RegressionTree {
+pub(crate) struct RegressionTree {
     config: TreeConfig,
     nodes: Vec<TreeNode>,
 }
@@ -45,22 +45,17 @@ pub struct RegressionTree {
 impl RegressionTree {
     /// Creates an unfitted tree with the given configuration (predicts 0
     /// until [`Regressor::fit`] is called).
-    pub fn new(config: TreeConfig) -> Self {
+    pub(crate) fn new(config: TreeConfig) -> Self {
         Self {
             config,
             nodes: vec![TreeNode::Leaf(0.0)],
         }
     }
 
-    /// Number of nodes in the fitted tree.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Exposes the tree as `(feature, threshold, left, right)` splits and
     /// leaf values, for export into
     /// [`erms_core::latency::CutoffTree`]-style structures.
-    pub fn export(&self) -> Vec<ExportedNode> {
+    pub(crate) fn export(&self) -> Vec<ExportedNode> {
         self.nodes
             .iter()
             .map(|n| match n {
@@ -156,7 +151,7 @@ impl RegressionTree {
 
 /// A tree node in exported form.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ExportedNode {
+pub(crate) enum ExportedNode {
     /// Leaf with predicted value.
     Leaf(f64),
     /// Internal split.
@@ -250,7 +245,7 @@ mod tests {
         });
         tree.fit(&x, &y);
         // Depth 2 -> at most 7 nodes.
-        assert!(tree.node_count() <= 7, "{}", tree.node_count());
+        assert!(tree.nodes.len() <= 7, "{}", tree.nodes.len());
     }
 
     #[test]
@@ -279,7 +274,7 @@ mod tests {
         let y = vec![3.5; 50];
         let mut tree = RegressionTree::default();
         tree.fit(&x, &y);
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.nodes.len(), 1);
         assert!((tree.predict(&[7.0]) - 3.5).abs() < 1e-12);
     }
 
@@ -290,7 +285,7 @@ mod tests {
         let mut tree = RegressionTree::default();
         tree.fit(&x, &y);
         let exported = tree.export();
-        assert_eq!(exported.len(), tree.node_count());
+        assert_eq!(exported.len(), tree.nodes.len());
         assert!(matches!(exported[0], ExportedNode::Split { .. }));
     }
 }

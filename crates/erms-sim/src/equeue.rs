@@ -30,10 +30,10 @@
 //!
 //! # Batched dispatch
 //!
-//! [`CalendarQueue::pop_batch`] drains *every* entry sharing the minimal
+//! `CalendarQueue::pop_batch` drains *every* entry sharing the minimal
 //! key in one call — the engines decode the key to an `f64` once, fetch
 //! per-container state once, and dispatch the whole same-instant group
-//! from a flat buffer ([`Batch`]) instead of re-touching the queue.
+//! from a flat buffer (`Batch`) instead of re-touching the queue.
 //! Same-key events created *while* a batch executes are tie-order
 //! inserted into the live batch (monotone ties always append), which
 //! reproduces the heap's behaviour of re-sorting them ahead of
@@ -275,7 +275,7 @@ impl<K: Ord + Copy, T: Copy> CalendarQueue<K, T> {
     /// `&mut self`; a following [`Self::pop_batch`] finds the run already
     /// positioned.
     #[inline]
-    pub fn peek_key(&mut self) -> Option<u64> {
+    pub(crate) fn peek_key(&mut self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -288,7 +288,7 @@ impl<K: Ord + Copy, T: Copy> CalendarQueue<K, T> {
     /// Drains every entry sharing the minimal key into `out` (appended in
     /// tie order) and returns that key, or `None` when empty.
     #[inline]
-    pub fn pop_batch(&mut self, out: &mut Vec<(K, T)>) -> Option<u64> {
+    pub(crate) fn pop_batch(&mut self, out: &mut Vec<(K, T)>) -> Option<u64> {
         match self.pop_upto(u64::MAX, out) {
             Popped::None => None,
             Popped::One(key, tie, item) => {
@@ -509,7 +509,7 @@ impl<K: Ord + Copy, T: Copy> Default for CalendarQueue<K, T> {
 /// engine's push counter — always take the append fast path). The key
 /// sentinel `u64::MAX` never collides with a real packed time key of a
 /// finite event time, so an idle batch accepts nothing.
-pub struct Batch<K, T> {
+pub(crate) struct Batch<K, T> {
     key: u64,
     items: Vec<(K, T)>,
     pos: usize,
@@ -518,7 +518,7 @@ pub struct Batch<K, T> {
 impl<K: Ord + Copy, T: Copy> Batch<K, T> {
     /// Empty, inactive batch.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Batch {
             key: u64::MAX,
             items: Vec::new(),
@@ -529,20 +529,20 @@ impl<K: Ord + Copy, T: Copy> Batch<K, T> {
     /// Packed time key shared by every event in the batch.
     #[inline]
     #[must_use]
-    pub fn key(&self) -> u64 {
+    pub(crate) fn key(&self) -> u64 {
         self.key
     }
 
     /// Whether a same-key push belongs in this batch rather than the queue.
     #[inline]
     #[must_use]
-    pub fn accepts(&self, key: u64) -> bool {
+    pub(crate) fn accepts(&self, key: u64) -> bool {
         key == self.key
     }
 
     /// Next event in tie order, or `None` when the batch is exhausted.
     #[inline]
-    pub fn pop_front(&mut self) -> Option<(K, T)> {
+    pub(crate) fn pop_front(&mut self) -> Option<(K, T)> {
         let it = self.items.get(self.pos).copied();
         if it.is_some() {
             self.pos += 1;
@@ -554,7 +554,7 @@ impl<K: Ord + Copy, T: Copy> Batch<K, T> {
     /// the unprocessed tail sorted by tie — exactly where the heap would
     /// have re-sorted it relative to not-yet-popped peers.
     #[inline]
-    pub fn insert(&mut self, tie: K, item: T) {
+    pub(crate) fn insert(&mut self, tie: K, item: T) {
         match self.items.last() {
             Some((last, _)) if tie < *last => {
                 let at = self.pos + self.items[self.pos..].partition_point(|(t, _)| *t < tie);
@@ -567,7 +567,7 @@ impl<K: Ord + Copy, T: Copy> Batch<K, T> {
     /// Replaces the (exhausted) batch contents with the queue's next
     /// same-key group. Returns `false` when the queue is empty.
     #[inline]
-    pub fn refill(&mut self, queue: &mut CalendarQueue<K, T>) -> bool {
+    pub(crate) fn refill(&mut self, queue: &mut CalendarQueue<K, T>) -> bool {
         debug_assert_eq!(self.pos, self.items.len(), "refill of a live batch");
         self.items.clear();
         self.pos = 0;

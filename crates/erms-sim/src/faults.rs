@@ -243,17 +243,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Whether the plan injects anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.container_crashes.is_empty()
-            && self.host_failures.is_empty()
-            && self.cold_starts.is_empty()
-            && self.spot_reclamations.is_empty()
-            && self.drop_probability <= 0.0
-            && self.deadline_ms.is_none()
-            && self.span_loss <= 0.0
-    }
-
     /// Adds a container crash.
     #[must_use]
     pub fn crash(mut self, ms: MicroserviceId, at_ms: f64, count: u32) -> Self {
@@ -816,15 +805,6 @@ mod tests {
             g.entry(m);
         });
         (b.build().unwrap(), m)
-    }
-
-    #[test]
-    fn empty_plan_is_empty() {
-        assert!(FaultPlan::new().is_empty());
-        assert!(!FaultPlan::new()
-            .crash(MicroserviceId::new(0), 10.0, 1)
-            .is_empty());
-        assert!(!FaultPlan::new().with_deadline_ms(50.0).is_empty());
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub struct Partition {
 /// partitioner (and the balance property tests, which must see the same
 /// weights) structure-driven instead of degenerate.
 #[must_use]
-pub fn partition_rate_hints(app: &App, workloads: &WorkloadVector) -> RateHints {
+pub(crate) fn partition_rate_hints(app: &App, workloads: &WorkloadVector) -> RateHints {
     let total: f64 = app
         .services()
         .map(|(sid, _)| workloads.rate(sid).as_per_ms())
@@ -86,7 +86,7 @@ pub fn partition_rate_hints(app: &App, workloads: &WorkloadVector) -> RateHints 
 impl Partition {
     /// Relative slack over the perfectly balanced per-shard node weight
     /// that every partitioning phase is allowed to use.
-    pub const BALANCE_TOLERANCE: f64 = 0.10;
+    pub(crate) const BALANCE_TOLERANCE: f64 = 0.10;
 
     /// The PR-7 default partition: `ms.index() % shards`.
     #[must_use]
@@ -355,7 +355,7 @@ impl Partition {
     /// The shard owning microservice `ms`.
     #[inline]
     #[must_use]
-    pub fn shard_of(&self, ms: MicroserviceId) -> usize {
+    pub(crate) fn shard_of(&self, ms: MicroserviceId) -> usize {
         self.assign[ms.index()] as usize
     }
 
@@ -383,11 +383,12 @@ impl Partition {
         &self.assign
     }
 
+    #[cfg(test)]
     /// Counts `(cut, total)` dependency-graph edges under this table,
     /// where an edge is cut when parent and child microservices live on
     /// different shards.
     #[must_use]
-    pub fn cut_edges(&self, app: &App) -> (u64, u64) {
+    pub(crate) fn cut_edges(&self, app: &App) -> (u64, u64) {
         let mut cut = 0u64;
         let mut total = 0u64;
         for (_, svc) in app.services() {
@@ -404,18 +405,6 @@ impl Partition {
             }
         }
         (cut, total)
-    }
-
-    /// Fraction of dependency-graph edges cut by this table (0 when the
-    /// app has no edges).
-    #[must_use]
-    pub fn cut_edge_fraction(&self, app: &App) -> f64 {
-        let (cut, total) = self.cut_edges(app);
-        if total == 0 {
-            0.0
-        } else {
-            cut as f64 / total as f64
-        }
     }
 
     /// Per-shard node weight under this table, plus the balance envelope
@@ -573,6 +562,5 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert_eq!(p.shards(), 8);
         assert_eq!(p.cut_edges(&app), (0, 0));
-        assert_eq!(p.cut_edge_fraction(&app), 0.0);
     }
 }

@@ -49,7 +49,7 @@ impl ServiceTimeModel {
     }
 
     /// Draws one service time (lognormal with the configured mean and CV).
-    pub fn sample(&self, itf: Interference, rng: &mut impl Rng) -> f64 {
+    pub(crate) fn sample(&self, itf: Interference, rng: &mut impl Rng) -> f64 {
         let mean = self.mean_ms(itf);
         if self.cv <= 1e-9 {
             return mean;
@@ -83,7 +83,7 @@ impl Default for ServiceTimeModel {
 /// edge/tail rejection step, so the sampled distribution is still the
 /// exact standard normal. Every draw is a pure function of the RNG
 /// stream, preserving the seeded determinism the engine relies on.
-pub fn standard_normal(rng: &mut impl Rng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut impl Rng) -> f64 {
     let zig = ZIG.get_or_init(ZigTables::build);
     loop {
         // One word supplies the layer index (low 7 bits), the sign (bit

@@ -17,7 +17,7 @@
 //!
 //! Everything the per-event path touches is preallocated or amortised:
 //! the span ring is allocated once at construction
-//! ([`SpanRing::with_capacity`]), per-microservice and per-service
+//! (`SpanRing::with_capacity`), per-microservice and per-service
 //! sketches are preallocated by [`TelemetryCollector::for_app`], and an
 //! unsampled span (the 99% case at the default 1% rate) costs one hash,
 //! one compare and one counter increment. `tests/sim_allocations.rs`
@@ -29,7 +29,6 @@ use erms_core::app::App;
 use erms_core::ids::{MicroserviceId, ServiceId};
 use erms_sim::telemetry::{RequestRecord, SpanRecord, TelemetrySink};
 
-use crate::metrics::MetricsRegistry;
 use crate::sketch::{QuantileSketch, DEFAULT_RELATIVE_ERROR};
 
 /// Configuration of a [`TelemetryCollector`].
@@ -86,7 +85,7 @@ impl SpanRing {
     /// Creates a ring holding up to `capacity` spans (minimum 1),
     /// allocating the full backing store immediately.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             buf: Vec::with_capacity(capacity),
@@ -98,7 +97,7 @@ impl SpanRing {
 
     /// Appends a span, overwriting the oldest when full.
     #[inline]
-    pub fn push(&mut self, record: SpanRecord) {
+    pub(crate) fn push(&mut self, record: SpanRecord) {
         if self.buf.len() < self.capacity {
             self.buf.push(record);
         } else {
@@ -120,12 +119,6 @@ impl SpanRing {
         self.buf.is_empty()
     }
 
-    /// Configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Spans evicted by overwrites.
     #[must_use]
     pub fn overwritten(&self) -> u64 {
@@ -133,16 +126,10 @@ impl SpanRing {
     }
 
     /// Iterates retained spans oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
         self.buf[self.head..]
             .iter()
             .chain(self.buf[..self.head].iter())
-    }
-
-    /// Drops all retained spans (capacity and overwrite count remain).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
     }
 }
 
@@ -174,7 +161,7 @@ impl TelemetryCollector {
     /// service indices appear. Prefer [`for_app`](Self::for_app) on hot
     /// paths so the per-index tables are preallocated.
     #[must_use]
-    pub fn new(mut config: TelemetryConfig) -> Self {
+    pub(crate) fn new(mut config: TelemetryConfig) -> Self {
         config.sampling = if config.sampling.is_finite() {
             config.sampling.clamp(0.0, 1.0)
         } else {
@@ -209,7 +196,7 @@ impl TelemetryCollector {
 
     /// The (clamped) configuration.
     #[must_use]
-    pub fn config(&self) -> &TelemetryConfig {
+    pub(crate) fn config(&self) -> &TelemetryConfig {
         &self.config
     }
 
@@ -295,30 +282,6 @@ impl TelemetryCollector {
             self.ring.push(*span);
         }
         Ok(())
-    }
-
-    /// Folds the dense collector state into a name-keyed
-    /// [`MetricsRegistry`] report (the cold export path).
-    #[must_use]
-    pub fn report(&self) -> MetricsRegistry {
-        let mut r = MetricsRegistry::new();
-        r.inc("telemetry_spans_seen", self.spans_seen);
-        r.inc("telemetry_spans_sampled", self.spans_sampled);
-        r.inc("telemetry_requests_seen", self.requests_seen);
-        r.inc("telemetry_ring_overwritten", self.ring.overwritten());
-        r.set_gauge("telemetry_sampling", self.config.sampling);
-        r.set_gauge("telemetry_ring_len", self.ring.len() as f64);
-        for (i, s) in self.ms_own.iter().enumerate() {
-            if !s.is_empty() {
-                r.install_sketch(&format!("ms/{i}/own_latency_ms"), s.clone());
-            }
-        }
-        for (i, s) in self.service_e2e.iter().enumerate() {
-            if !s.is_empty() {
-                r.install_sketch(&format!("service/{i}/e2e_latency_ms"), s.clone());
-            }
-        }
-        r
     }
 
     /// The deterministic sampling coin for span ordinal `ordinal`.
@@ -481,7 +444,5 @@ mod tests {
         assert!(a.ms_latency(MicroserviceId::new(0)).is_some());
         assert!(a.ms_latency(MicroserviceId::new(1)).is_some());
         assert!(a.service_latency(ServiceId::new(0)).is_some());
-        let report = a.report();
-        assert_eq!(report.counter("telemetry_spans_seen"), 2);
     }
 }

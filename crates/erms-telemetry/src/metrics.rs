@@ -1,26 +1,18 @@
-//! Name-keyed metrics registry: counters, gauges and quantile sketches.
+//! Name-keyed metrics registry: counters and gauges.
 //!
-//! This is the Prometheus-shaped surface of the pipeline: the hot path
-//! (the [`TelemetryCollector`](crate::collector::TelemetryCollector)
-//! sink) records into dense index-addressed structures, and
-//! [`MetricsRegistry`] is the *cold* export format those structures fold
-//! into at scrape/report time — string lookups happen per report, never
-//! per event. Registries merge the same way sketches do, so per-replica
-//! reports reduce deterministically.
+//! This is the Prometheus-shaped surface of the control loop: the planner,
+//! the plan cache and the resilience ladder own their accumulations, and
+//! [`MetricsRegistry`] is the *cold* export format they are mirrored into
+//! at scrape/report time — string lookups happen per report, never per
+//! event.
 
 use std::collections::BTreeMap;
 
-use erms_core::error::Result;
-
-use crate::sketch::QuantileSketch;
-
-/// A named bag of counters (monotone `u64`), gauges (last-write `f64`)
-/// and mergeable [`QuantileSketch`] histograms.
+/// A named bag of counters (monotone `u64`) and gauges (last-write `f64`).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    sketches: BTreeMap<String, QuantileSketch>,
 }
 
 impl MetricsRegistry {
@@ -30,26 +22,17 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `by` to counter `name`, creating it at zero first.
-    pub fn inc(&mut self, name: &str, by: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += by;
-        } else {
-            self.counters.insert(name.to_owned(), by);
-        }
-    }
-
+    #[cfg(test)]
     /// Current value of counter `name` (0 when absent).
     #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
+    pub(crate) fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Sets counter `name` to an absolute value. For mirroring an
     /// externally accumulated monotone counter (planner metrics, cache
     /// hit/miss totals) into the registry at report time: the source owns
-    /// the accumulation, the registry snapshots it. Merging registries
-    /// still *adds* counters, so mirror each source into only one replica.
+    /// the accumulation, the registry snapshots it.
     pub fn set_counter(&mut self, name: &str, value: u64) {
         self.counters.insert(name.to_owned(), value);
     }
@@ -65,30 +48,6 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Records `value` into sketch `name`, creating the sketch with
-    /// `relative_error` on first use.
-    pub fn observe(&mut self, name: &str, value: f64, relative_error: f64) {
-        if let Some(s) = self.sketches.get_mut(name) {
-            s.insert(value);
-        } else {
-            let mut s = QuantileSketch::new(relative_error);
-            s.insert(value);
-            self.sketches.insert(name.to_owned(), s);
-        }
-    }
-
-    /// Installs a pre-built sketch under `name`, replacing any existing
-    /// one. Used when folding dense collector state into the registry.
-    pub fn install_sketch(&mut self, name: &str, sketch: QuantileSketch) {
-        self.sketches.insert(name.to_owned(), sketch);
-    }
-
-    /// The sketch registered under `name`.
-    #[must_use]
-    pub fn sketch(&self, name: &str) -> Option<&QuantileSketch> {
-        self.sketches.get(name)
-    }
-
     /// Iterates counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
@@ -97,35 +56,6 @@ impl MetricsRegistry {
     /// Iterates gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Iterates sketches in name order.
-    pub fn sketches(&self) -> impl Iterator<Item = (&str, &QuantileSketch)> {
-        self.sketches.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Merges `other` into `self`: counters add, gauges take `other`'s
-    /// value (it is the later write in an ordered reduction), sketches
-    /// merge bucket-wise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`QuantileSketch::merge`] mismatched-α failures.
-    pub fn merge(&mut self, other: &Self) -> Result<()> {
-        for (name, &v) in &other.counters {
-            self.inc(name, v);
-        }
-        for (name, &v) in &other.gauges {
-            self.gauges.insert(name.clone(), v);
-        }
-        for (name, sketch) in &other.sketches {
-            if let Some(mine) = self.sketches.get_mut(name) {
-                mine.merge(sketch)?;
-            } else {
-                self.sketches.insert(name.clone(), sketch.clone());
-            }
-        }
-        Ok(())
     }
 }
 
@@ -232,17 +162,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_sketches_round_trip() {
+    fn counters_and_gauges_round_trip() {
         let mut r = MetricsRegistry::new();
-        r.inc("spans", 3);
-        r.inc("spans", 2);
+        r.set_counter("spans", 3);
+        r.set_counter("spans", 5);
         r.set_gauge("sampling", 0.01);
-        r.observe("latency_ms", 10.0, 0.01);
-        r.observe("latency_ms", 20.0, 0.01);
         assert_eq!(r.counter("spans"), 5);
         assert_eq!(r.counter("absent"), 0);
         assert_eq!(r.gauge("sampling"), Some(0.01));
-        assert_eq!(r.sketch("latency_ms").unwrap().count(), 2);
+        assert_eq!(r.gauge("absent"), None);
     }
 
     #[test]
@@ -307,22 +235,5 @@ mod tests {
         // Snapshot semantics: re-mirroring the same history overwrites.
         record_resilience(&mut r, &[clean, degraded]);
         assert_eq!(r.counter("resilience.rounds"), 2);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_sketches() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.inc("spans", 1);
-        b.inc("spans", 4);
-        b.set_gauge("round", 2.0);
-        a.observe("l", 1.0, 0.01);
-        b.observe("l", 100.0, 0.01);
-        b.observe("only_b", 7.0, 0.01);
-        a.merge(&b).unwrap();
-        assert_eq!(a.counter("spans"), 5);
-        assert_eq!(a.gauge("round"), Some(2.0));
-        assert_eq!(a.sketch("l").unwrap().count(), 2);
-        assert_eq!(a.sketch("only_b").unwrap().count(), 1);
     }
 }

@@ -264,14 +264,6 @@ pub struct RefitOutcome {
     pub kept: Vec<MicroserviceId>,
 }
 
-impl RefitOutcome {
-    /// `true` when at least one profile was re-fitted.
-    #[must_use]
-    pub fn changed(&self) -> bool {
-        !self.refitted.is_empty()
-    }
-}
-
 /// Cap on retained samples per microservice; oldest are dropped first
 /// (bounded memory over an unbounded run).
 const MAX_SAMPLES: usize = 2_048;
@@ -841,7 +833,7 @@ mod tests {
     fn nothing_fitted_changes_nothing() {
         let app = chain_app(3, 7);
         let refit = OnlineProfiler::new().refit(&app);
-        assert!(!refit.changed());
+        assert!(refit.refitted.is_empty());
         assert_eq!(format!("{:?}", refit.app), format!("{app:?}"));
         assert_eq!(refit.kept.len(), 3);
         let mut patched = app.clone();

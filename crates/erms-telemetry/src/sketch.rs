@@ -29,7 +29,7 @@
 //! Buckets are a dense `Vec<u64>` offset by the lowest occupied key —
 //! latency distributions occupy a contiguous log-range, so this is both
 //! smaller and faster than a hash map. When the span of occupied keys
-//! exceeds `max_bins`, the *lowest* buckets collapse into one, which
+//! exceeds [`DEFAULT_MAX_BINS`], the *lowest* buckets collapse into one, which
 //! degrades accuracy only for the smallest values — tail quantiles, the
 //! quantity Erms plans against, keep the full guarantee.
 
@@ -38,7 +38,7 @@ use erms_core::error::{Error, Result};
 /// Default relative error (1%).
 pub const DEFAULT_RELATIVE_ERROR: f64 = 0.01;
 
-/// Default cap on the number of buckets. At α = 1%, 1 600 buckets span
+/// Cap on the number of buckets. At α = 1%, 1 600 buckets span
 /// more than 13 decades — far beyond any latency range the simulator
 /// produces — while bounding memory at ~13 KiB per sketch.
 pub const DEFAULT_MAX_BINS: usize = 1_600;
@@ -55,15 +55,12 @@ pub struct QuantileSketch {
     /// Key of `buckets[0]`; meaningful only when `buckets` is non-empty.
     min_key: i32,
     buckets: Vec<u64>,
-    max_bins: usize,
     /// Samples below [`MIN_TRACKABLE`] (including exact zeros).
     zero_count: u64,
     count: u64,
     sum: f64,
     min: f64,
     max: f64,
-    /// Whether low buckets were ever collapsed by the `max_bins` cap.
-    collapsed: bool,
 }
 
 impl Default for QuantileSketch {
@@ -89,29 +86,12 @@ impl QuantileSketch {
             ln_gamma: gamma.ln(),
             min_key: 0,
             buckets: Vec::new(),
-            max_bins: DEFAULT_MAX_BINS,
             zero_count: 0,
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            collapsed: false,
         }
-    }
-
-    /// Caps the number of buckets (minimum 16). When exceeded, the
-    /// lowest buckets collapse — tail accuracy is unaffected.
-    #[must_use]
-    pub fn with_max_bins(mut self, max_bins: usize) -> Self {
-        self.max_bins = max_bins.max(16);
-        self.enforce_bins();
-        self
-    }
-
-    /// The configured relative-error guarantee α.
-    #[must_use]
-    pub fn relative_error(&self) -> f64 {
-        self.alpha
     }
 
     /// Number of samples inserted.
@@ -122,7 +102,7 @@ impl QuantileSketch {
 
     /// `true` when no sample was inserted yet.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
@@ -130,16 +110,6 @@ impl QuantileSketch {
     #[must_use]
     pub fn sum(&self) -> f64 {
         self.sum
-    }
-
-    /// Mean of all samples; `0.0` when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
     }
 
     /// Smallest sample (exact); `0.0` when empty.
@@ -160,13 +130,6 @@ impl QuantileSketch {
         } else {
             self.max
         }
-    }
-
-    /// Whether the `max_bins` cap ever collapsed low buckets (low — not
-    /// tail — quantiles may then exceed the α bound).
-    #[must_use]
-    pub fn collapsed(&self) -> bool {
-        self.collapsed
     }
 
     /// The non-empty buckets as `(key, count)` pairs, lowest key first.
@@ -200,7 +163,7 @@ impl QuantileSketch {
         }
         let key = self.key_of(value);
         self.bump(key, 1);
-        if self.buckets.len() > self.max_bins {
+        if self.buckets.len() > DEFAULT_MAX_BINS {
             self.enforce_bins();
         }
     }
@@ -235,7 +198,6 @@ impl QuantileSketch {
                 self.bump(other.min_key + i as i32, c);
             }
         }
-        self.collapsed |= other.collapsed;
         self.enforce_bins();
         Ok(())
     }
@@ -315,18 +277,18 @@ impl QuantileSketch {
     }
 
     /// Collapses the lowest buckets into one until the span fits
-    /// `max_bins`. One pass, so a far-below-range outlier cannot cause
+    /// [`DEFAULT_MAX_BINS`] (low — not tail — quantiles may then exceed the
+    /// α bound). One pass, so a far-below-range outlier cannot cause
     /// quadratic work.
     fn enforce_bins(&mut self) {
-        if self.buckets.len() <= self.max_bins {
+        if self.buckets.len() <= DEFAULT_MAX_BINS {
             return;
         }
-        let excess = self.buckets.len() - self.max_bins;
+        let excess = self.buckets.len() - DEFAULT_MAX_BINS;
         let merged: u64 = self.buckets[..=excess].iter().sum();
         self.buckets.drain(..excess);
         self.buckets[0] = merged;
         self.min_key += excess as i32;
-        self.collapsed = true;
     }
 }
 
@@ -339,7 +301,6 @@ mod tests {
         let s = QuantileSketch::new(0.01);
         assert!(s.is_empty());
         assert_eq!(s.quantile(0.5), 0.0);
-        assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
     }
@@ -374,15 +335,16 @@ mod tests {
 
     #[test]
     fn collapse_keeps_tail_accuracy() {
-        let mut s = QuantileSketch::new(0.01).with_max_bins(64);
-        // Six decades of values force a collapse at 64 bins.
-        for i in 0..6_000u32 {
-            s.insert(1e-3 * 1.003_f64.powi(i as i32 % 4000) * f64::from(1 + i / 4000));
+        let mut s = QuantileSketch::new(0.01);
+        // Sixteen decades of values, every bucket hit, force a collapse at
+        // the 1 600 bins that span about 13.9 decades at α = 1 %.
+        for i in 0..16_000u32 {
+            s.insert(1e-8 * 10f64.powf(f64::from(i) / 1_000.0));
         }
-        s.insert(5_000.0);
-        assert!(s.collapsed());
+        s.insert(5e8);
+        assert!(s.bucket_counts().len() <= DEFAULT_MAX_BINS);
         let p100 = s.quantile(1.0);
-        assert!((p100 - 5_000.0).abs() <= 0.01 * 5_000.0 + 1e-9, "{p100}");
+        assert!((p100 - 5e8).abs() <= 0.01 * 5e8, "{p100}");
     }
 
     #[test]

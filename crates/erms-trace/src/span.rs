@@ -54,7 +54,7 @@ impl Span {
 
     /// Whether two spans overlap in time (used to detect parallel calls,
     /// §5.1).
-    pub fn overlaps(&self, other: &Span) -> bool {
+    pub(crate) fn overlaps(&self, other: &Span) -> bool {
         self.start_ms < other.end_ms && other.start_ms < self.end_ms
     }
 }

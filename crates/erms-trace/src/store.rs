@@ -17,7 +17,7 @@ pub struct TraceStore {
 
 impl TraceStore {
     /// Creates a store sampling every trace (rate 1.0).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_sampling(1.0, 0)
     }
 
@@ -71,16 +71,6 @@ impl TraceStore {
         self.traces
             .iter()
             .map(|(&id, spans)| (id, spans.as_slice()))
-    }
-
-    /// The spans of one trace.
-    pub fn trace(&self, id: TraceId) -> Option<&[Span]> {
-        self.traces.get(&id).map(Vec::as_slice)
-    }
-
-    /// Drops all stored traces (e.g. between profiling windows).
-    pub fn clear(&mut self) {
-        self.traces.clear();
     }
 
     /// Moves every trace of `other` into `self`, appending spans when a
@@ -166,13 +156,5 @@ mod tests {
         let mut store = TraceStore::with_sampling(0.0, 1);
         assert!(!store.record(span(1)));
         assert_eq!(store.trace_count(), 0);
-    }
-
-    #[test]
-    fn clear_empties_store() {
-        let mut store = TraceStore::new();
-        store.record(span(1));
-        store.clear();
-        assert_eq!(store.span_count(), 0);
     }
 }

@@ -20,30 +20,6 @@ pub fn sla_levels() -> Vec<f64> {
     vec![50.0, 100.0, 150.0, 200.0]
 }
 
-/// Classification of a workload level relative to the sweep (used to
-/// bucket results the way the paper labels "low"/"high" workloads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadBand {
-    /// ≤ 6 000 req/min.
-    Low,
-    /// 6 000–40 000 req/min.
-    Medium,
-    /// > 40 000 req/min.
-    High,
-}
-
-/// Buckets a rate into a [`LoadBand`].
-pub fn band(rate: RequestRate) -> LoadBand {
-    let per_min = rate.as_per_minute();
-    if per_min <= 6_000.0 {
-        LoadBand::Low
-    } else if per_min <= 40_000.0 {
-        LoadBand::Medium
-    } else {
-        LoadBand::High
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,12 +35,5 @@ mod tests {
     #[test]
     fn sla_levels_match_paper() {
         assert_eq!(sla_levels(), vec![50.0, 100.0, 150.0, 200.0]);
-    }
-
-    #[test]
-    fn banding() {
-        assert_eq!(band(RequestRate::per_minute(600.0)), LoadBand::Low);
-        assert_eq!(band(RequestRate::per_minute(20_000.0)), LoadBand::Medium);
-        assert_eq!(band(RequestRate::per_minute(100_000.0)), LoadBand::High);
     }
 }

@@ -20,7 +20,10 @@
 //!   checked on the sojourn `T = W + S` as
 //!   `E[T²] = E[W²] + 2W·E[S] + E[S²]` (23.78 ms²);
 //! * at δ = 0 each class has Cobham's non-preemptive priority wait
-//!   `W_k = (λE[S²]/2) / ((1−σ_{k−1})(1−σ_k))` (1.077 / 3.590 ms);
+//!   `W_k = (λE[S²]/2) / ((1−σ_{k−1})(1−σ_k))` (1.077 / 3.590 ms), with
+//!   `λ` the total rate and `σ_k` the load of classes 1..=k; the law is
+//!   also checked with the same load split over three and four classes
+//!   (0.913 / 1.712 / 4.375 ms and 0.848 / 1.305 / 2.267 / 4.912 ms);
 //! * for every δ the scheduler conserves work (Kleinrock):
 //!   `Σ ρ_k W_k = ρ W_FCFS` (1.633 ms);
 //! * the δ rule itself (§5.3.2): when a thread frees up with both classes
@@ -44,8 +47,9 @@
 //! of the law's value.
 //!
 //! The tier-1 form (12 replicas × 50 s simulated per policy, ≈ 17 000
-//! calls per class per replica) runs in about 2 s of a debug `cargo test`;
-//! there the bound comes to ≈ 5 % of each mean law and ≈ 12 % of Takács'.
+//! calls per class per replica with two classes) runs in about 3 s of a
+//! debug `cargo test`; there the bound comes to ≈ 5 % of each mean law and
+//! ≈ 12 % of Takács'.
 //! The `#[ignore]`d long form, `cargo test --release --test queueing_laws
 //! -- --ignored`, runs 32 replicas × 400 s, for bounds of ≈ 0.5–2.5 %.
 
@@ -60,7 +64,7 @@ use erms_sim::runtime::{Scheduling, SimConfig, Simulation};
 use erms_sim::service_time::ServiceTimeModel;
 use erms_sim::telemetry::{FnSink, SpanRecord};
 
-/// Arrival rate of each class at the shared microservice, per ms.
+/// Arrival rate of each of two classes at the shared microservice, per ms.
 const LAMBDA: f64 = 0.35;
 /// Mean and coefficient of variation of the shared service time, ms.
 const MEAN: f64 = 1.0;
@@ -83,6 +87,12 @@ fn rho() -> f64 {
     2.0 * LAMBDA * MEAN
 }
 
+/// Arrival rate of each of `classes` classes that share the two classes'
+/// load (so ρ stays 0.7), per ms.
+fn class_rate(classes: usize) -> f64 {
+    2.0 * LAMBDA / classes as f64
+}
+
 /// Pollaczek–Khinchine mean wait under FCFS.
 fn pk_wait() -> f64 {
     2.0 * LAMBDA * moment(2) / (2.0 * (1.0 - rho()))
@@ -95,15 +105,18 @@ fn takacs_sojourn_second_moment() -> f64 {
     w2 + 2.0 * w * MEAN + moment(2)
 }
 
-/// Cobham's non-preemptive mean wait of class `k` (0 = highest).
-fn cobham_wait(k: usize) -> f64 {
-    let w0 = 2.0 * LAMBDA * moment(2) / 2.0;
-    let sigma = |j: usize| j as f64 * LAMBDA * MEAN;
+/// Cobham's non-preemptive mean wait of class `k` (0 = highest) of
+/// `classes` equal classes.
+fn cobham_wait(classes: usize, k: usize) -> f64 {
+    let lambda = class_rate(classes);
+    let w0 = classes as f64 * lambda * moment(2) / 2.0;
+    let sigma = |j: usize| j as f64 * lambda * MEAN;
     w0 / ((1.0 - sigma(k)) * (1.0 - sigma(k + 1)))
 }
 
-/// The front-then-shared app: two services, one shared M/G/1 server.
-fn app() -> (App, MicroserviceId, MicroserviceId, [ServiceId; 2]) {
+/// The front-then-shared app: one service per class, highest priority
+/// first, and one shared M/G/1 server.
+fn app(classes: usize) -> (App, MicroserviceId, MicroserviceId, Vec<ServiceId>) {
     let mut b = AppBuilder::new("mg1");
     let profile = LatencyProfile::linear(0.0, 1.0);
     let front = b.microservice("front", profile.clone(), Resources::default());
@@ -114,24 +127,26 @@ fn app() -> (App, MicroserviceId, MicroserviceId, [ServiceId; 2]) {
             g.call_seq(root, shared);
         })
     };
-    let classes = [service("high"), service("low")];
+    let classes = (0..classes)
+        .map(|k| service(&format!("class{k}")))
+        .collect();
     (b.build().unwrap(), front, shared, classes)
 }
 
 /// What one run shows at the shared microservice.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone)]
 struct Replica {
     /// Per class, over calls arriving after the warm-up: `(count, ΣT, ΣT²)`
     /// of the sojourn time `T`.
-    sums: [(f64, f64, f64); 2],
-    /// Thread hand-overs with both classes waiting, and how many of them
-    /// went to the low class.
+    sums: Vec<(f64, f64, f64)>,
+    /// Thread hand-overs with classes 0 and 1 both waiting, and how many of
+    /// them went to class 1.
     contested: f64,
     low_picks: f64,
 }
 
-fn run(seed: u64, duration_ms: f64, scheduling: Scheduling) -> Replica {
-    let (app, front, shared, classes) = app();
+fn run(seed: u64, duration_ms: f64, scheduling: Scheduling, classes: usize) -> Replica {
+    let (app, front, shared, classes) = app(classes);
     let mut sim = Simulation::new(
         &app,
         SimConfig {
@@ -149,7 +164,10 @@ fn run(seed: u64, duration_ms: f64, scheduling: Scheduling) -> Replica {
     sim.set_threads(shared, 1);
     let mut w = WorkloadVector::new();
     for &sid in &classes {
-        w.set(sid, RequestRate::per_minute(LAMBDA * 60_000.0));
+        w.set(
+            sid,
+            RequestRate::per_minute(class_rate(classes.len()) * 60_000.0),
+        );
     }
     let containers: BTreeMap<_, _> = [(front, 64), (shared, 1)].into_iter().collect();
     let priorities: BTreeMap<_, _> = [(shared, classes.to_vec())].into_iter().collect();
@@ -158,18 +176,22 @@ fn run(seed: u64, duration_ms: f64, scheduling: Scheduling) -> Replica {
     let mut served: Vec<(f64, f64, usize)> = Vec::new();
     let sink = FnSink::spans(|s: &SpanRecord| {
         if s.microservice == shared {
-            let class = usize::from(s.service == classes[1]);
+            let class = classes.iter().position(|&c| c == s.service).unwrap();
             served.push((s.start_ms, s.end_ms, class));
         }
     });
     sim.run_with_sink(&w, &containers, &priorities, sink)
         .unwrap();
-    observe(&served)
+    observe(&served, classes.len())
 }
 
 /// Reads the laws' observables off the served calls.
-fn observe(served: &[(f64, f64, usize)]) -> Replica {
-    let mut r = Replica::default();
+fn observe(served: &[(f64, f64, usize)], classes: usize) -> Replica {
+    let mut r = Replica {
+        sums: vec![(0.0, 0.0, 0.0); classes],
+        contested: 0.0,
+        low_picks: 0.0,
+    };
     for &(arrive, end, class) in served {
         if arrive >= WARMUP_MS {
             let t = end - arrive;
@@ -184,7 +206,7 @@ fn observe(served: &[(f64, f64, usize)]) -> Replica {
     // scheduler picked.
     let mut arrivals: Vec<(f64, usize)> = served.iter().map(|&(a, _, c)| (a, c)).collect();
     arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let (mut present, mut next_arrival) = ([0u32; 2], 0);
+    let (mut present, mut next_arrival) = (vec![0u32; classes], 0);
     for pair in served.windows(2) {
         let ((_, end, class), (_, _, picked)) = (pair[0], pair[1]);
         while next_arrival < arrivals.len() && arrivals[next_arrival].0 < end {
@@ -227,21 +249,22 @@ fn wait(r: &Replica, k: usize) -> f64 {
 }
 
 fn pooled(r: &Replica, moment: impl Fn(&(f64, f64, f64)) -> f64) -> f64 {
-    (moment(&r.sums[0]) + moment(&r.sums[1])) / (r.sums[0].0 + r.sums[1].0)
+    r.sums.iter().map(moment).sum::<f64>() / r.sums.iter().map(|s| s.0).sum::<f64>()
 }
 
 /// `Σ ρ_k W_k`.
 fn weighted_wait(r: &Replica) -> f64 {
-    LAMBDA * MEAN * (wait(r, 0) + wait(r, 1))
+    let classes = r.sums.len();
+    class_rate(classes) * MEAN * (0..classes).map(|k| wait(r, k)).sum::<f64>()
 }
 
 fn check_laws(replicas: usize, duration_ms: f64) {
-    let runs = |scheduling| {
+    let runs = |scheduling, classes| {
         replicate(BASE_SEED, replicas, |seed, _| {
-            run(seed, duration_ms, scheduling)
+            run(seed, duration_ms, scheduling, classes)
         })
     };
-    let fcfs = runs(Scheduling::Fcfs);
+    let fcfs = runs(Scheduling::Fcfs, 2);
     check("Pollaczek–Khinchine", &fcfs, pk_wait(), |r| {
         pooled(r, |s| s.1) - MEAN
     });
@@ -251,10 +274,14 @@ fn check_laws(replicas: usize, duration_ms: f64) {
     let conserved = rho() * pk_wait();
     check("conservation, FCFS", &fcfs, conserved, weighted_wait);
     for delta in [0.0, 0.05, 0.2, 0.5] {
-        let prio = runs(Scheduling::Priority { delta });
+        let prio = runs(Scheduling::Priority { delta }, 2);
         if delta == 0.0 {
-            check("Cobham, high class", &prio, cobham_wait(0), |r| wait(r, 0));
-            check("Cobham, low class", &prio, cobham_wait(1), |r| wait(r, 1));
+            check("Cobham, high class", &prio, cobham_wait(2, 0), |r| {
+                wait(r, 0)
+            });
+            check("Cobham, low class", &prio, cobham_wait(2, 1), |r| {
+                wait(r, 1)
+            });
         }
         check(
             &format!("conservation, δ = {delta}"),
@@ -269,14 +296,31 @@ fn check_laws(replicas: usize, duration_ms: f64) {
             |r| r.low_picks / r.contested,
         );
     }
+    for classes in [3, 4] {
+        let prio = runs(Scheduling::Priority { delta: 0.0 }, classes);
+        for k in 0..classes {
+            check(
+                &format!("Cobham, class {k} of {classes}"),
+                &prio,
+                cobham_wait(classes, k),
+                |r| wait(r, k),
+            );
+        }
+    }
 }
 
 #[test]
 fn theory_values_are_the_textbook_ones() {
     let close = |a: f64, b: f64| (a - b).abs() < 5e-4;
     assert!(close(pk_wait(), 2.3333));
-    assert!(close(cobham_wait(0), 1.0769));
-    assert!(close(cobham_wait(1), 3.5897));
+    assert!(close(cobham_wait(2, 0), 1.0769));
+    assert!(close(cobham_wait(2, 1), 3.5897));
+    for (k, w) in [0.9130, 1.7120, 4.3750].into_iter().enumerate() {
+        assert!(close(cobham_wait(3, k), w));
+    }
+    for (k, w) in [0.8485, 1.3054, 2.2672, 4.9123].into_iter().enumerate() {
+        assert!(close(cobham_wait(4, k), w));
+    }
     assert!(close(rho() * pk_wait(), 1.6333));
     assert!(close(takacs_sojourn_second_moment(), 23.7778));
 }
